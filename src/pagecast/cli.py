@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import kernels
-from .errors import PagecastError
+from .errors import GridMismatch, PagecastError
 from .incremental import HyperParams, create_model
 from .ingestion import TimeSeriesBatch, aggregate, load_csv, write_csv
 from .metrics import ExperimentGrid, nrmse_pooled, wbc
@@ -108,9 +108,13 @@ def cmd_insert(args) -> int:
         print(f"error: columns {batch.names} do not match model series "
               f"{model.names}", file=sys.stderr)
         return 1
+    expected = model.t0 + model.n_steps * model.step
+    if abs(batch.t0 - expected) > 1e-9 * model.step:
+        raise GridMismatch(
+            f"first timestamp {batch.t0:.17g} does not continue the model, "
+            f"whose next step is at {expected:.17g}")
     start = time.perf_counter()
-    for step in range(batch.n_steps):
-        model.insert(batch.values[:, step], batch.observed[:, step])
+    model.insert_many(batch.values, batch.observed)
     save_model(model, args.model)
     elapsed = time.perf_counter() - start
     print(f"inserted {batch.n_steps} steps in {elapsed:.3f} s", file=sys.stderr)

@@ -75,6 +75,10 @@ class WidthMismatch(PagecastError):
     """Inserted row width differs from the model's series count."""
 
 
+class GridMismatch(PagecastError):
+    """Inserted rows do not start at the model's next time step."""
+
+
 class UnknownSeries(PagecastError):
     """Series name or index not present in the model."""
 

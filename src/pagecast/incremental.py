@@ -21,6 +21,10 @@ from .estimator import pcr_coefficients
 from .ingestion import TimeSeriesBatch
 from .svd_engine import append_columns, svd_with_spectrum
 
+# Longest run of steps that insert_many adds in one bulk operation; keeps
+# its temporaries at O(N * BULK_STEPS) whatever the block size.
+BULK_STEPS = 1024
+
 
 class RetrainAction(Enum):
     FALLBACK = "fallback"
@@ -129,6 +133,19 @@ class _RawWindow:
         self._vals[:, self._hi] = values_col
         self._mask[:, self._hi] = mask_col
         self._hi += 1
+
+    def extend(self, values: np.ndarray, mask: np.ndarray) -> None:
+        """Append columns in order; capacity grows exactly as it would under
+        one :meth:`append` per column (fill, then regrow)."""
+        done, n = 0, values.shape[1]
+        while done < n:
+            if self._hi == self._vals.shape[1]:
+                self._regrow()
+            take = min(n - done, self._vals.shape[1] - self._hi)
+            self._vals[:, self._hi:self._hi + take] = values[:, done:done + take]
+            self._mask[:, self._hi:self._hi + take] = mask[:, done:done + take]
+            self._hi += take
+            done += take
 
     def _regrow(self) -> None:
         n = self.n_cols
@@ -316,22 +333,87 @@ class PredictionModel:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if len(values) != self.N:
             raise WidthMismatch(f"row has {len(values)} values, model has {self.N}")
-        if observed is None:
-            observed = np.isfinite(values)
-        else:
+        if observed is not None:
             observed = np.asarray(observed, dtype=bool).reshape(-1)
             if len(observed) != self.N:
                 raise WidthMismatch("mask width mismatch")
-            observed = observed & np.isfinite(np.where(observed, values, 0.0))
-        self._insert_step(values, observed)
+        self._insert_step(values, _usable(values, observed))
+
+    def insert_many(self, values: np.ndarray,
+                    observed: np.ndarray | None = None) -> None:
+        """Insert a block of time steps; column j of the N x T ``values`` is
+        the j-th new step.
+
+        Validates like :meth:`insert` and leaves the model in the state that
+        inserting the columns one by one would, bit for bit.  Only the steps
+        where something is trained (a retrain, an append, a new sub-model)
+        go through the per-step path; the steps between them are added in
+        bulk.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != self.N:
+            raise WidthMismatch(
+                f"block has shape {values.shape}, model has {self.N} series")
+        if observed is not None:
+            observed = np.asarray(observed, dtype=bool)
+            if observed.shape != values.shape:
+                raise WidthMismatch(
+                    f"mask shape {observed.shape} != values {values.shape}")
+        pos, end = 0, values.shape[1]
+        while pos < end:
+            n = self._quiet_steps(end - pos)
+            stop = pos + max(n, 1)
+            vals = values[:, pos:stop]
+            obs = _usable(vals, None if observed is None else observed[:, pos:stop])
+            if n:
+                self._add_quiet(vals, obs)
+            else:
+                self._insert_step(vals[:, 0], obs[:, 0])
+            pos = stop
+
+    def _quiet_steps(self, limit: int) -> int:
+        """How many of the next steps (at most ``limit`` and BULK_STEPS)
+        train nothing: no sub-model starts, no trained buffer reaches L, and
+        no pending threshold is crossed at a feasible window (the rules of
+        :meth:`_insert_step` and :meth:`_feed`)."""
+        step = self.n_steps
+        n = min(limit, BULK_STEPS, len(self.submodels) * self.half_steps - step)
+        if n <= 0:
+            return 0
+        for sm in self.segments_for_step(step):
+            if sm.trained:
+                n = min(n, sm.L - sm.buf_len - 1)
+            if sm.pending:
+                t_seg = max(sm.steps + 1, -(-min(sm.pending) // self.N))
+                while t_seg <= sm.steps + n and self._window_for(t_seg) is None:
+                    t_seg += 1
+                n = min(n, t_seg - sm.steps - 1)
+        return n
+
+    def _add_quiet(self, values: np.ndarray, observed: np.ndarray) -> None:
+        """Add steps that :meth:`_quiet_steps` cleared, in bulk."""
+        n = values.shape[1]
+        # Row sums of a C-contiguous (steps, N) copy equal the per-step sums
+        # of _insert_step; cumsum then adds them in the same order.
+        rows = np.ascontiguousarray(np.where(observed, values, 0.0).T)
+        self.obs_sum = float(np.cumsum(np.r_[self.obs_sum, rows.sum(axis=1)])[-1])
+        self.obs_sumsq = float(
+            np.cumsum(np.r_[self.obs_sumsq, (rows * rows).sum(axis=1)])[-1])
+        self.obs_cnt += int(observed.sum())
+        self.raw.extend(np.where(observed, values, np.nan), observed)
+        for sm in self.segments_for_step(self.n_steps):
+            sm.steps += n
+            if sm.trained:
+                sm.buf[:, sm.buf_len:sm.buf_len + n] = rows.T
+                sm.buf_len += n
+        self.n_steps += n
 
     def _insert_step(self, values: np.ndarray, observed: np.ndarray) -> None:
         step = self.n_steps
-        if observed.any():
-            v = values[observed]
-            self.obs_sum += float(v.sum())
-            self.obs_sumsq += float((v * v).sum())
-            self.obs_cnt += int(observed.sum())
+        zero_row = np.where(observed, values, 0.0)
+        self.obs_sum += float(zero_row.sum())
+        self.obs_sumsq += float((zero_row * zero_row).sum())
+        self.obs_cnt += int(observed.sum())
         self.raw.append(np.where(observed, values, np.nan), observed)
         self.n_steps += 1
 
@@ -346,7 +428,6 @@ class PredictionModel:
                 margin = max((sm.L or 2) for sm in self.submodels) + 2
                 self.raw.prune_before(max(0, min(keep_from, self.n_steps - margin)))
 
-        zero_row = np.where(observed, values, 0.0)
         for sm in self.segments_for_step(step):
             self._feed(sm, zero_row)
 
@@ -463,16 +544,20 @@ class PredictionModel:
         return bm, bv
 
 
+def _usable(values: np.ndarray, observed: np.ndarray | None) -> np.ndarray:
+    """Entries that count as observed: flagged (all, without a mask) and
+    finite."""
+    if observed is None:
+        return np.isfinite(values)
+    return observed & np.isfinite(np.where(observed, values, 0.0))
+
+
 def create_model(batch: TimeSeriesBatch, hp: HyperParams | None = None) -> PredictionModel:
-    """Train a model by replaying the batch one time step at a time.
+    """Train a model on the whole batch with :meth:`PredictionModel.insert_many`.
 
     Produces state identical to calling :meth:`PredictionModel.insert` for
     every step in order.
     """
     model = PredictionModel(batch.names, hp, t0=batch.t0, step=batch.step)
-    values = batch.values
-    observed = batch.observed
-    for step in range(batch.n_steps):
-        model._insert_step(values[:, step].astype(np.float64),
-                           observed[:, step])
+    model.insert_many(batch.values, batch.observed)
     return model

@@ -22,8 +22,10 @@ hex floats, so a load reproduces predictions bit for bit.
 
 Saves are staged in ``<dir>.staging`` and committed by renaming the old
 directory to ``<dir>.bak`` and the staging directory to ``<dir>``; a load
-falls back to the backup when the primary is missing or fails validation, so
-an interrupted save always leaves the previous version loadable.
+falls back to the backup when the primary's manifest is missing or
+unreadable, so an interrupted save always leaves the previous version
+loadable.  Checksum and other validation failures of a readable primary are
+raised, not hidden by the fallback.
 """
 
 import hashlib
@@ -325,8 +327,12 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
 def load_model(directory) -> PredictionModel:
     """Load a model saved by :func:`save_model`.
 
-    Falls back to ``<dir>.bak`` when the primary copy is absent or fails
-    validation (the signature an interrupted save leaves behind).
+    Falls back to ``<dir>.bak`` only when the primary's manifest is missing
+    or unreadable (the signature an interrupted save leaves behind), and
+    raises :class:`CorruptManifest` if the backup is absent too.  A readable
+    primary that fails validation raises :class:`ChecksumMismatch`,
+    :class:`CorruptManifest` or :class:`VersionUnsupported` without trying
+    the backup.
     """
     directory = os.fspath(directory)
     backup = directory + ".bak"

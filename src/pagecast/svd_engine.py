@@ -76,11 +76,10 @@ def _sign_fix(U: np.ndarray, V: np.ndarray) -> None:
     In-place; makes factorizations deterministic for serialization and
     golden tests.
     """
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            U[:, j] = -col
-            V[:, j] = -V[:, j]
+    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+    if flip.any():
+        U[:, flip] *= -1.0
+        V[:, flip] *= -1.0
 
 
 def truncated_svd(m: np.ndarray, k: int) -> TruncatedSVD:

@@ -15,9 +15,10 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _write_series_csv(path, n_steps=400, n_series=2, seed=0, noise=0.05):
+def _write_series_csv(path, n_steps=400, n_series=2, seed=0, noise=0.05,
+                      first_t=1):
     rng = np.random.default_rng(seed)
-    t = np.arange(1, n_steps + 1, dtype=float)
+    t = np.arange(first_t, first_t + n_steps, dtype=float)
     rows = [["t"] + [f"s{i}" for i in range(n_series)]]
     for i, ti in enumerate(t):
         vals = [np.cos(2 * np.pi * ti / 80) * (1 + 0.1 * j)
@@ -96,11 +97,27 @@ class TestCreatePredict:
         assert _run(capsys, ["create", "--input", str(data), "--model",
                              str(model_dir), "--T0", "80"])[0] == 0
         more = tmp_path / "more.csv"
-        _write_series_csv(more, n_steps=50, seed=9)
+        _write_series_csv(more, n_steps=50, seed=9, first_t=301)
         assert _run(capsys, ["insert", "--input", str(more), "--model",
                              str(model_dir)])[0] == 0
         model = pc.load_model(model_dir)
         assert model.n_steps == 350
+
+    @pytest.mark.parametrize("first_t", [1, 250, 300, 302])
+    def test_insert_off_grid_rejected(self, tmp_path, capsys, first_t):
+        # a 300-step model from t=1 continues at t=301 only
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"])[0] == 0
+        more = tmp_path / "more.csv"
+        _write_series_csv(more, n_steps=50, seed=9, first_t=first_t)
+        code, _, err = _run(capsys, ["insert", "--input", str(more),
+                                     "--model", str(model_dir)])
+        assert code == 1
+        assert "GridMismatch" in err and "301" in err
+        assert pc.load_model(model_dir).n_steps == 300
 
 
 class TestSynthCli:

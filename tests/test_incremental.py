@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pagecast as pc
 from pagecast.errors import InvalidParams, WidthMismatch
@@ -145,12 +147,13 @@ class TestInsertEquivalence:
         for a, b in zip(created.submodels, streamed.submodels):
             assert a.retrain_history == b.retrain_history
             assert a.L == b.L and a.P == b.P and a.k1 == b.k1
-            np.testing.assert_allclose(a.beta_mean, b.beta_mean, rtol=1e-9)
+            np.testing.assert_array_equal(a.beta_mean, b.beta_mean)
         for t in (1, 500, 1500, 2000, 2100):
             ra = pc.predict_point(created, "s1", t)
             rb = pc.predict_point(streamed, "s1", t)
-            assert ra.mean == pytest.approx(rb.mean, rel=1e-9, abs=1e-12)
-            assert ra.variance == pytest.approx(rb.variance, rel=1e-9, abs=1e-12)
+            assert ra.mean == rb.mean
+            assert ra.variance == rb.variance
+        _assert_same_state(created, streamed)
 
     def test_width_mismatch(self):
         model = pc.PredictionModel(["a", "b"], pc.HyperParams(T0=10, Tprime=100))
@@ -176,6 +179,161 @@ class TestInsertEquivalence:
         hp = pc.HyperParams(T0=60, Tprime=1000, L=7)
         model = pc.create_model(_stream(500, seed=8), hp)
         assert all(sm.L == 7 for sm in model.trained_submodels())
+
+
+def _same_array(x, y) -> bool:
+    if x is None or y is None:
+        return x is None and y is None
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _assert_same_state(a, b):
+    """Bit-for-bit equality of everything training reads or writes."""
+    assert (a.n_steps, a.obs_cnt) == (b.n_steps, b.obs_cnt)
+    assert a.obs_sum.hex() == b.obs_sum.hex()
+    assert a.obs_sumsq.hex() == b.obs_sumsq.hex()
+    ra, rb = a.raw, b.raw
+    assert (ra._lo, ra._hi, ra._vals.shape) == (rb._lo, rb._hi, rb._vals.shape)
+    for x, y in zip(ra.state(), rb.state()):
+        assert _same_array(np.asarray(x), np.asarray(y))
+    assert len(a.submodels) == len(b.submodels)
+    for sa, sb in zip(a.submodels, b.submodels):
+        for attr in ("start_step", "steps", "pending", "retrain_history",
+                     "L", "P", "P0", "k1", "k2", "buf_len"):
+            assert getattr(sa, attr) == getattr(sb, attr), (sa.index, attr)
+        for attr in ("mean_svd", "var_svd", "fc_mean_svd", "fc_var_svd"):
+            fa, fb = getattr(sa, attr), getattr(sb, attr)
+            assert (fa is None) == (fb is None), (sa.index, attr)
+            if fa is not None:
+                for x, y in ((fa.U, fb.U), (fa.s, fb.s), (fa.V, fb.V)):
+                    assert _same_array(x, y), (sa.index, attr)
+        for attr in ("beta_mean", "beta_var", "last_row_mean",
+                     "last_row_var", "buf"):
+            assert _same_array(getattr(sa, attr), getattr(sb, attr)), (
+                sa.index, attr)
+
+
+def _answers(model):
+    ts = np.linspace(1, model.n_steps + 40, 9).astype(int).tolist()
+    return [(r.mean, r.variance, r.lo, r.hi, r.kind)
+            for n in range(model.N) for t in ts
+            for r in [pc.predict_point(model, n, t)]]
+
+
+def _chunk_stream(n_series):
+    """Block, mask, hyper-parameters and a step-by-step reference model.
+
+    N=1 runs several segments with 10 % missing values (NaN and inf, no
+    mask); N=3 and N=10 pass an explicit mask that also flags some NaN/inf
+    entries, which must count as missing.  N=10 rows are long enough for
+    numpy to sum them pairwise, so their summation order shows.
+    """
+    rng = np.random.default_rng(40 + n_series)
+    n_steps = {1: 1400, 3: 800, 10: 400}[n_series]
+    vals = _stream(n_steps, n_series, seed=n_series).values.copy()
+    bad = rng.random(vals.shape) < 0.1
+    vals[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+    if n_series == 1:
+        hp = pc.HyperParams(T0=200, gamma=0.5, Tprime=800)
+        mask = None
+    else:
+        hp = pc.HyperParams(T0=300, gamma=0.5, Tprime=400 * n_series)
+        mask = rng.random(vals.shape) < 0.85
+    return vals, mask, hp
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(n_series):
+    vals, mask, hp = _chunk_stream(n_series)
+    model = pc.PredictionModel([f"s{i}" for i in range(n_series)], hp)
+    cuts = set()
+
+    def marks():
+        return (len(model.submodels),
+                [(len(sm.retrain_history), sm.P) for sm in model.submodels])
+
+    for j in range(vals.shape[1]):
+        before = marks()
+        model.insert(vals[:, j], None if mask is None else mask[:, j])
+        if marks() != before:  # new sub-model, retrain or append at step j
+            cuts.update((j, j + 1))
+    return model, sorted(cuts), _answers(model)
+
+
+def _check_chunked(n_series, cuts, stepwise):
+    vals, mask, hp = _chunk_stream(n_series)
+    ref, _, answers = _reference(n_series)
+    model = pc.PredictionModel(ref.names, hp)
+    edges = [0] + sorted(cuts) + [vals.shape[1]]
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        m = None if mask is None else mask[:, a:b]
+        if stepwise[i % len(stepwise)]:
+            for j in range(a, b):
+                model.insert(vals[:, j], None if m is None else m[:, j - a])
+        else:
+            model.insert_many(vals[:, a:b], m)
+    _assert_same_state(model, ref)
+    assert _answers(model) == answers
+
+
+def _chunkings(n_series):
+    n_steps = _chunk_stream(n_series)[0].shape[1]
+    events = _reference(n_series)[1]
+    cut = st.one_of(st.sampled_from(events), st.integers(0, n_steps))
+    return st.lists(cut, max_size=12), st.lists(st.booleans(), min_size=1,
+                                                  max_size=4)
+
+
+class TestInsertMany:
+    """insert_many over any chunking equals step-by-step insert, bit for bit.
+
+    Chunk edges are drawn both at random and on the steps where the
+    reference run retrained, appended or opened a sub-model (just before
+    and just after each); repeated edges give 0-step blocks, and some
+    chunks go through insert instead.
+    """
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_univariate_multi_segment(self, data):
+        cuts, flags = _chunkings(1)
+        _check_chunked(1, data.draw(cuts), data.draw(flags))
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_multivariate_masked_nonfinite(self, data):
+        cuts, flags = _chunkings(3)
+        _check_chunked(3, data.draw(cuts), data.draw(flags))
+
+    def test_reference_spans_several_segments(self):
+        ref, events, _ = _reference(1)
+        assert len(ref.submodels) == 4 and len(events) > 100
+        assert ref.obs_cnt < ref.total_obs
+        ref3 = _reference(3)[0]
+        assert len(ref3.submodels) == 4 and ref3.obs_cnt < ref3.total_obs
+
+    def test_single_block(self):
+        for n_series in (1, 3, 10):
+            _check_chunked(n_series, [], [False])
+
+    def test_wide_rows_random_cuts(self):
+        rng = np.random.default_rng(3)
+        _check_chunked(10, rng.integers(0, 401, 6).tolist(), [False, True])
+
+    def test_empty_block_is_noop(self):
+        model = pc.create_model(_stream(300), pc.HyperParams(T0=60, Tprime=1000))
+        before = pc.create_model(_stream(300), pc.HyperParams(T0=60, Tprime=1000))
+        model.insert_many(np.empty((1, 0)))
+        _assert_same_state(model, before)
+
+    def test_shape_checks(self):
+        model = pc.PredictionModel(["a", "b"], pc.HyperParams(T0=10, Tprime=100))
+        with pytest.raises(WidthMismatch):
+            model.insert_many(np.zeros((3, 5)))
+        with pytest.raises(WidthMismatch):
+            model.insert_many(np.zeros(2))
+        with pytest.raises(WidthMismatch):
+            model.insert_many(np.zeros((2, 5)), np.ones((2, 4), bool))
 
 
 class TestStatisticalStability:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import pagecast as pc
 from pagecast.errors import EmptySpectrum, NonFiniteInput, RankOutOfRange, ShapeMismatch
-from pagecast.svd_engine import svd_with_spectrum
+from pagecast.svd_engine import _sign_fix, svd_with_spectrum
 
 
 def _jacobi_gram_singular_values(m: np.ndarray, sweeps: int = 60) -> np.ndarray:
@@ -81,6 +81,22 @@ class TestTruncatedSvd:
         for j in range(3):
             col = a.U[:, j]
             assert col[np.argmax(np.abs(col))] > 0
+
+    def test_sign_fix_matches_column_loop(self):
+        rng = np.random.default_rng(5)
+        U = rng.normal(size=(7, 5))
+        U[[1, 4], 2] = [-3.0, 3.0]  # tie: the first largest entry decides
+        U[[0, 6], 3] = [3.0, -3.0]
+        V = rng.normal(size=(9, 5))
+        want_u, want_v = U.copy(), V.copy()
+        for j in range(U.shape[1]):
+            col = want_u[:, j]
+            if col[np.argmax(np.abs(col))] < 0:
+                want_u[:, j] = -col
+                want_v[:, j] = -want_v[:, j]
+        _sign_fix(U, V)
+        assert U.tobytes() == want_u.tobytes() and V.tobytes() == want_v.tobytes()
+        assert U[1, 2] == 3.0 and U[0, 3] == 3.0
 
 
 class TestSelectRank:
