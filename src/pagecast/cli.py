@@ -102,8 +102,14 @@ def cmd_create(args) -> int:
 
 def cmd_insert(args) -> int:
     model = load_model(args.model)
+    if args.tick is not None and abs(args.tick - model.step) > 1e-9 * model.step:
+        raise GridMismatch(
+            f"--tick {args.tick:.17g} differs from the model's step "
+            f"{model.step:.17g}")
     value_cols = args.value_cols.split(",") if args.value_cols else model.names
-    batch = load_csv(args.input, args.time_col, value_cols, tick=args.tick)
+    # Rows go onto the model's grid, so a gap in the timestamps becomes
+    # missing steps instead of closing up.
+    batch = load_csv(args.input, args.time_col, value_cols, tick=model.step)
     if list(batch.names) != list(model.names):
         print(f"error: columns {batch.names} do not match model series "
               f"{model.names}", file=sys.stderr)
@@ -389,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--time-col", default="t")
     p.add_argument("--value-cols", default=None)
-    p.add_argument("--tick", type=float, default=None)
+    p.add_argument("--tick", type=float, default=None,
+                   help="grid spacing; must equal the model's step, which "
+                        "is the default (timestamp gaps become missing steps)")
     p.set_defaults(fn=cmd_insert)
 
     p = sub.add_parser("predict", help="point or range predictions")

@@ -87,6 +87,11 @@ class UntrainedModel(PagecastError):
     """Operation requires at least one trained sub-model."""
 
 
+class UnstableForecast(PagecastError):
+    """The forecast recurrence diverged: its mean or second moment is not
+    finite at the requested horizon."""
+
+
 class InvalidConfidence(PagecastError):
     """Confidence level outside the open interval (0, 100)."""
 

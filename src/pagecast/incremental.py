@@ -223,6 +223,10 @@ class SubModel:
         self.beta_var: np.ndarray | None = None
         self.buf: np.ndarray | None = None
         self.buf_len = 0
+        # Set by insert_many while a retrain later in the same call will
+        # rebuild everything an append writes; buf and factors go stale
+        # until that retrain.  Never persisted, never set by insert.
+        self.superseded = False
 
     @property
     def trained(self) -> bool:
@@ -349,6 +353,15 @@ class PredictionModel:
         where something is trained (a retrain, an append, a new sub-model)
         go through the per-step path; the steps between them are added in
         bulk.
+
+        Appends that a full retrain later in the same block supersedes are
+        skipped: a trained sub-model whose next retrain falls inside the
+        block is marked ``superseded`` and neither buffers steps nor folds
+        them into its factors until that retrain.  This is exact because a
+        retrain reads none of what an append writes: when it fires depends
+        only on the step count, the pending thresholds and the window rule,
+        and it rebuilds L, P, the factors, beta, the last rows and the
+        buffer from the raw window (whose pruning reads only L).
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != self.N:
@@ -361,6 +374,10 @@ class PredictionModel:
                     f"mask shape {observed.shape} != values {values.shape}")
         pos, end = 0, values.shape[1]
         while pos < end:
+            for sm in self.segments_for_step(self.n_steps):
+                if (sm.trained and not sm.superseded
+                        and self._next_retrain(sm, end - pos) is not None):
+                    sm.superseded = True
             n = self._quiet_steps(end - pos)
             stop = pos + max(n, 1)
             vals = values[:, pos:stop]
@@ -371,22 +388,35 @@ class PredictionModel:
                 self._insert_step(vals[:, 0], obs[:, 0])
             pos = stop
 
+    def _next_retrain(self, sm: SubModel, horizon: int) -> int | None:
+        """Segment step count at which ``sm`` next fully retrains, if that
+        happens within its next ``horizon`` steps: the first count where a
+        pending threshold is crossed at a feasible window (the rule of
+        :meth:`_feed`).  A sub-model is fed 2 * half_steps steps at most."""
+        if not sm.pending:
+            return None
+        last = min(sm.steps + horizon, 2 * self.half_steps)
+        t_seg = max(sm.steps + 1, -(-min(sm.pending) // self.N))
+        while t_seg <= last:
+            if self._window_for(t_seg) is not None:
+                return t_seg
+            t_seg += 1
+        return None
+
     def _quiet_steps(self, limit: int) -> int:
         """How many of the next steps (at most ``limit`` and BULK_STEPS)
-        train nothing: no sub-model starts, no trained buffer reaches L, and
-        no pending threshold is crossed at a feasible window (the rules of
-        :meth:`_insert_step` and :meth:`_feed`)."""
+        train nothing: no sub-model starts, no buffer of a trained and not
+        superseded sub-model reaches L, and no sub-model retrains (the rules
+        of :meth:`_insert_step` and :meth:`_feed`)."""
         step = self.n_steps
         n = min(limit, BULK_STEPS, len(self.submodels) * self.half_steps - step)
         if n <= 0:
             return 0
         for sm in self.segments_for_step(step):
-            if sm.trained:
+            if sm.trained and not sm.superseded:
                 n = min(n, sm.L - sm.buf_len - 1)
-            if sm.pending:
-                t_seg = max(sm.steps + 1, -(-min(sm.pending) // self.N))
-                while t_seg <= sm.steps + n and self._window_for(t_seg) is None:
-                    t_seg += 1
+            t_seg = self._next_retrain(sm, n)
+            if t_seg is not None:
                 n = min(n, t_seg - sm.steps - 1)
         return n
 
@@ -403,7 +433,7 @@ class PredictionModel:
         self.raw.extend(np.where(observed, values, np.nan), observed)
         for sm in self.segments_for_step(self.n_steps):
             sm.steps += n
-            if sm.trained:
+            if sm.trained and not sm.superseded:
                 sm.buf[:, sm.buf_len:sm.buf_len + n] = rows.T
                 sm.buf_len += n
         self.n_steps += n
@@ -433,7 +463,8 @@ class PredictionModel:
 
     def _feed(self, sm: SubModel, zero_row: np.ndarray) -> None:
         sm.steps += 1
-        if sm.trained:
+        live = sm.trained and not sm.superseded
+        if live:
             sm.buf[:, sm.buf_len] = zero_row
             sm.buf_len += 1
 
@@ -443,7 +474,7 @@ class PredictionModel:
                 sm.pending.remove(th)
             self._full_retrain(sm)
             self._coeff_cache.clear()
-        elif sm.trained and sm.buf_len == sm.L:
+        elif live and sm.buf_len == sm.L:
             self._append_block(sm)
             self._coeff_cache.clear()
 
@@ -494,6 +525,7 @@ class PredictionModel:
         if sm.buf_len:
             sm.buf[:, :sm.buf_len] = zf[:, span:]
         sm.retrain_history.append(self.total_obs)
+        sm.superseded = False
 
     def _append_block(self, sm: SubModel) -> None:
         """Fold the L buffered steps into the factors as N new columns."""

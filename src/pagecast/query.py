@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfidence, OutOfRange
+from .errors import InvalidConfidence, OutOfRange, UnstableForecast
 from .incremental import PredictionModel, SubModel
 from .kernels import ar_recurrence, reconstruct_points
 from .stats import chebyshev_halfwidth, gaussian_halfwidth
@@ -112,13 +112,26 @@ def _impute_one(model: PredictionModel, n: int, t: int, confidence,
 
 def _forecast_trajectories(model: PredictionModel, n: int, horizon: int,
                            with_uq: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sequential mean / second-moment paths for steps T+1 .. T+horizon."""
+    """Sequential mean / second-moment paths for steps T+1 .. T+horizon.
+
+    Raises :class:`UnstableForecast` when either path leaves the finite
+    range (the averaged recurrence diverges), rather than answering inf or
+    nan with an interval clamped to zero width.
+    """
     beta_mean, beta_var = model.averaged_coefficients()
     width = len(beta_mean)
     vals, mask = model.recent_window(width)
     seed = np.where(mask[n], vals[n], 0.0)
-    g_mean = ar_recurrence(seed, beta_mean, horizon)
-    g_second = ar_recurrence(seed * seed, beta_var, horizon) if with_uq else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_mean = ar_recurrence(seed, beta_mean, horizon)
+        g_second = (ar_recurrence(seed * seed, beta_var, horizon)
+                    if with_uq else None)
+    for name, path in (("mean", g_mean), ("second moment", g_second)):
+        if path is not None and not np.isfinite(path).all():
+            first = int(np.argmin(np.isfinite(path))) + 1
+            raise UnstableForecast(
+                f"series {model.names[n]!r}: the forecast {name} is not "
+                f"finite from {first} steps ahead (horizon {horizon})")
     return g_mean, g_second
 
 

@@ -16,9 +16,9 @@ def _run(capsys, argv):
 
 
 def _write_series_csv(path, n_steps=400, n_series=2, seed=0, noise=0.05,
-                      first_t=1):
+                      first_t=1, stride=1):
     rng = np.random.default_rng(seed)
-    t = np.arange(first_t, first_t + n_steps, dtype=float)
+    t = first_t + stride * np.arange(n_steps, dtype=float)
     rows = [["t"] + [f"s{i}" for i in range(n_series)]]
     for i, ti in enumerate(t):
         vals = [np.cos(2 * np.pi * ti / 80) * (1 + 0.1 * j)
@@ -118,6 +118,57 @@ class TestCreatePredict:
         assert code == 1
         assert "GridMismatch" in err and "301" in err
         assert pc.load_model(model_dir).n_steps == 300
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_insert_gaps_become_missing_steps(self, tmp_path, capsys, step):
+        # t = 301, 303, ..., 399 on a unit grid (or its double on a step-2
+        # grid) is 99 steps with every other one missing, not 50 steps
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300, first_t=step, stride=step)
+        model_dir = tmp_path / "model"
+        tick = [] if step == 1 else ["--tick", str(step)]
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"] + tick)[0] == 0
+        more = tmp_path / "more.csv"
+        _write_series_csv(more, n_steps=50, seed=9, first_t=301 * step,
+                          stride=2 * step)
+        assert _run(capsys, ["insert", "--input", str(more), "--model",
+                             str(model_dir)])[0] == 0
+        model = pc.load_model(model_dir)
+        assert model.n_steps == 399
+        _, mask = model.recent_window(99)
+        assert mask.tolist() == [[j % 2 == 0 for j in range(99)]] * 2
+
+    def test_divergent_forecast_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"])[0] == 0
+        model = pc.load_model(model_dir)
+        for sm in model.submodels:
+            sm.beta_mean = np.full_like(sm.beta_mean, 2.0 / len(sm.beta_mean))
+        model._coeff_cache.clear()
+        pc.save_model(model, model_dir)
+        code, out, err = _run(capsys, ["predict", "--model", str(model_dir),
+                                       "--series", "s0", "--t", "50000"])
+        assert code == 1 and "UnstableForecast" in err and out == ""
+
+    def test_insert_tick_must_match_model_step(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300, first_t=2, stride=2)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80", "--tick", "2"])[0] == 0
+        more = tmp_path / "more.csv"
+        _write_series_csv(more, n_steps=50, seed=9, first_t=602, stride=2)
+        code, _, err = _run(capsys, ["insert", "--input", str(more), "--model",
+                                     str(model_dir), "--tick", "1"])
+        assert code == 1 and "GridMismatch" in err
+        assert pc.load_model(model_dir).n_steps == 300
+        assert _run(capsys, ["insert", "--input", str(more), "--model",
+                             str(model_dir), "--tick", "2"])[0] == 0
+        assert pc.load_model(model_dir).n_steps == 350
 
 
 class TestSynthCli:

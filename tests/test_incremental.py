@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pagecast as pc
+import pagecast.incremental as inc
 from pagecast.errors import InvalidParams, WidthMismatch
 from pagecast.incremental import q0_limit, q_limit, retrain_thresholds
 
@@ -244,9 +245,12 @@ def _chunk_stream(n_series):
 
 @functools.lru_cache(maxsize=None)
 def _reference(n_series):
+    """Step-by-step model, the cut points around its events, its answers,
+    and its (step, sub-model index) retrain and append events."""
     vals, mask, hp = _chunk_stream(n_series)
     model = pc.PredictionModel([f"s{i}" for i in range(n_series)], hp)
     cuts = set()
+    kinds = {"retrain": [], "append": []}
 
     def marks():
         return (len(model.submodels),
@@ -255,14 +259,20 @@ def _reference(n_series):
     for j in range(vals.shape[1]):
         before = marks()
         model.insert(vals[:, j], None if mask is None else mask[:, j])
-        if marks() != before:  # new sub-model, retrain or append at step j
+        after = marks()
+        if after != before:  # new sub-model, retrain or append at step j
             cuts.update((j, j + 1))
-    return model, sorted(cuts), _answers(model)
+        for i, (old, new) in enumerate(zip(before[1], after[1])):
+            if new[0] != old[0]:
+                kinds["retrain"].append((j, i))
+            elif new[1] != old[1]:
+                kinds["append"].append((j, i))
+    return model, sorted(cuts), _answers(model), kinds
 
 
 def _check_chunked(n_series, cuts, stepwise):
     vals, mask, hp = _chunk_stream(n_series)
-    ref, _, answers = _reference(n_series)
+    ref, _, answers, _ = _reference(n_series)
     model = pc.PredictionModel(ref.names, hp)
     edges = [0] + sorted(cuts) + [vals.shape[1]]
     for i, (a, b) in enumerate(zip(edges, edges[1:])):
@@ -272,8 +282,39 @@ def _check_chunked(n_series, cuts, stepwise):
                 model.insert(vals[:, j], None if m is None else m[:, j - a])
         else:
             model.insert_many(vals[:, a:b], m)
+            assert not any(sm.superseded for sm in model.submodels)
     _assert_same_state(model, ref)
     assert _answers(model) == answers
+
+
+def _superseding_cuts(n_series):
+    """Three chunkings from the reference run.  ``split`` cuts each run of
+    appends that a retrain supersedes right after its middle append, so the
+    appends before the cut are kept and those after it skipped;
+    ``on_retrain`` ends a block exactly on every retrain step and
+    ``before_retrain`` just before it."""
+    kinds = _reference(n_series)[3]
+    split, on_retrain, before_retrain, last = [], [], [], {}
+    for j, i in kinds["retrain"]:
+        run = [a for a, k in kinds["append"] if k == i and last.get(i, -1) < a < j]
+        if len(run) >= 2:
+            split.append(run[len(run) // 2] + 1)
+        on_retrain.append(j + 1)
+        before_retrain.append(j)
+        last[i] = j
+    return split, on_retrain, before_retrain
+
+
+def _count_appends(monkeypatch):
+    calls = []
+    real = inc.append_columns
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(inc, "append_columns", counting)
+    return calls
 
 
 def _chunkings(n_series):
@@ -305,8 +346,37 @@ class TestInsertMany:
         cuts, flags = _chunkings(3)
         _check_chunked(3, data.draw(cuts), data.draw(flags))
 
+    @pytest.mark.parametrize("n_series", [1, 3])
+    def test_cuts_around_superseding_retrains(self, n_series, monkeypatch):
+        split, on_retrain, before_retrain = _superseding_cuts(n_series)
+        stepwise = 4 * len(_reference(n_series)[3]["append"])
+        assert len(split) >= 3
+        calls = _count_appends(monkeypatch)
+        _check_chunked(n_series, [], [False])
+        whole = len(calls)
+        _check_chunked(n_series, split, [False])
+        assert whole < len(calls) - whole < stepwise
+        del calls[:]
+        _check_chunked(n_series, on_retrain, [False])
+        assert len(calls) < stepwise
+        _check_chunked(n_series, before_retrain, [False])
+
+    def test_unreached_threshold_supersedes_nothing(self):
+        # hp gives the first segment thresholds 301, 602 and 1204, but the
+        # sub-model sees only 2 * 200 steps (1200 observations): its last
+        # pending threshold never fires, so its appends must all be kept
+        hp = pc.HyperParams(T0=301, gamma=1.0, Tprime=1205)
+        vals = _stream(700, 3, seed=5).values
+        ref = pc.PredictionModel(["a", "b", "c"], hp)
+        for j in range(vals.shape[1]):
+            ref.insert(vals[:, j])
+        assert ref.submodels[0].pending == [1204]
+        model = pc.PredictionModel(ref.names, hp)
+        model.insert_many(vals)
+        _assert_same_state(model, ref)
+
     def test_reference_spans_several_segments(self):
-        ref, events, _ = _reference(1)
+        ref, events = _reference(1)[:2]
         assert len(ref.submodels) == 4 and len(events) > 100
         assert ref.obs_cnt < ref.total_obs
         ref3 = _reference(3)[0]
@@ -334,6 +404,21 @@ class TestInsertMany:
             model.insert_many(np.zeros(2))
         with pytest.raises(WidthMismatch):
             model.insert_many(np.zeros((2, 5)), np.ones((2, 4), bool))
+
+
+class TestSupersededAppends:
+    def test_create_appends_only_after_last_retrain(self, monkeypatch):
+        # N=10 x 5e4 Synthetic-I in one sub-model: the last retrain is at
+        # step 49879, and only the one block completed after it is appended
+        truth = pc.gen_synthetic_I(n=2, m=5, T=50_000, r=4, seed=0,
+                                   preset="scaling")
+        batch = pc.corrupt(truth, sigma=0.2, p_obs=0.9, seed=1).observations
+        calls = _count_appends(monkeypatch)
+        model = pc.create_model(batch)
+        assert [sm.retrain_history[-1] for sm in model.submodels] == [498_790]
+        kept = sum(sm.P - sm.P0 for sm in model.submodels)
+        assert len(calls) == 4 * kept == 4
+        assert not any(sm.superseded for sm in model.submodels)
 
 
 class TestStatisticalStability:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import pagecast as pc
-from pagecast.errors import InvalidConfidence, OutOfRange, UnknownSeries
+from pagecast.errors import (InvalidConfidence, OutOfRange, UnknownSeries,
+                             UnstableForecast)
 
 
 def _model(n_steps=2000, n_series=1, seed=0, noise=0.1, hp=None):
@@ -168,6 +169,23 @@ class TestForecastQueries:
         expected = np.zeros(w)
         expected[0] = expected[1] = 0.5
         np.testing.assert_allclose(bm, expected)
+
+
+    @pytest.mark.parametrize("with_uq", [True, False])
+    def test_divergent_recurrence_raises(self, with_uq):
+        # lags summing to 2 double the forecast every few steps, so far
+        # enough out the paths overflow to inf and then nan
+        model, _, _ = _model()
+        for sm in model.submodels:
+            sm.beta_mean = np.full_like(sm.beta_mean, 2.0 / len(sm.beta_mean))
+            sm.beta_var = np.full_like(sm.beta_var, 2.0 / len(sm.beta_var))
+        model._coeff_cache.clear()
+        pc.predict_point(model, 0, model.n_steps + 10, with_uq=with_uq)
+        far = model.n_steps + 50_000
+        with pytest.raises(UnstableForecast):
+            pc.predict_point(model, 0, far, with_uq=with_uq)
+        with pytest.raises(UnstableForecast):
+            pc.predict_range(model, 0, far - 1, far, with_uq=with_uq)
 
 
 class TestPredictRange:
