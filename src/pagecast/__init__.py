@@ -20,10 +20,8 @@ from .estimator import (
 from .incremental import (
     HyperParams,
     PredictionModel,
-    RetrainAction,
     SubModel,
     create_model,
-    retrain_decision,
     submodel_index,
 )
 from .ingestion import TimeSeriesBatch, aggregate, load_csv, write_csv
@@ -57,8 +55,8 @@ __all__ = [
     "ForecastModel", "ImputeResult", "VarianceForecaster",
     "impute_mean", "impute_variance", "fit_forecaster", "forecast_mean",
     "fit_variance_forecaster", "forecast_variance",
-    "HyperParams", "PredictionModel", "SubModel", "RetrainAction",
-    "create_model", "submodel_index", "retrain_decision",
+    "HyperParams", "PredictionModel", "SubModel",
+    "create_model", "submodel_index",
     "PredictionResult", "predict_point", "predict_range",
     "prediction_interval", "average_coefficients",
     "save_model", "load_model",

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 
-from . import kernels
 from .errors import GridMismatch, PagecastError
 from .incremental import HyperParams, create_model
 from .ingestion import TimeSeriesBatch, aggregate, load_csv, write_csv
@@ -206,7 +205,7 @@ def _bench_one(batch, truth_mean, hp, n_queries: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     ts = rng.integers(1, batch.n_steps + 1, size=n_queries)
     series = rng.integers(0, batch.n_series, size=n_queries)
-    predict_point(model, 0, 1)  # warm the jitted kernels
+    predict_point(model, 0, 1)  # keep first-call costs out of the timings
     predict_point(model, 0, batch.n_steps + 1)
     lat = np.empty(n_queries)
     for i in range(n_queries):
@@ -233,11 +232,6 @@ def _bench_one(batch, truth_mean, hp, n_queries: int, seed: int) -> dict:
 
 def cmd_bench(args) -> int:
     rows = []
-    if args.compare_kernels:
-        rows.extend(_bench_kernels(args))
-        _emit_table(rows, args.format)
-        return 0
-
     if args.input is not None:
         batch = load_csv(args.input, args.time_col)
         if batch.n_series * batch.n_steps < args.T0:
@@ -280,45 +274,6 @@ def cmd_bench(args) -> int:
             rows.append(row)
     _emit_table(rows, args.format)
     return 0
-
-
-def _bench_kernels(args) -> list[dict]:
-    """Time the numba kernels against their numpy fallbacks."""
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    beta = rng.normal(size=64)
-    beta /= np.abs(beta).sum() * 1.01
-    seed_win = rng.normal(size=64)
-    steps = 20000
-    variants = [("numpy", kernels.ar_recurrence_numpy)]
-    if kernels.NUMBA_ENABLED:
-        kernels.ar_recurrence_numba(seed_win, beta, 4)  # warm the JIT
-        variants.append(("numba", kernels.ar_recurrence_numba))
-    for name, fn in variants:
-        t0 = time.perf_counter()
-        for _ in range(args.repeat):
-            fn(seed_win, beta, steps)
-        dt = (time.perf_counter() - t0) / args.repeat
-        rows.append({"kernel": "ar_recurrence", "impl": name,
-                     "ms": round(1e3 * dt, 4)})
-
-    U = rng.normal(size=(100, 12))
-    s = np.abs(rng.normal(size=12))
-    V = rng.normal(size=(5000, 12))
-    rr = rng.integers(0, 100, size=10000)
-    cc = rng.integers(0, 5000, size=10000)
-    variants = [("numpy", kernels.reconstruct_points_numpy)]
-    if kernels.NUMBA_ENABLED:
-        kernels.reconstruct_points_numba(U, s, V, rr[:4], cc[:4])
-        variants.append(("numba", kernels.reconstruct_points_numba))
-    for name, fn in variants:
-        t0 = time.perf_counter()
-        for _ in range(args.repeat):
-            fn(U, s, V, rr, cc)
-        dt = (time.perf_counter() - t0) / args.repeat
-        rows.append({"kernel": "reconstruct_points", "impl": name,
-                     "ms": round(1e3 * dt, 4)})
-    return rows
 
 
 # --- eval ----------------------------------------------------------------------
@@ -432,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("bench", help="train/query benchmarks")
-    p.add_argument("--preset", default="synth1", choices=("synth1", "synthI"),
-                   help="synthetic data family (harmonic-mixture tensor)")
     p.add_argument("--input", default=None,
                    help="benchmark on a CSV instead of synthetic data")
     p.add_argument("--time-col", default="t")
@@ -448,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.2)
     p.add_argument("--queries", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeat", type=int, default=5)
-    p.add_argument("--compare-kernels", action="store_true",
-                   help="time numba kernels against the numpy fallbacks")
     p.add_argument("--format", default="table", choices=("csv", "table"))
     _add_hyper_flags(p)
     p.set_defaults(fn=cmd_bench)

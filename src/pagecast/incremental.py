@@ -12,24 +12,18 @@ the running mean of everything seen (fallback mode).
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidParams, UnknownSeries, UntrainedModel, WidthMismatch
 from .estimator import pcr_coefficients
 from .ingestion import TimeSeriesBatch
+from .page_matrix import stack_pages
 from .svd_engine import append_columns, svd_with_spectrum
 
 # Longest run of steps that insert_many adds in one bulk operation; keeps
 # its temporaries at O(N * BULK_STEPS) whatever the block size.
 BULK_STEPS = 1024
-
-
-class RetrainAction(Enum):
-    FALLBACK = "fallback"
-    FULL_RETRAIN = "full_retrain"
-    INCREMENTAL_UPDATE = "incremental_update"
 
 
 @dataclass
@@ -94,23 +88,6 @@ def retrain_thresholds(hp: HyperParams, first_segment: bool) -> list[int]:
         if not out or v > out[-1]:
             out.append(v)
     return out
-
-
-def retrain_decision(tprime_obs: int, s_i: int, hp: HyperParams) -> RetrainAction:
-    """Classify one schedule instant for the segment starting at ``s_i``.
-
-    Fallback below T0 total observations; a full retrain exactly on the
-    geometric schedule of the segment's local count; otherwise an
-    incremental update.  (The streaming path triggers retrains on the first
-    *crossing* of each point so multi-series steps cannot skip them; with
-    one series per step the two coincide.)
-    """
-    if tprime_obs < hp.T0:
-        return RetrainAction.FALLBACK
-    points = retrain_thresholds(hp, first_segment=(s_i == 0))
-    if (tprime_obs - s_i) in points:
-        return RetrainAction.FULL_RETRAIN
-    return RetrainAction.INCREMENTAL_UPDATE
 
 
 class _RawWindow:
@@ -388,17 +365,27 @@ class PredictionModel:
                 self._insert_step(vals[:, 0], obs[:, 0])
             pos = stop
 
+    def _retrain_due(self, sm: SubModel, t_seg: int) -> bool:
+        """The retrain rule: ``sm`` fully retrains on reaching ``t_seg``
+        segment steps when some pending threshold is at most t_seg * N
+        observations and the window for ``t_seg`` steps is feasible.
+        Multi-series steps can jump over a threshold, so a threshold counts
+        from its first crossing, not only on exact equality."""
+        return (bool(sm.pending) and min(sm.pending) <= t_seg * self.N
+                and self._window_for(t_seg) is not None)
+
     def _next_retrain(self, sm: SubModel, horizon: int) -> int | None:
         """Segment step count at which ``sm`` next fully retrains, if that
-        happens within its next ``horizon`` steps: the first count where a
-        pending threshold is crossed at a feasible window (the rule of
-        :meth:`_feed`).  A sub-model is fed 2 * half_steps steps at most."""
+        happens within its next ``horizon`` steps (the first count where
+        :meth:`_retrain_due` holds).  A sub-model is fed 2 * half_steps
+        steps at most."""
         if not sm.pending:
             return None
         last = min(sm.steps + horizon, 2 * self.half_steps)
+        # No pending threshold is crossed before this count.
         t_seg = max(sm.steps + 1, -(-min(sm.pending) // self.N))
         while t_seg <= last:
-            if self._window_for(t_seg) is not None:
+            if self._retrain_due(sm, t_seg):
                 return t_seg
             t_seg += 1
         return None
@@ -468,10 +455,8 @@ class PredictionModel:
             sm.buf[:, sm.buf_len] = zero_row
             sm.buf_len += 1
 
-        crossed = [th for th in sm.pending if th <= sm.obs_count]
-        if crossed and self._window_for(sm.steps) is not None:
-            for th in crossed:
-                sm.pending.remove(th)
+        if self._retrain_due(sm, sm.steps):
+            sm.pending = [th for th in sm.pending if th > sm.obs_count]
             self._full_retrain(sm)
             self._coeff_cache.clear()
         elif live and sm.buf_len == sm.L:
@@ -502,8 +487,7 @@ class PredictionModel:
         zf = np.where(mask, vals, 0.0)
         P = t_seg // L
         span = L * P
-        data = np.concatenate(
-            [zf[i, :span].reshape(P, L).T for i in range(self.N)], axis=1)
+        data = stack_pages(zf, L, P)
         data_sq = data * data
 
         mean_svd, _ = svd_with_spectrum(data, self.hp.k1)

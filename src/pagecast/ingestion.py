@@ -73,14 +73,6 @@ class TimeSeriesBatch:
         """Values with missing entries replaced by 0.0 (copy)."""
         return np.where(self.observed, self.values, 0.0)
 
-    def series_index(self, name_or_index) -> int:
-        if isinstance(name_or_index, str):
-            try:
-                return self.names.index(name_or_index)
-            except ValueError:
-                raise KeyError(name_or_index) from None
-        return int(name_or_index)
-
 
 def _parse_timestamp(text: str, lineno: int) -> float:
     text = text.strip()
@@ -117,9 +109,11 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
     Empty cells denote missing values.  Rows are sorted by timestamp and
     become consecutive grid indices; with ``tick`` given, rows are instead
     placed at grid index floor((ts - ts_min) / tick), so irregular
-    timestamps land on a uniform grid.  Two rows on the same index raise
-    :class:`DuplicateTimestamp`.  ``value_cols=None`` selects every column
-    except ``time_col``.
+    timestamps land on a uniform grid.  A timestamp less than 1e-9 * tick
+    below a grid point counts as on it, so rounding in ``ts - ts_min``
+    cannot move an on-grid row one index early.  Two rows on the same index
+    raise :class:`DuplicateTimestamp`.  ``value_cols=None`` selects every
+    column except ``time_col``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -157,7 +151,7 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
     if tick is not None:
         if tick <= 0:
             raise InvalidInterval(f"tick must be positive, got {tick}")
-        idx = np.floor((ts - ts[0]) / tick).astype(np.int64)
+        idx = np.floor((ts - ts[0]) / tick + 1e-9).astype(np.int64)
         step = float(tick)
     else:
         if len(ts) > 1 and np.any(np.diff(ts) == 0):

@@ -1,43 +1,20 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy variants.
-
-The two loops that dominate query latency are compiled with ``numba.njit``:
+"""Hot numeric kernels of the query path, in plain numpy.
 
 * ``ar_recurrence`` -- the sequential multi-step forecast recurrence, which
   cannot be fully vectorized because each step feeds the next;
 * ``reconstruct_points`` -- batched single-entry reconstruction from stored
   SVD factors (one O(k) dot product per queried point).
 
-Setting the environment variable ``PAGECAST_DISABLE_NUMBA=1`` (before import)
-selects the pure-numpy fallbacks instead; ``pagecast bench --compare-kernels``
-times the two paths against each other.  Both variants of each kernel are
-importable directly so benchmarks can compare them inside one process.  The
-variants agree to floating-point rounding (summation order differs).
+The tests compare both against plain Python loops.
 """
-
-import os
 
 import numpy as np
 
-_ENV_FLAG = "PAGECAST_DISABLE_NUMBA"
+# No compiled variant exists; kept so environment reports can state it.
+NUMBA_ENABLED = False
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes")
-
-
-def _ar_recurrence_loop(seed, beta, steps):
-    w = len(beta)
-    buf = np.empty(w + steps, dtype=np.float64)
-    buf[:w] = seed
-    for i in range(steps):
-        acc = 0.0
-        for j in range(w):
-            acc += buf[i + j] * beta[j]
-        buf[w + i] = acc
-    return buf[w:]
-
-
-def ar_recurrence_numpy(seed: np.ndarray, beta: np.ndarray, steps: int) -> np.ndarray:
+def ar_recurrence(seed: np.ndarray, beta: np.ndarray, steps: int) -> np.ndarray:
     """Run the linear forecast recurrence for ``steps`` steps.
 
     ``seed`` holds the most recent len(beta) values in chronological order
@@ -53,45 +30,9 @@ def ar_recurrence_numpy(seed: np.ndarray, beta: np.ndarray, steps: int) -> np.nd
     return buf[w:]
 
 
-def _reconstruct_points_loop(U, s, V, rows, cols):
-    out = np.empty(len(rows), dtype=np.float64)
-    k = len(s)
-    for i in range(len(rows)):
-        acc = 0.0
-        r = rows[i]
-        c = cols[i]
-        for j in range(k):
-            acc += U[r, j] * s[j] * V[c, j]
-        out[i] = acc
-    return out
-
-
-def reconstruct_points_numpy(
+def reconstruct_points(
     U: np.ndarray, s: np.ndarray, V: np.ndarray,
     rows: np.ndarray, cols: np.ndarray,
 ) -> np.ndarray:
     """Reconstruct matrix entries (rows[i], cols[i]) from rank-k factors."""
     return np.einsum("ij,j,ij->i", U[rows], s, V[cols])
-
-
-NUMBA_ENABLED = False
-ar_recurrence_numba = None
-reconstruct_points_numba = None
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        ar_recurrence_numba = njit(cache=True)(_ar_recurrence_loop)
-        reconstruct_points_numba = njit(cache=True)(_reconstruct_points_loop)
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-
-if NUMBA_ENABLED:
-    ar_recurrence = ar_recurrence_numba
-    reconstruct_points = reconstruct_points_numba
-else:
-    ar_recurrence = ar_recurrence_numpy
-    reconstruct_points = reconstruct_points_numpy

@@ -33,9 +33,16 @@ class StackedPageMatrix:
     def width(self) -> int:
         return self.N * self.P
 
-    def series_block(self, n: int) -> np.ndarray:
-        """Columns belonging to series ``n`` (0-based)."""
-        return self.data[:, n * self.P:(n + 1) * self.P]
+
+def stack_pages(x: np.ndarray, L: int, P: int) -> np.ndarray:
+    """Stacked L x (N*P) Page layout of the first L*P steps of the N x T
+    array ``x``: column n*P + j holds x[n, j*L:(j+1)*L].
+
+    The result is Fortran-ordered when P > 1.  On the Gram route of
+    :func:`~pagecast.svd_engine.svd_with_spectrum` the last bits of the
+    factors depend on memory order, so each caller keeps the order it had.
+    """
+    return np.concatenate([row[:L * P].reshape(P, L).T for row in x], axis=1)
 
 
 def build_stacked_page(batch: TimeSeriesBatch, L: int,
@@ -51,16 +58,12 @@ def build_stacked_page(batch: TimeSeriesBatch, L: int,
     p = t // L if L >= 1 else 0
     if L < 1 or p < 1:
         raise InvalidL(f"L={L} invalid for T={t}: need 1 <= L <= T")
-    span = L * p
-    vals = batch.zero_filled()[:, :span]
+    vals = batch.zero_filled()
     if square:
         vals = vals * vals
-    mask = batch.observed[:, :span]
-    # (n, p, L) -> per-series column-major blocks, stacked along series.
-    data = np.concatenate([vals[i].reshape(p, L).T for i in range(n)], axis=1)
-    filled = np.concatenate([mask[i].reshape(p, L).T for i in range(n)], axis=1)
-    return StackedPageMatrix(np.ascontiguousarray(data),
-                             np.ascontiguousarray(filled), L, p, n)
+    return StackedPageMatrix(np.ascontiguousarray(stack_pages(vals, L, p)),
+                             np.ascontiguousarray(stack_pages(batch.observed, L, p)),
+                             L, p, n)
 
 
 def coords_of(t: int, n: int, L: int, P: int) -> tuple[int, int]:

@@ -3,7 +3,6 @@
 Layout of a saved model directory::
 
     <dir>/manifest.txt      UTF-8 key=value lines, checksums of every array
-    <dir>/coeff_avg.f64     2 x w matrix: averaged mean / variance coefficients
     <dir>/raw_values.f64    retained raw steps (NaN where missing)
     <dir>/raw_mask.f64      observation mask for the raw window (0.0 / 1.0)
     <dir>/sub_<i>/          per trained sub-model:
@@ -18,7 +17,11 @@ Layout of a saved model directory::
 Every ``.f64`` file is two little-endian uint64 dimensions (rows, cols)
 followed by rows*cols little-endian IEEE-754 float64 values in column-major
 order.  Exact float state (running sums, gamma) is stored in the manifest as
-hex floats, so a load reproduces predictions bit for bit.
+hex floats, so a load reproduces predictions bit for bit.  Nothing that
+load can derive is stored: the averaged forecast coefficients are
+recomputed on first use and the half-segment length from ``Tprime`` and N.
+Format 1 also stored ``coeff_avg.f64`` and a ``half_steps`` key; format-1
+stores still load, and both items are ignored.
 
 Saves are staged in ``<dir>.staging`` and committed by renaming the old
 directory to ``<dir>.bak`` and the staging directory to ``<dir>``; a load
@@ -45,7 +48,7 @@ from .incremental import (
 )
 from .svd_engine import TruncatedSVD
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _SVD_FILES = {
     "mean_svd": ("U", "S", "V"),
@@ -135,7 +138,6 @@ def save_model(model: PredictionModel, directory) -> dict:
         "obs_sum": float(model.obs_sum).hex(),
         "obs_sumsq": float(model.obs_sumsq).hex(),
         "obs_cnt": str(model.obs_cnt),
-        "half_steps": str(model.half_steps),
         "hp.T0": str(model.hp.T0),
         "hp.Tprime": str(model.hp.Tprime),
         "hp.gamma": float(model.hp.gamma).hex(),
@@ -183,12 +185,6 @@ def save_model(model: PredictionModel, directory) -> dict:
         for attr in _VEC_FILES:
             emit(f"{sub}/{attr}.f64", getattr(sm, attr))
         emit(f"{sub}/buf.f64", sm.buf)
-
-    if model.trained_submodels():
-        bm, bv = model.averaged_coefficients()
-        emit("coeff_avg.f64", np.vstack([bm, bv]))
-    else:
-        emit("coeff_avg.f64", np.zeros((2, 0)))
 
     for relpath, digest in checksums.items():
         manifest[f"checksum.{relpath}"] = digest
@@ -277,7 +273,6 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
     model.obs_sum = float.fromhex(manifest["obs_sum"])
     model.obs_sumsq = float.fromhex(manifest["obs_sumsq"])
     model.obs_cnt = int(manifest["obs_cnt"])
-    model.half_steps = int(manifest["half_steps"])
 
     raw_vals = _load_array(directory, "raw_values.f64", manifest)
     raw_mask = _load_array(directory, "raw_mask.f64", manifest) > 0.5
@@ -312,15 +307,6 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
             sm.buf = _load_array(directory, f"{sub}/buf.f64", manifest)
             sm.buf_len = int(manifest[pre + "buf_len"])
         model.submodels.append(sm)
-
-    # Materialized coefficient view: validate against live state, rebuild if stale.
-    stored = _load_array(directory, "coeff_avg.f64", manifest)
-    if model.trained_submodels():
-        bm, bv = model.averaged_coefficients()
-        fresh = np.vstack([bm, bv])
-        if stored.shape != fresh.shape or not np.array_equal(stored, fresh):
-            model._coeff_cache.clear()
-            model.averaged_coefficients()
     return model
 
 
@@ -342,5 +328,3 @@ def load_model(directory) -> PredictionModel:
         if os.path.isdir(backup):
             return _load_from(backup)
         raise CorruptManifest(f"no loadable model at {directory}") from None
-    except (ChecksumMismatch, CorruptManifest, VersionUnsupported):
-        raise

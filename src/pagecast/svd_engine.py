@@ -118,8 +118,8 @@ def select_rank(s: np.ndarray, L: int, cols: int) -> int:
     return max(1, int(np.count_nonzero(s > tau)))
 
 
-def svd_with_spectrum(m: np.ndarray, k: int | None = None,
-                      rank_cap: int | None = None) -> tuple[TruncatedSVD, np.ndarray]:
+def svd_with_spectrum(m: np.ndarray,
+                      k: int | None = None) -> tuple[TruncatedSVD, np.ndarray]:
     """Factor ``m`` and return (rank-k SVD, full singular-value spectrum).
 
     With ``k=None`` the rank is chosen by :func:`select_rank` on the
@@ -139,8 +139,6 @@ def svd_with_spectrum(m: np.ndarray, k: int | None = None,
         U, s_full, Vt = np.linalg.svd(m, full_matrices=False)
         if k is None:
             k = select_rank(s_full, rows, cols)
-        if rank_cap is not None:
-            k = min(k, rank_cap)
         k = max(1, min(k, min_dim))
         U = np.ascontiguousarray(U[:, :k])
         V = np.ascontiguousarray(Vt[:k].T)
@@ -153,8 +151,6 @@ def svd_with_spectrum(m: np.ndarray, k: int | None = None,
     s_full = np.sqrt(np.clip(w[::-1], 0.0, None))
     if k is None:
         k = select_rank(s_full, rows, cols)
-    if rank_cap is not None:
-        k = min(k, rank_cap)
     k = max(1, min(k, min_dim))
     U0 = q[:, ::-1][:, :k]
     V1, _ = np.linalg.qr(m.T @ U0)

@@ -78,6 +78,18 @@ class TestCreatePredict:
         assert code == 1
         assert "EmptyFile" in err
 
+    def test_create_tick_keeps_on_grid_rows(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("t,a\n" + "".join(
+            f"{k / 10!r},{np.cos(k / 8):.8f}\n" for k in range(1, 301)))
+        model_dir = tmp_path / "model"
+        code, _, err = _run(capsys, ["create", "--input", str(data), "--model",
+                                     str(model_dir), "--T0", "80",
+                                     "--tick", "0.1"])
+        assert code == 0, err
+        model = pc.load_model(model_dir)
+        assert model.n_steps == 300 and model.obs_cnt == 300
+
     def test_no_overwrite_without_flag(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         _write_series_csv(data, n_steps=200)
@@ -211,16 +223,6 @@ class TestBenchCli:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["N"] for r in rows] == ["1", "4"]
-
-    def test_compare_kernels(self, capsys):
-        code, out, _ = _run(capsys, [
-            "bench", "--compare-kernels", "--repeat", "1", "--format", "csv"])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        kernels_seen = {r["kernel"] for r in rows}
-        assert kernels_seen == {"ar_recurrence", "reconstruct_points"}
-        impls = {r["impl"] for r in rows}
-        assert "numpy" in impls
 
 
 class TestEvalCli:

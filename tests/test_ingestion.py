@@ -64,6 +64,14 @@ class TestLoadCsv:
         assert batch.n_steps == 3
         np.testing.assert_array_equal(batch.observed[0], [True, True, True])
 
+    def test_tick_keeps_on_grid_rows_in_their_bucket(self, tmp_path):
+        # (0.3 - 0.1) / 0.1 is 1.9999999999999998; flooring it without a
+        # tolerance files t=0.3 in t=0.2's bucket
+        text = "t,a\n" + "".join(f"{k / 10!r},{k}\n" for k in range(1, 301))
+        batch = pc.load_csv(_write(tmp_path, text), "t", tick=0.1)
+        assert batch.n_steps == 300
+        np.testing.assert_array_equal(batch.values[0], np.arange(1, 301))
+
     def test_roundtrip_through_write_csv(self, tmp_path):
         values = np.array([[1.5, np.nan, 3.25], [0.0, -2.0, np.nan]])
         observed = ~np.isnan(values)

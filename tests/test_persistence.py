@@ -88,6 +88,25 @@ class TestRoundTrip:
             b = pc.predict_point(resumed, "a", t_q)
             assert a.mean == pytest.approx(b.mean, rel=1e-12, abs=1e-12)
 
+    def test_format_1_store_loads(self, tmp_path):
+        # format 1 also stored coeff_avg.f64 and half_steps; both are
+        # derived state that load now ignores
+        model = _model()
+        assert "half_steps" not in pc.save_model(model, tmp_path / "m")
+        assert not (tmp_path / "m" / "coeff_avg.f64").exists()
+        coeff = persistence.encode_f64(np.vstack(model.averaged_coefficients()))
+        (tmp_path / "m" / "coeff_avg.f64").write_bytes(coeff)
+        manifest = tmp_path / "m" / "manifest.txt"
+        text = manifest.read_text().replace(
+            f"format_version={persistence.FORMAT_VERSION}\n",
+            "format_version=1\n")
+        text += (f"half_steps={model.half_steps}\n"
+                 f"checksum.coeff_avg.f64={persistence._sha256(coeff)}\n")
+        manifest.write_text(text)
+        loaded = pc.load_model(tmp_path / "m")
+        assert loaded.half_steps == model.half_steps
+        assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
+
     def test_many_random_roundtrips(self, tmp_path):
         for seed in range(10):
             model = _model(n_steps=300 + 40 * seed, seed=seed,
@@ -118,8 +137,9 @@ class TestValidation:
         model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
         pc.save_model(model, tmp_path / "m")
         manifest = tmp_path / "m" / "manifest.txt"
-        text = manifest.read_text().replace("format_version=1",
-                                            "format_version=99")
+        text = manifest.read_text().replace(
+            f"format_version={persistence.FORMAT_VERSION}",
+            f"format_version={persistence.FORMAT_VERSION + 1}")
         manifest.write_text(text)
         with pytest.raises(VersionUnsupported):
             pc.load_model(tmp_path / "m")
