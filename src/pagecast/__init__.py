@@ -22,7 +22,6 @@ from .incremental import (
     PredictionModel,
     SubModel,
     create_model,
-    submodel_index,
 )
 from .ingestion import TimeSeriesBatch, aggregate, load_csv, write_csv
 from .metrics import ExperimentGrid, nrmse, nrmse_pooled, r_squared, wbc
@@ -30,7 +29,6 @@ from .page_matrix import StackedPageMatrix, build_stacked_page, coords_of, drop_
 from .persistence import load_model, save_model
 from .query import (
     PredictionResult,
-    average_coefficients,
     predict_point,
     predict_range,
     prediction_interval,
@@ -56,9 +54,9 @@ __all__ = [
     "impute_mean", "impute_variance", "fit_forecaster", "forecast_mean",
     "fit_variance_forecaster", "forecast_variance",
     "HyperParams", "PredictionModel", "SubModel",
-    "create_model", "submodel_index",
+    "create_model",
     "PredictionResult", "predict_point", "predict_range",
-    "prediction_interval", "average_coefficients",
+    "prediction_interval",
     "save_model", "load_model",
     "SyntheticTruth", "gen_synthetic_I", "gen_synthetic_II",
     "gen_synthetic_III", "gen_lrf", "corrupt",

@@ -6,6 +6,7 @@ exactly when the command succeeded.
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -114,7 +115,9 @@ def cmd_insert(args) -> int:
               f"{model.names}", file=sys.stderr)
         return 1
     expected = model.t0 + model.n_steps * model.step
-    if abs(batch.t0 - expected) > 1e-9 * model.step:
+    # t0, the product, the sum and batch.t0 each round by up to half a float
+    # spacing, which at epoch magnitude (2.4e-7 s) is far above 1e-9 * step.
+    if abs(batch.t0 - expected) > 1e-9 * model.step + 4 * math.ulp(expected):
         raise GridMismatch(
             f"first timestamp {batch.t0:.17g} does not continue the model, "
             f"whose next step is at {expected:.17g}")

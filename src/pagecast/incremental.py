@@ -60,14 +60,6 @@ class HyperParams:
             raise InvalidParams("L override must be >= 2")
 
 
-def submodel_index(tprime_obs: int, Tprime: int) -> int:
-    """Index of the older active sub-model after ``tprime_obs`` observations:
-    max(0, floor(2 t' / T') - 1)."""
-    if tprime_obs < 0:
-        raise InvalidParams("observation count must be nonnegative")
-    return max(0, (2 * tprime_obs) // Tprime - 1)
-
-
 def q0_limit(hp: HyperParams) -> int:
     """Largest schedule exponent for the first segment:
     floor(ln(Tprime/T0) / ln(1+gamma))."""
@@ -91,7 +83,9 @@ def retrain_thresholds(hp: HyperParams, first_segment: bool) -> list[int]:
 
 
 class _RawWindow:
-    """Recent raw steps with amortized O(1) appends and front pruning."""
+    """Recent raw steps with amortized O(1) appends and front pruning.  The
+    only copy of the stream: it keeps every step of every sub-model still
+    being fed, whose unfinished Page column and last Page row live here."""
 
     def __init__(self, n_series: int):
         self._vals = np.empty((n_series, 64))
@@ -104,16 +98,9 @@ class _RawWindow:
     def n_cols(self) -> int:
         return self._hi - self._lo
 
-    def append(self, values_col: np.ndarray, mask_col: np.ndarray) -> None:
-        if self._hi == self._vals.shape[1]:
-            self._regrow()
-        self._vals[:, self._hi] = values_col
-        self._mask[:, self._hi] = mask_col
-        self._hi += 1
-
     def extend(self, values: np.ndarray, mask: np.ndarray) -> None:
-        """Append columns in order; capacity grows exactly as it would under
-        one :meth:`append` per column (fill, then regrow)."""
+        """Append columns in order; capacity grows as it would one column at
+        a time (fill, then regrow), whatever the block sizes."""
         done, n = 0, values.shape[1]
         while done < n:
             if self._hi == self._vals.shape[1]:
@@ -182,7 +169,6 @@ class SubModel:
         self.index = index
         self.start_step = start_step
         self.N = n_series
-        self.steps = 0
         self.pending = list(thresholds)
         self.retrain_history: list[int] = []
         self.L: int | None = None
@@ -194,24 +180,16 @@ class SubModel:
         self.var_svd = None
         self.fc_mean_svd = None
         self.fc_var_svd = None
-        self.last_row_mean: np.ndarray | None = None
-        self.last_row_var: np.ndarray | None = None
         self.beta_mean: np.ndarray | None = None
         self.beta_var: np.ndarray | None = None
-        self.buf: np.ndarray | None = None
-        self.buf_len = 0
         # Set by insert_many while a retrain later in the same call will
-        # rebuild everything an append writes; buf and factors go stale
-        # until that retrain.  Never persisted, never set by insert.
+        # rebuild everything an append writes; appends are held back until
+        # that retrain.  Never persisted, never set by insert.
         self.superseded = False
 
     @property
     def trained(self) -> bool:
         return self.mean_svd is not None
-
-    @property
-    def obs_count(self) -> int:
-        return self.steps * self.N
 
     @property
     def start_obs(self) -> int:
@@ -303,9 +281,9 @@ class PredictionModel:
                 out.append(self.submodels[idx])
         return out
 
-    def recent_window(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Last ``width`` raw steps (values NaN where missing, plus mask)."""
-        return self.raw.tail(width)
+    def _seg_steps(self, sm: SubModel) -> int:
+        """Steps fed to ``sm`` so far (2 * half_steps at most)."""
+        return min(self.n_steps - sm.start_step, 2 * self.half_steps)
 
     # --- insertion --------------------------------------------------------
 
@@ -318,7 +296,7 @@ class PredictionModel:
             observed = np.asarray(observed, dtype=bool).reshape(-1)
             if len(observed) != self.N:
                 raise WidthMismatch("mask width mismatch")
-        self._insert_step(values, _usable(values, observed))
+        self._insert_step(values[:, None], _usable(values, observed)[:, None])
 
     def insert_many(self, values: np.ndarray,
                     observed: np.ndarray | None = None) -> None:
@@ -333,12 +311,12 @@ class PredictionModel:
 
         Appends that a full retrain later in the same block supersedes are
         skipped: a trained sub-model whose next retrain falls inside the
-        block is marked ``superseded`` and neither buffers steps nor folds
-        them into its factors until that retrain.  This is exact because a
+        block is marked ``superseded`` and folds no steps into its factors
+        until that retrain.  This is exact because a
         retrain reads none of what an append writes: when it fires depends
         only on the step count, the pending thresholds and the window rule,
-        and it rebuilds L, P, the factors, beta, the last rows and the
-        buffer from the raw window (whose pruning reads only L).
+        and it rebuilds L, P, the factors and beta from the raw window
+        (whose pruning reads only L).
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != self.N:
@@ -360,9 +338,9 @@ class PredictionModel:
             vals = values[:, pos:stop]
             obs = _usable(vals, None if observed is None else observed[:, pos:stop])
             if n:
-                self._add_quiet(vals, obs)
+                self._add_steps(vals, obs)
             else:
-                self._insert_step(vals[:, 0], obs[:, 0])
+                self._insert_step(vals, obs)
             pos = stop
 
     def _retrain_due(self, sm: SubModel, t_seg: int) -> bool:
@@ -381,9 +359,10 @@ class PredictionModel:
         steps at most."""
         if not sm.pending:
             return None
-        last = min(sm.steps + horizon, 2 * self.half_steps)
+        steps = self._seg_steps(sm)
+        last = min(steps + horizon, 2 * self.half_steps)
         # No pending threshold is crossed before this count.
-        t_seg = max(sm.steps + 1, -(-min(sm.pending) // self.N))
+        t_seg = max(steps + 1, -(-min(sm.pending) // self.N))
         while t_seg <= last:
             if self._retrain_due(sm, t_seg):
                 return t_seg
@@ -392,47 +371,39 @@ class PredictionModel:
 
     def _quiet_steps(self, limit: int) -> int:
         """How many of the next steps (at most ``limit`` and BULK_STEPS)
-        train nothing: no sub-model starts, no buffer of a trained and not
-        superseded sub-model reaches L, and no sub-model retrains (the rules
-        of :meth:`_insert_step` and :meth:`_feed`)."""
+        train nothing: no sub-model starts, no trained and not superseded
+        sub-model completes a Page column, and no sub-model retrains (the
+        rules of :meth:`_insert_step` and :meth:`_feed`)."""
         step = self.n_steps
         n = min(limit, BULK_STEPS, len(self.submodels) * self.half_steps - step)
         if n <= 0:
             return 0
         for sm in self.segments_for_step(step):
+            steps = self._seg_steps(sm)
             if sm.trained and not sm.superseded:
-                n = min(n, sm.L - sm.buf_len - 1)
+                n = min(n, sm.L * (sm.P + 1) - steps - 1)
             t_seg = self._next_retrain(sm, n)
             if t_seg is not None:
-                n = min(n, t_seg - sm.steps - 1)
+                n = min(n, t_seg - steps - 1)
         return n
 
-    def _add_quiet(self, values: np.ndarray, observed: np.ndarray) -> None:
-        """Add steps that :meth:`_quiet_steps` cleared, in bulk."""
-        n = values.shape[1]
-        # Row sums of a C-contiguous (steps, N) copy equal the per-step sums
-        # of _insert_step; cumsum then adds them in the same order.
+    def _add_steps(self, values: np.ndarray, observed: np.ndarray) -> None:
+        """Add an N x n block to the moments and the raw window.  Row sums of
+        a C-contiguous (n, N) copy, added in step order, give the same
+        floats whatever the block sizes."""
         rows = np.ascontiguousarray(np.where(observed, values, 0.0).T)
-        self.obs_sum = float(np.cumsum(np.r_[self.obs_sum, rows.sum(axis=1)])[-1])
-        self.obs_sumsq = float(
-            np.cumsum(np.r_[self.obs_sumsq, (rows * rows).sum(axis=1)])[-1])
-        self.obs_cnt += int(observed.sum())
+        for row_sum, row_sumsq in zip(rows.sum(axis=1).tolist(),
+                                      (rows * rows).sum(axis=1).tolist()):
+            self.obs_sum += row_sum
+            self.obs_sumsq += row_sumsq
+        self.obs_cnt += int(np.count_nonzero(observed))
         self.raw.extend(np.where(observed, values, np.nan), observed)
-        for sm in self.segments_for_step(self.n_steps):
-            sm.steps += n
-            if sm.trained and not sm.superseded:
-                sm.buf[:, sm.buf_len:sm.buf_len + n] = rows.T
-                sm.buf_len += n
-        self.n_steps += n
+        self.n_steps += values.shape[1]
 
     def _insert_step(self, values: np.ndarray, observed: np.ndarray) -> None:
+        """Add one step (N x 1 block), open sub-models and train."""
         step = self.n_steps
-        zero_row = np.where(observed, values, 0.0)
-        self.obs_sum += float(zero_row.sum())
-        self.obs_sumsq += float((zero_row * zero_row).sum())
-        self.obs_cnt += int(observed.sum())
-        self.raw.append(np.where(observed, values, np.nan), observed)
-        self.n_steps += 1
+        self._add_steps(values, observed)
 
         newest = step // self.half_steps
         while len(self.submodels) <= newest:
@@ -446,20 +417,16 @@ class PredictionModel:
                 self.raw.prune_before(max(0, min(keep_from, self.n_steps - margin)))
 
         for sm in self.segments_for_step(step):
-            self._feed(sm, zero_row)
+            self._feed(sm)
 
-    def _feed(self, sm: SubModel, zero_row: np.ndarray) -> None:
-        sm.steps += 1
-        live = sm.trained and not sm.superseded
-        if live:
-            sm.buf[:, sm.buf_len] = zero_row
-            sm.buf_len += 1
-
-        if self._retrain_due(sm, sm.steps):
-            sm.pending = [th for th in sm.pending if th > sm.obs_count]
+    def _feed(self, sm: SubModel) -> None:
+        steps = self._seg_steps(sm)
+        if self._retrain_due(sm, steps):
+            sm.pending = [th for th in sm.pending if th > steps * self.N]
             self._full_retrain(sm)
             self._coeff_cache.clear()
-        elif live and sm.buf_len == sm.L:
+        elif (sm.trained and not sm.superseded
+              and steps == sm.L * (sm.P + 1)):
             self._append_block(sm)
             self._coeff_cache.clear()
 
@@ -486,7 +453,6 @@ class PredictionModel:
         L = self._window_for(t_seg)
         zf = np.where(mask, vals, 0.0)
         P = t_seg // L
-        span = L * P
         data = stack_pages(zf, L, P)
         data_sq = data * data
 
@@ -500,33 +466,32 @@ class PredictionModel:
         sm.k1, sm.k2 = k1, k2
         sm.mean_svd, sm.var_svd = mean_svd, var_svd
         sm.fc_mean_svd, sm.fc_var_svd = fc_mean_svd, fc_var_svd
-        sm.last_row_mean = data[-1, :].copy()
-        sm.last_row_var = data_sq[-1, :].copy()
-        sm.beta_mean, _ = pcr_coefficients(fc_mean_svd, sm.last_row_mean)
-        sm.beta_var, _ = pcr_coefficients(fc_var_svd, sm.last_row_var)
-        sm.buf = np.zeros((self.N, L))
-        sm.buf_len = t_seg - span
-        if sm.buf_len:
-            sm.buf[:, :sm.buf_len] = zf[:, span:]
+        sm.beta_mean, _ = pcr_coefficients(fc_mean_svd, data[-1])
+        sm.beta_var, _ = pcr_coefficients(fc_var_svd, data_sq[-1])
         sm.retrain_history.append(self.total_obs)
         sm.superseded = False
 
     def _append_block(self, sm: SubModel) -> None:
-        """Fold the L buffered steps into the factors as N new columns."""
-        B = sm.buf.T.copy()
+        """Fold the segment's last L steps into the factors as N new columns
+        and refit beta against the new last Page row."""
+        L = sm.L
+        vals, mask = self.raw.slice_steps(sm.start_step, self.n_steps)
+        B = np.ascontiguousarray(np.where(mask[:, -L:], vals[:, -L:], 0.0).T)
         B_sq = B * B
+        # The last Page row in V's row order: series-major over the P0
+        # retrained columns, time-major over the appended ones.
+        last = np.where(mask[:, L - 1::L], vals[:, L - 1::L], 0.0)
+        last_row = np.concatenate([last[:, :sm.P0].reshape(-1),
+                                   last[:, sm.P0:].T.reshape(-1)])
         sm.mean_svd = append_columns(sm.mean_svd, B, sm.k1)
         sm.var_svd = append_columns(sm.var_svd, B_sq, sm.k2)
         kf1 = min(sm.k1, sm.L - 1)
         kf2 = min(sm.k2, sm.L - 1)
         sm.fc_mean_svd = append_columns(sm.fc_mean_svd, B[:-1, :], kf1)
         sm.fc_var_svd = append_columns(sm.fc_var_svd, B_sq[:-1, :], kf2)
-        sm.last_row_mean = np.concatenate([sm.last_row_mean, B[-1, :]])
-        sm.last_row_var = np.concatenate([sm.last_row_var, B_sq[-1, :]])
-        sm.beta_mean, _ = pcr_coefficients(sm.fc_mean_svd, sm.last_row_mean)
-        sm.beta_var, _ = pcr_coefficients(sm.fc_var_svd, sm.last_row_var)
+        sm.beta_mean, _ = pcr_coefficients(sm.fc_mean_svd, last_row)
+        sm.beta_var, _ = pcr_coefficients(sm.fc_var_svd, last_row * last_row)
         sm.P += 1
-        sm.buf_len = 0
 
     # --- coefficients -----------------------------------------------------
 

@@ -10,6 +10,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from fractions import Fraction
 
 import numpy as np
 
@@ -74,21 +75,27 @@ class TimeSeriesBatch:
         return np.where(self.observed, self.values, 0.0)
 
 
-def _parse_timestamp(text: str, lineno: int) -> float:
+def _parse_timestamp(text: str, lineno: int) -> int | Fraction:
+    """Seconds since the epoch, exactly as written (an int or a Fraction):
+    as floats, epoch-sized stamps lose their sub-second digits."""
     text = text.strip()
     try:
-        return float(int(text))
+        return int(text)
     except ValueError:
         pass
     try:
-        return float(text)
+        if math.isfinite(float(text)):
+            return Fraction(text)
     except ValueError:
         pass
     try:
-        return datetime.fromisoformat(text).timestamp()
+        dt = datetime.fromisoformat(text)
     except ValueError:
         raise UnparseableTimestamp(
             f"line {lineno}: cannot parse timestamp {text!r}") from None
+    # timestamp() of a whole second is an exact integer float
+    return (int(dt.replace(microsecond=0).timestamp())
+            + Fraction(dt.microsecond, 1_000_000))
 
 
 def _parse_value(text: str, lineno: int, col: str) -> float:
@@ -109,11 +116,12 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
     Empty cells denote missing values.  Rows are sorted by timestamp and
     become consecutive grid indices; with ``tick`` given, rows are instead
     placed at grid index floor((ts - ts_min) / tick), so irregular
-    timestamps land on a uniform grid.  A timestamp less than 1e-9 * tick
-    below a grid point counts as on it, so rounding in ``ts - ts_min``
-    cannot move an on-grid row one index early.  Two rows on the same index
-    raise :class:`DuplicateTimestamp`.  ``value_cols=None`` selects every
-    column except ``time_col``.
+    timestamps land on a uniform grid.  ``ts - ts_min`` is exact (epoch
+    floats would lose sub-second parts) and a timestamp less than
+    1e-9 * tick below a grid point counts as on it, so rounding cannot move
+    an on-grid row one index early.  Two rows on the same index raise
+    :class:`DuplicateTimestamp`.  ``value_cols=None`` selects every column
+    except ``time_col``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -132,7 +140,7 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
         t_idx = header.index(time_col)
         v_idx = [header.index(c) for c in value_cols]
 
-        stamps: list[float] = []
+        stamps: list[int | Fraction] = []
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
@@ -144,26 +152,28 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
     if not rows:
         raise EmptyFile(f"{path}: header only, no data rows")
 
-    order = np.argsort(np.asarray(stamps), kind="stable")
-    ts = np.asarray(stamps, dtype=np.float64)[order]
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    ts = [stamps[i] for i in order]
+    offsets = np.array([float(t - ts[0]) for t in ts])
     grid = np.asarray(rows, dtype=np.float64)[order]
 
     if tick is not None:
         if tick <= 0:
             raise InvalidInterval(f"tick must be positive, got {tick}")
-        idx = np.floor((ts - ts[0]) / tick + 1e-9).astype(np.int64)
+        idx = np.floor(offsets / tick + 1e-9).astype(np.int64)
         step = float(tick)
     else:
-        if len(ts) > 1 and np.any(np.diff(ts) == 0):
-            dup = ts[np.flatnonzero(np.diff(ts) == 0)[0]]
-            raise DuplicateTimestamp(f"{path}: duplicate timestamp {dup}")
+        same = np.flatnonzero(np.diff(offsets) == 0)
+        if same.size:
+            raise DuplicateTimestamp(
+                f"{path}: duplicate timestamp {float(ts[same[0]])}")
         idx = np.arange(len(ts), dtype=np.int64)
         step = 1.0
 
     if len(np.unique(idx)) != len(idx):
         dup = ts[np.flatnonzero(np.diff(idx) == 0)[0] + 1]
         raise DuplicateTimestamp(f"{path}: two rows in one tick bucket "
-                                 f"(ts={dup})")
+                                 f"(ts={float(dup)})")
 
     n_steps = int(idx[-1]) + 1
     values = np.full((len(value_cols), n_steps), np.nan)

@@ -11,17 +11,16 @@ Layout of a saved model directory::
         Uv.f64 Sv.f64 Vv.f64           variance-model factors
         Uvf.f64 Svf.f64 Vvf.f64        variance forecast factors
         beta_mean.f64 beta_var.f64     regression coefficients
-        last_row_mean.f64 last_row_var.f64
-        buf.f64                        partial Page-column buffer
 
 Every ``.f64`` file is two little-endian uint64 dimensions (rows, cols)
 followed by rows*cols little-endian IEEE-754 float64 values in column-major
 order.  Exact float state (running sums, gamma) is stored in the manifest as
 hex floats, so a load reproduces predictions bit for bit.  Nothing that
-load can derive is stored: the averaged forecast coefficients are
-recomputed on first use and the half-segment length from ``Tprime`` and N.
-Format 1 also stored ``coeff_avg.f64`` and a ``half_steps`` key; format-1
-stores still load, and both items are ignored.
+load can derive is stored: the averaged forecast coefficients, the
+half-segment length, and each sub-model's step count, unfinished Page column
+and last Page row are recomputed.  Formats 1 and 2 stored the last three
+(``steps``/``buf_len`` keys, ``buf.f64``, ``last_row_*.f64``), format 1 also
+``coeff_avg.f64`` and ``half_steps``; such stores still load, ignoring them.
 
 Saves are staged in ``<dir>.staging`` and committed by renaming the old
 directory to ``<dir>.bak`` and the staging directory to ``<dir>``; a load
@@ -48,7 +47,7 @@ from .incremental import (
 )
 from .svd_engine import TruncatedSVD
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _SVD_FILES = {
     "mean_svd": ("U", "S", "V"),
@@ -56,7 +55,7 @@ _SVD_FILES = {
     "var_svd": ("Uv", "Sv", "Vv"),
     "fc_var_svd": ("Uvf", "Svf", "Vvf"),
 }
-_VEC_FILES = ("beta_mean", "beta_var", "last_row_mean", "last_row_var")
+_VEC_FILES = ("beta_mean", "beta_var")
 
 
 class PersistenceReadError(CorruptManifest):
@@ -100,10 +99,6 @@ def decode_f64(data: bytes) -> np.ndarray:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _svd_arrays(svd: TruncatedSVD) -> dict[str, np.ndarray]:
-    return {"U": svd.U, "S": svd.s, "V": svd.V}
 
 
 def save_model(model: PredictionModel, directory) -> dict:
@@ -165,7 +160,6 @@ def save_model(model: PredictionModel, directory) -> dict:
     for sm in model.submodels:
         pre = f"sub{sm.index}."
         manifest[pre + "start_step"] = str(sm.start_step)
-        manifest[pre + "steps"] = str(sm.steps)
         manifest[pre + "trained"] = "1" if sm.trained else "0"
         manifest[pre + "pending"] = json.dumps(sm.pending)
         manifest[pre + "retrain_history"] = json.dumps(sm.retrain_history)
@@ -176,7 +170,6 @@ def save_model(model: PredictionModel, directory) -> dict:
         manifest[pre + "P0"] = str(sm.P0)
         manifest[pre + "k1"] = str(sm.k1)
         manifest[pre + "k2"] = str(sm.k2)
-        manifest[pre + "buf_len"] = str(sm.buf_len)
         sub = f"sub_{sm.index}"
         for attr, names in _SVD_FILES.items():
             svd = getattr(sm, attr)
@@ -184,7 +177,6 @@ def save_model(model: PredictionModel, directory) -> dict:
                 emit(f"{sub}/{fname}.f64", arr)
         for attr in _VEC_FILES:
             emit(f"{sub}/{attr}.f64", getattr(sm, attr))
-        emit(f"{sub}/buf.f64", sm.buf)
 
     for relpath, digest in checksums.items():
         manifest[f"checksum.{relpath}"] = digest
@@ -286,7 +278,6 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
             raise CorruptManifest(f"manifest missing sub-model {i}")
         sm = SubModel(i, int(manifest[pre + "start_step"]), model.N,
                       retrain_thresholds(hp, first_segment=(i == 0)))
-        sm.steps = int(manifest[pre + "steps"])
         sm.pending = list(json.loads(manifest[pre + "pending"]))
         sm.retrain_history = list(json.loads(manifest[pre + "retrain_history"]))
         if manifest[pre + "trained"] == "1":
@@ -304,8 +295,6 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
             for attr in _VEC_FILES:
                 setattr(sm, attr,
                         _vector(_load_array(directory, f"{sub}/{attr}.f64", manifest)))
-            sm.buf = _load_array(directory, f"{sub}/buf.f64", manifest)
-            sm.buf_len = int(manifest[pre + "buf_len"])
         model.submodels.append(sm)
     return model
 

@@ -49,12 +49,6 @@ def prediction_interval(mean: float, sigma: float, confidence: float,
     return mean - half, mean + half
 
 
-def average_coefficients(model: PredictionModel, window: int | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged (mean, variance) forecast coefficients over recent sub-models."""
-    return model.averaged_coefficients(window)
-
-
 def _reconstruct_entry(model: PredictionModel, sm: SubModel, svd,
                        local: int, n: int) -> float:
     row = local % sm.L
@@ -120,7 +114,7 @@ def _forecast_trajectories(model: PredictionModel, n: int, horizon: int,
     """
     beta_mean, beta_var = model.averaged_coefficients()
     width = len(beta_mean)
-    vals, mask = model.recent_window(width)
+    vals, mask = model.raw.tail(width)
     seed = np.where(mask[n], vals[n], 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         g_mean = ar_recurrence(seed, beta_mean, horizon)

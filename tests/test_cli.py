@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -90,6 +91,37 @@ class TestCreatePredict:
         model = pc.load_model(model_dir)
         assert model.n_steps == 300 and model.obs_cnt == 300
 
+    def test_iso_sub_second_tick_create_then_insert(self, tmp_path, capsys):
+        # with this start and length the model's next step, t0 + 333 * 0.1,
+        # and the insert CSV's first epoch stamp differ by one float spacing
+        # (2.4e-7 s), far above 1e-9 * step
+        start = datetime(2024, 1, 1, 0, 0, 0, 100_000)
+
+        def write(path, first, count):
+            path.write_text("t,a\n" + "".join(
+                f"{(start + timedelta(milliseconds=100 * k)).isoformat()},"
+                f"{np.cos(k / 8):.8f}\n" for k in range(first, first + count)))
+
+        write(tmp_path / "data.csv", 0, 333)
+        model_dir = tmp_path / "model"
+        code, _, err = _run(capsys, ["create", "--input",
+                                     str(tmp_path / "data.csv"), "--model",
+                                     str(model_dir), "--T0", "80",
+                                     "--tick", "0.1"])
+        assert code == 0, err
+        write(tmp_path / "late.csv", 334, 50)
+        code, _, err = _run(capsys, ["insert", "--input",
+                                     str(tmp_path / "late.csv"), "--model",
+                                     str(model_dir)])
+        assert code == 1 and "GridMismatch" in err
+        write(tmp_path / "more.csv", 333, 50)
+        code, _, err = _run(capsys, ["insert", "--input",
+                                     str(tmp_path / "more.csv"), "--model",
+                                     str(model_dir)])
+        assert code == 0, err
+        model = pc.load_model(model_dir)
+        assert model.n_steps == 383 and model.obs_cnt == 383
+
     def test_no_overwrite_without_flag(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         _write_series_csv(data, n_steps=200)
@@ -148,7 +180,7 @@ class TestCreatePredict:
                              str(model_dir)])[0] == 0
         model = pc.load_model(model_dir)
         assert model.n_steps == 399
-        _, mask = model.recent_window(99)
+        _, mask = model.raw.tail(99)
         assert mask.tolist() == [[j % 2 == 0 for j in range(99)]] * 2
 
     def test_divergent_forecast_exits_1(self, tmp_path, capsys):

@@ -22,12 +22,6 @@ def _stream(n_steps, n_series=1, seed=0, noise=0.1):
 
 
 class TestScheduleFormulas:
-    def test_submodel_index_examples(self):
-        tp = 10_000
-        assert pc.submodel_index(tp // 2 - 1, tp) == 0
-        assert pc.submodel_index(tp, tp) == 1
-        assert pc.submodel_index(2 * tp, tp) == 3
-
     def test_default_limits(self):
         hp = pc.HyperParams()
         assert q0_limit(hp) == 24  # floor(ln(25000)/ln 1.5)
@@ -190,8 +184,8 @@ def _assert_same_state(a, b):
         assert _same_array(np.asarray(x), np.asarray(y))
     assert len(a.submodels) == len(b.submodels)
     for sa, sb in zip(a.submodels, b.submodels):
-        for attr in ("start_step", "steps", "pending", "retrain_history",
-                     "L", "P", "P0", "k1", "k2", "buf_len"):
+        for attr in ("start_step", "pending", "retrain_history",
+                     "L", "P", "P0", "k1", "k2"):
             assert getattr(sa, attr) == getattr(sb, attr), (sa.index, attr)
         for attr in ("mean_svd", "var_svd", "fc_mean_svd", "fc_var_svd"):
             fa, fb = getattr(sa, attr), getattr(sb, attr)
@@ -199,8 +193,7 @@ def _assert_same_state(a, b):
             if fa is not None:
                 for x, y in ((fa.U, fb.U), (fa.s, fb.s), (fa.V, fb.V)):
                     assert _same_array(x, y), (sa.index, attr)
-        for attr in ("beta_mean", "beta_var", "last_row_mean",
-                     "last_row_var", "buf"):
+        for attr in ("beta_mean", "beta_var"):
             assert _same_array(getattr(sa, attr), getattr(sb, attr)), (
                 sa.index, attr)
 
@@ -395,6 +388,37 @@ class TestInsertMany:
             model.insert_many(np.zeros(2))
         with pytest.raises(WidthMismatch):
             model.insert_many(np.zeros((2, 5)), np.ones((2, 4), bool))
+
+
+class TestRawWindowContract:
+    """Sub-models keep no copy of the stream: the step count, the unfinished
+    Page column and the last Page row are read from the raw window, so it
+    must still hold every step of every sub-model that is being fed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_series=st.sampled_from([1, 3]), T0=st.integers(5, 40),
+           span=st.integers(2, 6), L=st.sampled_from([None, 2, 5]),
+           calls=st.lists(st.tuples(st.booleans(), st.integers(0, 150)),
+                          min_size=1, max_size=12),
+           seed=st.integers(0, 2**16))
+    def test_fed_submodels_stay_in_raw_window(self, n_series, T0, span, L,
+                                              calls, seed):
+        hp = pc.HyperParams(T0=T0, Tprime=span * T0, gamma=0.5, L=L)
+        model = pc.PredictionModel([f"s{i}" for i in range(n_series)], hp)
+        rng = np.random.default_rng(seed)
+        for bulk, n in calls:
+            vals = rng.normal(size=(n_series, n))
+            vals[rng.random(vals.shape) < 0.1] = np.nan
+            if bulk:
+                model.insert_many(vals)
+            else:
+                for j in range(n):
+                    model.insert(vals[:, j])
+            raw = model.raw
+            assert raw.start_step + raw.n_cols == model.n_steps
+            for sm in model.submodels:
+                if model.n_steps - sm.start_step < 2 * model.half_steps:
+                    assert raw.start_step <= sm.start_step, (sm.index, sm.L)
 
 
 class TestSupersededAppends:

@@ -1,3 +1,5 @@
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,11 @@ class TestLoadCsv:
         with pytest.raises(UnparseableTimestamp):
             pc.load_csv(_write(tmp_path, "t,a\nnot-a-time,5\n"), "t")
 
+    @pytest.mark.parametrize("stamp", ["inf", "nan", "1e400"])
+    def test_non_finite_timestamp(self, tmp_path, stamp):
+        with pytest.raises(UnparseableTimestamp):
+            pc.load_csv(_write(tmp_path, f"t,a\n{stamp},5\n2,6\n"), "t")
+
     def test_rows_sorted_by_time(self, tmp_path):
         batch = pc.load_csv(_write(tmp_path, "t,a\n3,30\n1,10\n2,20\n"), "t")
         np.testing.assert_array_equal(batch.values[0], [10, 20, 30])
@@ -71,6 +78,17 @@ class TestLoadCsv:
         batch = pc.load_csv(_write(tmp_path, text), "t", tick=0.1)
         assert batch.n_steps == 300
         np.testing.assert_array_equal(batch.values[0], np.arange(1, 301))
+
+    def test_tick_keeps_sub_second_iso_rows_in_their_bucket(self, tmp_path):
+        # as epoch floats these stamps are 2.4e-7 s apart, so offsets taken
+        # from them miss the grid by far more than the tolerance
+        base = datetime(2024, 1, 1)
+        text = "t,a\n" + "".join(
+            f"{(base + timedelta(milliseconds=100 * k)).isoformat()},{k}\n"
+            for k in range(300))
+        batch = pc.load_csv(_write(tmp_path, text), "t", tick=0.1)
+        assert batch.n_steps == 300 and batch.t0 == base.timestamp()
+        np.testing.assert_array_equal(batch.values[0], np.arange(300))
 
     def test_roundtrip_through_write_csv(self, tmp_path):
         values = np.array([[1.5, np.nan, 3.25], [0.0, -2.0, np.nan]])

@@ -6,6 +6,7 @@ import pytest
 import pagecast as pc
 from pagecast import persistence
 from pagecast.errors import ChecksumMismatch, CorruptManifest, VersionUnsupported
+from pagecast.estimator import pcr_coefficients
 
 
 def _model(n_steps=900, n_series=2, seed=0, hp=None):
@@ -46,13 +47,11 @@ class TestRoundTrip:
         assert loaded.hp == model.hp
         assert len(loaded.submodels) == len(model.submodels)
         for a, b in zip(model.submodels, loaded.submodels):
-            assert (a.L, a.P, a.P0, a.k1, a.k2, a.steps, a.buf_len) == \
-                   (b.L, b.P, b.P0, b.k1, b.k2, b.steps, b.buf_len)
+            assert (a.L, a.P, a.P0, a.k1, a.k2) == (b.L, b.P, b.P0, b.k1, b.k2)
             assert a.pending == b.pending
             if a.trained:
                 np.testing.assert_array_equal(a.mean_svd.U, b.mean_svd.U)
                 np.testing.assert_array_equal(a.beta_var, b.beta_var)
-                np.testing.assert_array_equal(a.buf, b.buf)
 
     def test_fallback_model_roundtrip(self, tmp_path):
         vals = np.array([[1.0, 2.0, 4.0]])
@@ -105,6 +104,66 @@ class TestRoundTrip:
         manifest.write_text(text)
         loaded = pc.load_model(tmp_path / "m")
         assert loaded.half_steps == model.half_steps
+        assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
+
+    def test_format_2_store_loads(self, tmp_path):
+        # format 2 also stored each sub-model's step count, its unfinished
+        # Page column (buf, N x L, the first buf_len columns in use) and its
+        # last Page row; load now derives them from n_steps and the raw window
+        model = _model()
+        manifest = pc.save_model(model, tmp_path / "m")
+        assert not any(k.endswith((".steps", ".buf_len")) for k in manifest)
+        assert not list((tmp_path / "m").glob("sub_*/buf.f64"))
+        lines = ["format_version=2" if k == "format_version" else f"{k}={v}"
+                 for k, v in manifest.items()]
+        rebuilt = 0
+        for sm in model.submodels:
+            steps = min(model.n_steps - sm.start_step, 2 * model.half_steps)
+            lines.append(f"sub{sm.index}.steps={steps}")
+            if not sm.trained:
+                continue
+            buf_len = steps - sm.L * sm.P
+            lines.append(f"sub{sm.index}.buf_len={buf_len}")
+            # sub-models whose steps are pruned keep these placeholders
+            buf = np.zeros((model.N, sm.L))
+            last = np.full(model.N * sm.P, np.nan)
+            if sm.start_step >= model.raw.start_step:
+                # V's row order, read through the mapping queries use
+                vals, mask = model.raw.slice_steps(sm.start_step, model.n_steps)
+                zf = np.where(mask, vals, 0.0)
+                buf[:, :buf_len] = zf[:, sm.L * sm.P:]
+                for n in range(model.N):
+                    for j in range(sm.P):
+                        last[sm.col_position(n, j)] = zf[n, (j + 1) * sm.L - 1]
+                fitted = (pcr_coefficients(sm.fc_mean_svd, last)[0],
+                          pcr_coefficients(sm.fc_var_svd, last * last)[0])
+                assert fitted[0].tobytes() == sm.beta_mean.tobytes()
+                assert fitted[1].tobytes() == sm.beta_var.tobytes()
+                rebuilt += 1
+            for name, arr in (("buf", buf), ("last_row_mean", last),
+                              ("last_row_var", last * last)):
+                data = persistence.encode_f64(arr)
+                (tmp_path / "m" / f"sub_{sm.index}" / f"{name}.f64").write_bytes(data)
+                lines.append(f"checksum.sub_{sm.index}/{name}.f64="
+                             f"{persistence._sha256(data)}")
+        assert rebuilt >= 2
+        (tmp_path / "m" / "manifest.txt").write_text("\n".join(lines) + "\n")
+        loaded = pc.load_model(tmp_path / "m")
+        assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
+
+        rng = np.random.default_rng(7)
+        block = np.cos(np.arange(400.0) / 9)[None, :] * np.ones((2, 1))
+        block[rng.random(block.shape) < 0.1] = np.nan
+        for m, d in ((model, "a"), (loaded, "b")):
+            m.insert_many(block)
+            pc.save_model(m, tmp_path / d)
+        files = sorted(p.relative_to(tmp_path / "a")
+                       for p in (tmp_path / "a").rglob("*.*"))
+        assert files == sorted(p.relative_to(tmp_path / "b")
+                               for p in (tmp_path / "b").rglob("*.*"))
+        for f in files:
+            assert (tmp_path / "a" / f).read_bytes() == \
+                   (tmp_path / "b" / f).read_bytes(), f
         assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
 
     def test_many_random_roundtrips(self, tmp_path):

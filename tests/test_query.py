@@ -143,10 +143,10 @@ class TestForecastQueries:
         model, _, _ = _model(n_steps=1800, hp=hp)
         fitted = [sm for sm in model.submodels if sm.beta_mean is not None]
         assert len(fitted) >= 2
-        bm, bv = pc.average_coefficients(model, 1)
+        bm, bv = model.averaged_coefficients(1)
         last = fitted[-1]
         np.testing.assert_array_equal(bm[-len(last.beta_mean):], last.beta_mean)
-        bm10, _ = pc.average_coefficients(model, 10)
+        bm10, _ = model.averaged_coefficients(10)
         width = max(len(sm.beta_mean) for sm in fitted[-10:])
         manual = np.zeros(width)
         for sm in fitted[-10:]:
@@ -165,7 +165,7 @@ class TestForecastQueries:
         other.beta_mean[1] = 1.0
         model.submodels.append(other)
         model._coeff_cache.clear()
-        bm, _ = pc.average_coefficients(model, 10)
+        bm, _ = model.averaged_coefficients(10)
         expected = np.zeros(w)
         expected[0] = expected[1] = 0.5
         np.testing.assert_allclose(bm, expected)
