@@ -85,11 +85,11 @@ def retrain_thresholds(hp: HyperParams, first_segment: bool) -> list[int]:
 class _RawWindow:
     """Recent raw steps with amortized O(1) appends and front pruning.  The
     only copy of the stream: it keeps every step of every sub-model still
-    being fed, whose unfinished Page column and last Page row live here."""
+    being fed, whose unfinished Page column and last Page row live here.
+    A missing entry is NaN; every stored entry that is finite is observed."""
 
     def __init__(self, n_series: int):
         self._vals = np.empty((n_series, 64))
-        self._mask = np.empty((n_series, 64), dtype=bool)
         self._lo = 0
         self._hi = 0
         self.start_step = 0
@@ -98,7 +98,7 @@ class _RawWindow:
     def n_cols(self) -> int:
         return self._hi - self._lo
 
-    def extend(self, values: np.ndarray, mask: np.ndarray) -> None:
+    def extend(self, values: np.ndarray) -> None:
         """Append columns in order; capacity grows as it would one column at
         a time (fill, then regrow), whatever the block sizes."""
         done, n = 0, values.shape[1]
@@ -107,7 +107,6 @@ class _RawWindow:
                 self._regrow()
             take = min(n - done, self._vals.shape[1] - self._hi)
             self._vals[:, self._hi:self._hi + take] = values[:, done:done + take]
-            self._mask[:, self._hi:self._hi + take] = mask[:, done:done + take]
             self._hi += take
             done += take
 
@@ -115,10 +114,8 @@ class _RawWindow:
         n = self.n_cols
         cap = max(64, 2 * (n + 1))
         vals = np.empty((self._vals.shape[0], cap))
-        mask = np.empty((self._vals.shape[0], cap), dtype=bool)
         vals[:, :n] = self._vals[:, self._lo:self._hi]
-        mask[:, :n] = self._mask[:, self._lo:self._hi]
-        self._vals, self._mask = vals, mask
+        self._vals = vals
         self._lo, self._hi = 0, n
 
     def prune_before(self, global_step: int) -> None:
@@ -127,37 +124,39 @@ class _RawWindow:
             self._lo += drop
             self.start_step += drop
 
-    def slice_steps(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """Raw (values, mask) for global steps [start, end)."""
+    def slice_steps(self, start: int, end: int) -> np.ndarray:
+        """Raw values for global steps [start, end)."""
         if start < self.start_step:
             raise InvalidParams(
                 f"step {start} already pruned (window starts at {self.start_step})")
         a = self._lo + (start - self.start_step)
         b = self._lo + (end - self.start_step)
-        return self._vals[:, a:b], self._mask[:, a:b]
+        return self._vals[:, a:b]
 
-    def tail(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+    def tail(self, width: int) -> np.ndarray:
         """Last ``width`` steps, left-padded as missing if not enough."""
         have = min(width, self.n_cols)
         vals = np.full((self._vals.shape[0], width), np.nan)
-        mask = np.zeros((self._vals.shape[0], width), dtype=bool)
         if have:
             vals[:, width - have:] = self._vals[:, self._hi - have:self._hi]
-            mask[:, width - have:] = self._mask[:, self._hi - have:self._hi]
-        return vals, mask
+        return vals
 
-    def state(self) -> tuple[np.ndarray, np.ndarray, int]:
-        return (self._vals[:, self._lo:self._hi].copy(),
-                self._mask[:, self._lo:self._hi].copy(), self.start_step)
+    def state(self) -> tuple[np.ndarray, int]:
+        return self._vals[:, self._lo:self._hi].copy(), self.start_step
 
     @classmethod
-    def from_state(cls, vals: np.ndarray, mask: np.ndarray,
-                   start_step: int) -> "_RawWindow":
+    def from_state(cls, vals: np.ndarray, start_step: int) -> "_RawWindow":
+        # The capacity that feeding the steps one at a time to an empty
+        # window leaves (regrows to 64, 130, 262, ...), so the step after a
+        # load does not copy the whole window.
+        n = vals.shape[1]
+        cap = 64
+        while cap <= n:
+            cap = 2 * (cap + 1)
         win = cls(vals.shape[0])
-        win._vals = vals.copy()
-        win._mask = mask.copy()
-        win._lo, win._hi = 0, vals.shape[1]
-        win.start_step = start_step
+        win._vals = np.empty((vals.shape[0], cap))
+        win._vals[:, :n] = vals
+        win._hi, win.start_step = n, start_step
         return win
 
 
@@ -397,7 +396,7 @@ class PredictionModel:
             self.obs_sum += row_sum
             self.obs_sumsq += row_sumsq
         self.obs_cnt += int(np.count_nonzero(observed))
-        self.raw.extend(np.where(observed, values, np.nan), observed)
+        self.raw.extend(np.where(observed, values, np.nan))
         self.n_steps += values.shape[1]
 
     def _insert_step(self, values: np.ndarray, observed: np.ndarray) -> None:
@@ -448,10 +447,9 @@ class PredictionModel:
         return L
 
     def _full_retrain(self, sm: SubModel) -> None:
-        vals, mask = self.raw.slice_steps(sm.start_step, self.n_steps)
-        t_seg = vals.shape[1]
+        zf = zero_filled(self.raw.slice_steps(sm.start_step, self.n_steps))
+        t_seg = zf.shape[1]
         L = self._window_for(t_seg)
-        zf = np.where(mask, vals, 0.0)
         P = t_seg // L
         data = stack_pages(zf, L, P)
         data_sq = data * data
@@ -475,12 +473,12 @@ class PredictionModel:
         """Fold the segment's last L steps into the factors as N new columns
         and refit beta against the new last Page row."""
         L = sm.L
-        vals, mask = self.raw.slice_steps(sm.start_step, self.n_steps)
-        B = np.ascontiguousarray(np.where(mask[:, -L:], vals[:, -L:], 0.0).T)
+        vals = self.raw.slice_steps(sm.start_step, self.n_steps)
+        B = np.ascontiguousarray(zero_filled(vals[:, -L:]).T)
         B_sq = B * B
         # The last Page row in V's row order: series-major over the P0
         # retrained columns, time-major over the appended ones.
-        last = np.where(mask[:, L - 1::L], vals[:, L - 1::L], 0.0)
+        last = zero_filled(vals[:, L - 1::L])
         last_row = np.concatenate([last[:, :sm.P0].reshape(-1),
                                    last[:, sm.P0:].T.reshape(-1)])
         sm.mean_svd = append_columns(sm.mean_svd, B, sm.k1)
@@ -531,6 +529,12 @@ def _usable(values: np.ndarray, observed: np.ndarray | None) -> np.ndarray:
     if observed is None:
         return np.isfinite(values)
     return observed & np.isfinite(np.where(observed, values, 0.0))
+
+
+def zero_filled(raw: np.ndarray) -> np.ndarray:
+    """Raw window values with the missing (NaN) entries set to 0.  Faster
+    than ``np.nan_to_num`` on the small blocks appends and forecasts read."""
+    return np.where(np.isfinite(raw), raw, 0.0)
 
 
 def create_model(batch: TimeSeriesBatch, hp: HyperParams | None = None) -> PredictionModel:

@@ -3,7 +3,8 @@
 A :class:`TimeSeriesBatch` is the package's single in-memory representation
 of aligned series: an N x T float64 grid plus an N x T boolean ``observed``
 mask.  Missing entries hold NaN, but the mask -- not the NaN sentinel -- is
-what every downstream algorithm consults.
+what insertion into a model consults.  Inside the model the raw window keeps
+values only, with NaN as the one missing marker.
 """
 
 import csv

@@ -4,7 +4,6 @@ Layout of a saved model directory::
 
     <dir>/manifest.txt      UTF-8 key=value lines, checksums of every array
     <dir>/raw_values.f64    retained raw steps (NaN where missing)
-    <dir>/raw_mask.f64      observation mask for the raw window (0.0 / 1.0)
     <dir>/sub_<i>/          per trained sub-model:
         U.f64 S.f64 V.f64              mean-model factors
         Uf.f64 Sf.f64 Vf.f64           mean forecast factors
@@ -17,13 +16,17 @@ followed by rows*cols little-endian IEEE-754 float64 values in column-major
 order.  Exact float state (running sums, gamma) is stored in the manifest as
 hex floats, so a load reproduces predictions bit for bit.  Nothing that
 load can derive is stored: the averaged forecast coefficients, the
-half-segment length, and each sub-model's step count, unfinished Page column
-and last Page row are recomputed.  Formats 1 and 2 stored the last three
-(``steps``/``buf_len`` keys, ``buf.f64``, ``last_row_*.f64``), format 1 also
-``coeff_avg.f64`` and ``half_steps``; such stores still load, ignoring them.
+half-segment length, each sub-model's step count, unfinished Page column
+and last Page row, and the observation mask (the finite raw entries) are
+recomputed.  Formats 1-3 stored the mask (``raw_mask.f64``), formats 1 and 2
+the step count, column and row (``steps``/``buf_len`` keys, ``buf.f64``,
+``last_row_*.f64``), format 1 also ``coeff_avg.f64`` and ``half_steps``;
+such stores still load, ignoring them.
 
 Saves are staged in ``<dir>.staging`` and committed by renaming the old
-directory to ``<dir>.bak`` and the staging directory to ``<dir>``; a load
+directory to ``<dir>.bak`` and the staging directory to ``<dir>``.  Every
+file and every staging directory is fsynced before the renames and the
+parent directory after them, so a commit also survives power loss.  A load
 falls back to the backup when the primary's manifest is missing or
 unreadable, so an interrupted save always leaves the previous version
 loadable.  Checksum and other validation failures of a readable primary are
@@ -47,7 +50,7 @@ from .incremental import (
 )
 from .svd_engine import TruncatedSVD
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _SVD_FILES = {
     "mean_svd": ("U", "S", "V"),
@@ -68,10 +71,21 @@ class PersistenceReadError(CorruptManifest):
 def _write_bytes(path: str, data: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _rename(src: str, dst: str) -> None:
     os.rename(src, dst)
+
+
+def _fsync_dir(path: str) -> None:
+    """Make the entries of directory ``path`` (creations, renames) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def encode_f64(arr: np.ndarray) -> bytes:
@@ -152,10 +166,9 @@ def save_model(model: PredictionModel, directory) -> dict:
         _write_bytes(full, data)
         checksums[relpath] = _sha256(data)
 
-    raw_vals, raw_mask, raw_start = model.raw.state()
+    raw_vals, raw_start = model.raw.state()
     manifest["raw_start"] = str(raw_start)
-    emit("raw_values.f64", np.where(raw_mask, raw_vals, np.nan))
-    emit("raw_mask.f64", raw_mask.astype(np.float64))
+    emit("raw_values.f64", raw_vals)
 
     for sm in model.submodels:
         pre = f"sub{sm.index}."
@@ -183,12 +196,19 @@ def save_model(model: PredictionModel, directory) -> dict:
     lines = "".join(f"{k}={v}\n" for k, v in manifest.items())
     _write_bytes(os.path.join(staging, "manifest.txt"), lines.encode("utf-8"))
 
-    # Commit: demote the live dir to backup, promote staging, drop backup.
+    # Every file is on disk; make their directory entries durable too, so
+    # that the renames below cannot outlive the files they commit.
+    for root, _, _ in os.walk(staging):
+        _fsync_dir(root)
+
+    # Commit: demote the live dir to backup, promote staging, drop backup
+    # once the renames are durable.
     if os.path.exists(backup):
         shutil.rmtree(backup)
     if os.path.exists(directory):
         _rename(directory, backup)
     _rename(staging, directory)
+    _fsync_dir(os.path.dirname(os.path.abspath(directory)))
     if os.path.exists(backup):
         shutil.rmtree(backup)
     return manifest
@@ -266,10 +286,9 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
     model.obs_sumsq = float.fromhex(manifest["obs_sumsq"])
     model.obs_cnt = int(manifest["obs_cnt"])
 
-    raw_vals = _load_array(directory, "raw_values.f64", manifest)
-    raw_mask = _load_array(directory, "raw_mask.f64", manifest) > 0.5
-    model.raw = _RawWindow.from_state(raw_vals, raw_mask,
-                                      int(manifest["raw_start"]))
+    model.raw = _RawWindow.from_state(
+        _load_array(directory, "raw_values.f64", manifest),
+        int(manifest["raw_start"]))
 
     count = int(manifest["submodel_count"])
     for i in range(count):

@@ -12,11 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfidence, OutOfRange, UnstableForecast
-from .incremental import PredictionModel, SubModel
+from .incremental import PredictionModel, SubModel, zero_filled
 from .kernels import ar_recurrence, reconstruct_points
 from .stats import chebyshev_halfwidth, gaussian_halfwidth
 
 METHODS = ("gaussian", "chebyshev")
+
+# Longest forecast horizon, in steps past the data.  ar_recurrence holds
+# len(beta) + h floats per path, so a forecast at the limit holds 16 MB for
+# its mean and second-moment paths and takes about 1.3 s per path (12 ms per
+# 1e4 steps); without a bound one query could ask for any amount of memory.
+MAX_HORIZON = 1_000_000
 
 
 @dataclass
@@ -57,6 +63,13 @@ def _reconstruct_entry(model: PredictionModel, sm: SubModel, svd,
     return float(reconstruct_points(
         svd.U, svd.s, svd.V,
         np.array([row], dtype=np.int64), np.array([pos], dtype=np.int64))[0])
+
+
+def _check_horizon(model: PredictionModel, t: int) -> None:
+    if t - model.n_steps > MAX_HORIZON:
+        raise OutOfRange(
+            f"t={t} lies {t - model.n_steps} steps past the data; forecasts "
+            f"reach at most {MAX_HORIZON} steps ahead")
 
 
 def _fallback_result(model, series_name, t, kind, confidence, method,
@@ -113,9 +126,7 @@ def _forecast_trajectories(model: PredictionModel, n: int, horizon: int,
     nan with an interval clamped to zero width.
     """
     beta_mean, beta_var = model.averaged_coefficients()
-    width = len(beta_mean)
-    vals, mask = model.raw.tail(width)
-    seed = np.where(mask[n], vals[n], 0.0)
+    seed = zero_filled(model.raw.tail(len(beta_mean))[n])
     with np.errstate(over="ignore", invalid="ignore"):
         g_mean = ar_recurrence(seed, beta_mean, horizon)
         g_second = (ar_recurrence(seed * seed, beta_var, horizon)
@@ -136,6 +147,7 @@ def predict_point(model: PredictionModel, series, t: int,
     n = model.series_index(series)
     if t < 1:
         raise OutOfRange(f"t must be >= 1, got {t}")
+    _check_horizon(model, t)
     if method not in METHODS:
         raise InvalidConfidence(f"unknown interval method {method!r}")
     if not 0.0 < confidence < 100.0:
@@ -170,6 +182,7 @@ def predict_range(model: PredictionModel, series, t1: int, t2: int,
     """
     if t1 > t2:
         raise OutOfRange(f"range start {t1} exceeds end {t2}")
+    _check_horizon(model, t2)
     n = model.series_index(series)
     name = model.names[n]
     out = []

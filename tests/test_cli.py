@@ -8,6 +8,7 @@ import pytest
 
 import pagecast as pc
 from pagecast.cli import main
+from pagecast.query import MAX_HORIZON
 
 
 def _run(capsys, argv):
@@ -180,8 +181,19 @@ class TestCreatePredict:
                              str(model_dir)])[0] == 0
         model = pc.load_model(model_dir)
         assert model.n_steps == 399
-        _, mask = model.raw.tail(99)
-        assert mask.tolist() == [[j % 2 == 0 for j in range(99)]] * 2
+        observed = np.isfinite(model.raw.tail(99))
+        assert observed.tolist() == [[j % 2 == 0 for j in range(99)]] * 2
+
+    def test_predict_beyond_max_horizon_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"])[0] == 0
+        code, out, err = _run(capsys, ["predict", "--model", str(model_dir),
+                                       "--series", "s0",
+                                       "--t", str(300 + MAX_HORIZON + 1)])
+        assert code == 1 and "OutOfRange" in err and out == ""
 
     def test_divergent_forecast_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

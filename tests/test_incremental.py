@@ -1,5 +1,9 @@
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -441,32 +445,47 @@ class TestGoldenAnswers:
 
     The model has L=99, so its retrains take the Gram route of
     ``svd_with_spectrum``, whose last bits depend on the memory order of the
-    Page matrix as well as on the arithmetic.  The hex values come from the
-    numpy/LAPACK build the suite runs on; another build may differ in the
-    last bits.
+    Page matrix as well as on the arithmetic.  A multi-threaded BLAS sums in
+    an order that depends on its thread count, so the answers are computed
+    in a child process with every BLAS at one thread, the setting perfbench
+    runs at.  The hex values come from the numpy/OpenBLAS build the suite
+    runs on; another build may differ in the last bits.
     """
 
     GOLDEN = [
-        (0, 1, "0x1.5b67b045d5c0dp-1", "0x1.96f51e4b46a5cp-4"),
-        (3, 5000, "-0x1.80fc9f2af4695p+0", "0x1.e55f7167c14c0p-5"),
-        (7, 11000, "0x1.14b4bd61a0c60p-2", "0x1.62f71ffe60db1p-4"),
+        (0, 1, "0x1.5b67b045d5bf1p-1", "0x1.96f51e4b46b24p-4"),
+        (3, 5000, "-0x1.80fc9f2af468ep+0", "0x1.e55f7167c1040p-5"),
+        (7, 11000, "0x1.14b4bd61a0c47p-2", "0x1.62f71ffe60e49p-4"),
         (9, 12000, "-0x1.09ccf772ee2d0p-4", "0x1.179eca1bd2932p+0"),
-        (2, 12001, "-0x1.2a7a1e8de635ep-1", "0x0.0p+0"),
-        (5, 12100, "0x1.5eb1385a3d6b5p-3", "0x0.0p+0"),
-        (8, 13000, "-0x1.42fcd3010bf32p-4", "0x1.58a54ec26e874p-8"),
+        (2, 12001, "-0x1.2a7a1e8de635bp-1", "0x0.0p+0"),
+        (5, 12100, "0x1.5eb1385a3d6f3p-3", "0x0.0p+0"),
+        (8, 13000, "-0x1.42fcd3010bec8p-4", "0x1.58a54ec26ebb0p-8"),
     ]
 
+    SCRIPT = """
+import json, sys
+import pagecast as pc
+truth = pc.corrupt(pc.gen_synthetic_I(1, 10, 12000, 4, 1, preset="scaling"),
+                   sigma=0.2, p_obs=0.9, seed=1)
+model = pc.create_model(truth.observations)
+got = [[sm.L for sm in model.submodels]]
+for series, t in json.load(sys.stdin):
+    r = pc.predict_point(model, series, t)
+    got.append([series, t, r.mean.hex(), r.variance.hex()])
+print(json.dumps(got))
+"""
+
     def test_create_model_answers(self):
-        truth = pc.corrupt(
-            pc.gen_synthetic_I(1, 10, 12000, 4, 1, preset="scaling"),
-            sigma=0.2, p_obs=0.9, seed=1)
-        model = pc.create_model(truth.observations)
-        assert [sm.L for sm in model.submodels] == [99]
-        got = []
-        for series, t, _, _ in self.GOLDEN:
-            r = pc.predict_point(model, series, t)
-            got.append((series, t, r.mean.hex(), r.variance.hex()))
-        assert got == self.GOLDEN
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pc.__file__)))
+        queries = [[series, t] for series, t, _, _ in self.GOLDEN]
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              input=json.dumps(queries), capture_output=True,
+                              text=True, timeout=300, check=True)
+        windows, *got = json.loads(proc.stdout)
+        assert windows == [99]
+        assert [tuple(row) for row in got] == self.GOLDEN
 
 
 class TestStatisticalStability:

@@ -28,6 +28,28 @@ def _probe(model, n_steps):
     return out
 
 
+def _assert_loads_like(model, tmp_path):
+    """The old-format store in ``tmp_path / "m"``, saved from ``model``,
+    answers like it and, after the same insert, saves the same bytes."""
+    loaded = pc.load_model(tmp_path / "m")
+    assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
+
+    rng = np.random.default_rng(7)
+    block = np.cos(np.arange(400.0) / 9)[None, :] * np.ones((2, 1))
+    block[rng.random(block.shape) < 0.1] = np.nan
+    for m, d in ((model, "a"), (loaded, "b")):
+        m.insert_many(block)
+        pc.save_model(m, tmp_path / d)
+    files = sorted(p.relative_to(tmp_path / "a")
+                   for p in (tmp_path / "a").rglob("*.*"))
+    assert files == sorted(p.relative_to(tmp_path / "b")
+                           for p in (tmp_path / "b").rglob("*.*"))
+    for f in files:
+        assert (tmp_path / "a" / f).read_bytes() == \
+               (tmp_path / "b" / f).read_bytes(), f
+    assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
+
+
 class TestRoundTrip:
     def test_bit_identical_predictions(self, tmp_path):
         model = _model()
@@ -129,8 +151,8 @@ class TestRoundTrip:
             last = np.full(model.N * sm.P, np.nan)
             if sm.start_step >= model.raw.start_step:
                 # V's row order, read through the mapping queries use
-                vals, mask = model.raw.slice_steps(sm.start_step, model.n_steps)
-                zf = np.where(mask, vals, 0.0)
+                vals = model.raw.slice_steps(sm.start_step, model.n_steps)
+                zf = np.where(np.isfinite(vals), vals, 0.0)
                 buf[:, :buf_len] = zf[:, sm.L * sm.P:]
                 for n in range(model.N):
                     for j in range(sm.P):
@@ -148,23 +170,38 @@ class TestRoundTrip:
                              f"{persistence._sha256(data)}")
         assert rebuilt >= 2
         (tmp_path / "m" / "manifest.txt").write_text("\n".join(lines) + "\n")
-        loaded = pc.load_model(tmp_path / "m")
-        assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
+        _assert_loads_like(model, tmp_path)
 
-        rng = np.random.default_rng(7)
-        block = np.cos(np.arange(400.0) / 9)[None, :] * np.ones((2, 1))
-        block[rng.random(block.shape) < 0.1] = np.nan
-        for m, d in ((model, "a"), (loaded, "b")):
-            m.insert_many(block)
-            pc.save_model(m, tmp_path / d)
-        files = sorted(p.relative_to(tmp_path / "a")
-                       for p in (tmp_path / "a").rglob("*.*"))
-        assert files == sorted(p.relative_to(tmp_path / "b")
-                               for p in (tmp_path / "b").rglob("*.*"))
-        for f in files:
-            assert (tmp_path / "a" / f).read_bytes() == \
-                   (tmp_path / "b" / f).read_bytes(), f
-        assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
+    def test_format_3_store_loads(self, tmp_path):
+        # format 3 also stored the raw window's observation mask, which is
+        # exactly where raw_values.f64 is finite; load now derives it
+        model = _model()
+        manifest = pc.save_model(model, tmp_path / "m")
+        assert manifest["format_version"] == "4"
+        assert not (tmp_path / "m" / "raw_mask.f64").exists()
+        raw = persistence.decode_f64(
+            (tmp_path / "m" / "raw_values.f64").read_bytes())
+        assert not np.isfinite(raw).all()
+        data = persistence.encode_f64(np.isfinite(raw).astype(np.float64))
+        (tmp_path / "m" / "raw_mask.f64").write_bytes(data)
+        lines = ["format_version=3" if k == "format_version" else f"{k}={v}"
+                 for k, v in manifest.items()]
+        lines.append(f"checksum.raw_mask.f64={persistence._sha256(data)}")
+        (tmp_path / "m" / "manifest.txt").write_text("\n".join(lines) + "\n")
+        _assert_loads_like(model, tmp_path)
+
+    def test_loaded_window_has_spare_capacity(self, tmp_path):
+        # the first step after a load must not copy the whole raw window;
+        # with nothing pruned the loaded window is as wide as the saved one
+        for hp in (None, pc.HyperParams(T0=80, Tprime=10_000)):
+            model = _model(hp=hp)
+            pc.save_model(model, tmp_path / "m")
+            loaded = pc.load_model(tmp_path / "m")
+            window = loaded.raw._vals
+            if model.raw.start_step == 0:
+                assert window.shape == model.raw._vals.shape
+            loaded.insert(np.array([0.5, -0.5]))
+            assert loaded.raw._vals is window
 
     def test_many_random_roundtrips(self, tmp_path):
         for seed in range(10):
@@ -253,6 +290,34 @@ class TestCrashSafety:
             pc.save_model(model, tmp_path / "m")
             loaded = pc.load_model(tmp_path / "m")
             assert loaded.n_steps == 301
+
+    def test_save_fsyncs_files_and_directories(self, tmp_path, monkeypatch):
+        # for a save to survive power loss, every file and directory of the
+        # new store is fsynced before the commit renames and the parent
+        # directory after them
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        pc.save_model(model, tmp_path / "m")
+        events = []
+        fsync, rename = os.fsync, persistence._rename
+
+        def record_fsync(fd):
+            events.append(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        def record_rename(src, dst):
+            rename(src, dst)
+            events.append("rename")
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(persistence, "_rename", record_rename)
+        pc.save_model(model, tmp_path / "m")
+        monkeypatch.undo()
+        assert events.count("rename") == 2
+        first = events.index("rename")
+        last = len(events) - 1 - events[::-1].index("rename")
+        store = [tmp_path / "m", *(tmp_path / "m").rglob("*")]
+        assert {p.stat().st_ino for p in store} <= set(events[:first])
+        assert tmp_path.stat().st_ino in events[last:]
 
     def test_initial_save_crash_leaves_nothing_loadable(self, tmp_path,
                                                         monkeypatch):

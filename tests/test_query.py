@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import pagecast as pc
 from pagecast.errors import (InvalidConfidence, OutOfRange, UnknownSeries,
                              UnstableForecast)
+from pagecast.query import MAX_HORIZON
 
 
 def _model(n_steps=2000, n_series=1, seed=0, noise=0.1, hp=None):
@@ -220,6 +222,22 @@ class TestPredictRange:
         model, _, _ = _model()
         with pytest.raises(OutOfRange):
             pc.predict_range(model, "s0", 10, 5)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_horizon_beyond_limit_raises_before_allocating(self, fallback):
+        model, _, _ = _model(n_steps=50 if fallback else 2000)
+        assert model.in_fallback == fallback
+        t = model.n_steps + MAX_HORIZON + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange):
+                pc.predict_point(model, "s0", t)
+            with pytest.raises(OutOfRange):
+                pc.predict_range(model, "s0", model.n_steps + 1, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLatencyShape:
