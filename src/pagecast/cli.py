@@ -1,4 +1,4 @@
-"""Command-line interface: create, insert, predict, synth, bench, eval.
+"""Command-line interface: create, insert, predict, synth, eval.
 
 Data goes to stdout, diagnostics and errors to stderr; the exit status is 0
 exactly when the command succeeded.
@@ -196,89 +196,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# --- bench ---------------------------------------------------------------------
-
-
-def _bench_one(batch, truth_mean, hp, n_queries: int, seed: int) -> dict:
-    start = time.perf_counter()
-    model = create_model(batch, hp)
-    train_s = time.perf_counter() - start
-    total = batch.n_series * batch.n_steps
-
-    rng = np.random.default_rng(seed)
-    ts = rng.integers(1, batch.n_steps + 1, size=n_queries)
-    series = rng.integers(0, batch.n_series, size=n_queries)
-    predict_point(model, 0, 1)  # keep first-call costs out of the timings
-    predict_point(model, 0, batch.n_steps + 1)
-    lat = np.empty(n_queries)
-    for i in range(n_queries):
-        q0 = time.perf_counter()
-        predict_point(model, int(series[i]), int(ts[i]))
-        lat[i] = time.perf_counter() - q0
-
-    row = {
-        "train_s": round(train_s, 4),
-        "us_per_obs": round(1e6 * train_s / total, 3),
-        "p50_ms": round(1e3 * float(np.percentile(lat, 50)), 4),
-        "p99_ms": round(1e3 * float(np.percentile(lat, 99)), 4),
-    }
-    if truth_mean is not None:
-        preds = np.array([
-            predict_point(model, int(s), int(t)).mean
-            for s, t in zip(series, ts)])
-        truth = truth_mean[series, ts - 1]
-        if truth.std() > 0:
-            err = (preds - truth) / truth.std()
-            row["nrmse"] = round(float(np.sqrt(np.mean(err ** 2))), 4)
-    return row
-
-
-def cmd_bench(args) -> int:
-    rows = []
-    if args.input is not None:
-        batch = load_csv(args.input, args.time_col)
-        if batch.n_series * batch.n_steps < args.T0:
-            print("warning: input smaller than --T0; model stays in "
-                  "fallback mode", file=sys.stderr)
-        row = {"input": os.path.basename(args.input)}
-        row.update(_bench_one(batch, None, _hyper_params(args),
-                              args.queries, args.seed))
-        _emit_table([row], args.format)
-        return 0
-
-    def make_truth(n_series, steps):
-        t = gen_synthetic_I(1, n_series, steps, 4, args.seed, preset="scaling")
-        return corrupt(t, sigma=args.sigma, seed=args.seed)
-
-    if args.vary_N:
-        for n_series in (int(x) for x in args.vary_N.split(",")):
-            truth = make_truth(n_series, args.steps)
-            row = {"N": n_series}
-            row.update(_bench_one(truth.observations, truth.latent_mean,
-                                  _hyper_params(args), args.queries, args.seed))
-            rows.append(row)
-    elif args.vary_Tprime:
-        for tprime in (int(float(x)) for x in args.vary_Tprime.split(",")):
-            truth = make_truth(args.N, args.steps)
-            hp = _hyper_params(args)
-            hp = HyperParams(T0=hp.T0, Tprime=tprime, gamma=hp.gamma, L=hp.L,
-                             k1=hp.k1, k2=hp.k2, coeff_window=hp.coeff_window)
-            row = {"Tprime": tprime}
-            row.update(_bench_one(truth.observations, truth.latent_mean, hp,
-                                  args.queries, args.seed))
-            rows.append(row)
-    else:
-        for size in (int(float(x)) for x in args.sizes.split(",")):
-            steps = max(size // args.N, 10)
-            truth = make_truth(args.N, steps)
-            row = {"total_obs": args.N * steps}
-            row.update(_bench_one(truth.observations, truth.latent_mean,
-                                  _hyper_params(args), args.queries, args.seed))
-            rows.append(row)
-    _emit_table(rows, args.format)
-    return 0
-
-
 # --- eval ----------------------------------------------------------------------
 
 
@@ -388,25 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-obs", dest="p_obs", type=float, default=1.0,
                    help="fraction of entries kept observed for synth1")
     p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("bench", help="train/query benchmarks")
-    p.add_argument("--input", default=None,
-                   help="benchmark on a CSV instead of synthetic data")
-    p.add_argument("--time-col", default="t")
-    p.add_argument("--sizes", default="1e4,1e5",
-                   help="comma-separated total observation counts")
-    p.add_argument("--vary-N", dest="vary_N", default=None,
-                   help="comma-separated series counts")
-    p.add_argument("--vary-Tprime", dest="vary_Tprime", default=None,
-                   help="comma-separated sub-model spans")
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--steps", type=int, default=4000)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--queries", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", default="table", choices=("csv", "table"))
-    _add_hyper_flags(p)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("eval", help="score prediction/truth CSV pairs")
     p.add_argument("--manifest", required=True,

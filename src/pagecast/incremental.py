@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, UnknownSeries, UntrainedModel, WidthMismatch
+from .errors import (InvalidParams, NonFiniteInput, UnknownSeries, UntrainedModel,
+                     WidthMismatch)
 from .estimator import pcr_coefficients
 from .ingestion import TimeSeriesBatch
 from .page_matrix import stack_pages
@@ -24,6 +25,11 @@ from .svd_engine import append_columns, svd_with_spectrum
 # Longest run of steps that insert_many adds in one bulk operation; keeps
 # its temporaries at O(N * BULK_STEPS) whatever the block size.
 BULK_STEPS = 1024
+
+# The largest float whose square is finite.  Training squares every observed
+# value for the second-moment model, so a larger one would make every retrain
+# of its sub-models fail.
+SQUARE_MAX = math.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass
@@ -287,7 +293,9 @@ class PredictionModel:
     # --- insertion --------------------------------------------------------
 
     def insert(self, values: np.ndarray, observed: np.ndarray | None = None) -> None:
-        """Insert one time step of N values; NaN entries count as missing."""
+        """Insert one time step of N values; NaN and inf entries count as
+        missing, and a finite entry above ``SQUARE_MAX`` in magnitude raises
+        :class:`NonFiniteInput` before any state changes."""
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if len(values) != self.N:
             raise WidthMismatch(f"row has {len(values)} values, model has {self.N}")
@@ -295,7 +303,10 @@ class PredictionModel:
             observed = np.asarray(observed, dtype=bool).reshape(-1)
             if len(observed) != self.N:
                 raise WidthMismatch("mask width mismatch")
-        self._insert_step(values[:, None], _usable(values, observed)[:, None])
+        usable = _usable(values, observed)[:, None]
+        values = values[:, None]
+        self._check_squares(values, usable, 0)
+        self._insert_step(values, usable)
 
     def insert_many(self, values: np.ndarray,
                     observed: np.ndarray | None = None) -> None:
@@ -326,6 +337,10 @@ class PredictionModel:
             if observed.shape != values.shape:
                 raise WidthMismatch(
                     f"mask shape {observed.shape} != values {values.shape}")
+        for pos in range(0, values.shape[1], BULK_STEPS):
+            vals = values[:, pos:pos + BULK_STEPS]
+            obs = None if observed is None else observed[:, pos:pos + BULK_STEPS]
+            self._check_squares(vals, _usable(vals, obs), pos)
         pos, end = 0, values.shape[1]
         while pos < end:
             for sm in self.segments_for_step(self.n_steps):
@@ -341,6 +356,18 @@ class PredictionModel:
             else:
                 self._insert_step(vals, obs)
             pos = stop
+
+    def _check_squares(self, values: np.ndarray, usable: np.ndarray,
+                       offset: int) -> None:
+        """Raise :class:`NonFiniteInput` if a usable entry of the N x n block,
+        whose first column is ``offset`` steps past the data, is finite but
+        its square is not."""
+        bad = usable & (np.abs(values) > SQUARE_MAX)
+        if bad.any():
+            n, j = np.argwhere(bad)[0]
+            raise NonFiniteInput(
+                f"series {self.names[n]!r} at t={self.n_steps + offset + j + 1}: "
+                f"{values[n, j]:.6g} is finite but its square overflows")
 
     def _retrain_due(self, sm: SubModel, t_seg: int) -> bool:
         """The retrain rule: ``sm`` fully retrains on reaching ``t_seg``

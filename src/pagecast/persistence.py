@@ -89,13 +89,13 @@ def _fsync_dir(path: str) -> None:
 
 
 def encode_f64(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype="<f8")
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"only 1-D/2-D arrays supported, got {arr.ndim}-D")
     header = np.array(arr.shape, dtype="<u8").tobytes()
-    return header + np.asfortranarray(arr).astype("<f8").tobytes(order="F")
+    return header + arr.tobytes(order="F")
 
 
 def decode_f64(data: bytes) -> np.ndarray:
@@ -107,7 +107,7 @@ def decode_f64(data: bytes) -> np.ndarray:
     if len(data) != expect:
         raise CorruptManifest(
             f"array file has {len(data)} bytes, expected {expect}")
-    flat = np.frombuffer(data[16:], dtype="<f8")
+    flat = np.frombuffer(data, dtype="<f8", offset=16)
     return flat.reshape((rows, cols), order="F").copy()
 
 

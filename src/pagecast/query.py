@@ -72,6 +72,14 @@ def _check_horizon(model: PredictionModel, t: int) -> None:
             f"reach at most {MAX_HORIZON} steps ahead")
 
 
+def _check_interval_args(confidence: float, method: str) -> None:
+    if method not in METHODS:
+        raise InvalidConfidence(f"unknown interval method {method!r}")
+    if not 0.0 < confidence < 100.0:
+        raise InvalidConfidence(
+            f"confidence must lie in (0, 100), got {confidence}")
+
+
 def _fallback_result(model, series_name, t, kind, confidence, method,
                      with_uq) -> PredictionResult:
     mean = model.fallback_mean
@@ -148,11 +156,7 @@ def predict_point(model: PredictionModel, series, t: int,
     if t < 1:
         raise OutOfRange(f"t must be >= 1, got {t}")
     _check_horizon(model, t)
-    if method not in METHODS:
-        raise InvalidConfidence(f"unknown interval method {method!r}")
-    if not 0.0 < confidence < 100.0:
-        raise InvalidConfidence(
-            f"confidence must lie in (0, 100), got {confidence}")
+    _check_interval_args(confidence, method)
 
     kind = "imputed" if t <= model.n_steps else "forecast"
     if model.in_fallback:
@@ -183,6 +187,7 @@ def predict_range(model: PredictionModel, series, t1: int, t2: int,
     if t1 > t2:
         raise OutOfRange(f"range start {t1} exceeds end {t2}")
     _check_horizon(model, t2)
+    _check_interval_args(confidence, method)
     n = model.series_index(series)
     name = model.names[n]
     out = []

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import os
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import pagecast as pc
-from pagecast.cli import main
+from pagecast.cli import build_parser, main
 from pagecast.query import MAX_HORIZON
 
 
@@ -210,6 +211,17 @@ class TestCreatePredict:
                                        "--series", "s0", "--t", "50000"])
         assert code == 1 and "UnstableForecast" in err and out == ""
 
+    def test_range_forecast_bad_confidence_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"])[0] == 0
+        code, out, err = _run(capsys, ["predict", "--model", str(model_dir),
+                                       "--series", "s0", "--range", "301:303",
+                                       "--confidence", "150", "--no-uq"])
+        assert code == 1 and "InvalidConfidence" in err and out == ""
+
     def test_insert_tick_must_match_model_step(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         _write_series_csv(data, n_steps=300, first_t=2, stride=2)
@@ -249,24 +261,17 @@ class TestSynthCli:
         assert batch.values.shape == (3, 300)
 
 
-class TestBenchCli:
-    def test_sizes_table(self, tmp_path, capsys):
-        code, out, _ = _run(capsys, [
-            "bench", "--sizes", "2e3,4e3", "--N", "4", "--queries", "20",
-            "--T0", "80", "--format", "csv"])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 2
-        assert {"total_obs", "train_s", "us_per_obs", "p50_ms",
-                "p99_ms", "nrmse"} <= set(rows[0])
-
-    def test_vary_n(self, tmp_path, capsys):
-        code, out, _ = _run(capsys, [
-            "bench", "--vary-N", "1,4", "--steps", "600", "--queries", "10",
-            "--T0", "80", "--format", "csv"])
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [r["N"] for r in rows] == ["1", "4"]
+class TestParser:
+    def test_commands(self, capsys):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == ["create", "eval", "insert", "predict",
+                                       "synth"]
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "1e4"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestEvalCli:

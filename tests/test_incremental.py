@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pagecast as pc
 import pagecast.incremental as inc
-from pagecast.errors import InvalidParams, WidthMismatch
+from pagecast.errors import InvalidParams, NonFiniteInput, WidthMismatch
 from pagecast.incremental import q0_limit, q_limit, retrain_thresholds
 
 
@@ -392,6 +392,56 @@ class TestInsertMany:
             model.insert_many(np.zeros(2))
         with pytest.raises(WidthMismatch):
             model.insert_many(np.zeros((2, 5)), np.ones((2, 4), bool))
+
+
+class TestOverflowingSquares:
+    """A finite value whose square overflows would make every retrain of its
+    sub-models fail, so inserts refuse it before changing any state; NaN and
+    inf stay missing."""
+
+    HP = pc.HyperParams(T0=20, Tprime=1000)
+
+    def _fed(self, n_steps):
+        model = pc.PredictionModel(["a", "b"], self.HP)
+        model.insert_many(_stream(n_steps, n_series=2, seed=3).values)
+        return model
+
+    def test_insert_refuses_before_any_change(self):
+        model = self._fed(9)
+        with pytest.raises(NonFiniteInput, match=r"'b'.*t=10"):
+            model.insert(np.array([1.0, 1e200]))
+        clean = self._fed(9)
+        _assert_same_state(model, clean)
+        rows = _stream(300, n_series=2, seed=4).values
+        rows[0, 5], rows[1, 7] = np.nan, -np.inf
+        for j in range(rows.shape[1]):
+            model.insert(rows[:, j])
+            clean.insert(rows[:, j])
+        assert model.submodels[0].trained
+        _assert_same_state(model, clean)
+
+    def test_insert_many_checks_whole_block_first(self):
+        model = self._fed(9)
+        block = _stream(300, n_series=2, seed=4).values
+        block[0, 250] = -2e154
+        with pytest.raises(NonFiniteInput, match=r"'a'.*t=260"):
+            model.insert_many(block)
+        _assert_same_state(model, self._fed(9))
+        mask = np.ones(block.shape, bool)
+        mask[0, 250] = False
+        model.insert_many(block, mask)
+        assert model.submodels[0].trained
+
+    def test_create_model_raises_before_training(self, monkeypatch):
+        calls = []
+        real = inc.svd_with_spectrum
+        monkeypatch.setattr(inc, "svd_with_spectrum",
+                            lambda *a: calls.append(1) or real(*a))
+        batch = _stream(300, n_series=2, seed=5)
+        batch.values[1, 200] = 1e200
+        with pytest.raises(NonFiniteInput):
+            pc.create_model(batch, self.HP)
+        assert calls == []
 
 
 class TestRawWindowContract:

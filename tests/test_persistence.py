@@ -219,6 +219,28 @@ class TestRoundTrip:
         assert int(m2["model_version"]) == int(m1["model_version"]) + 1
 
 
+class TestArrayEncoding:
+    @staticmethod
+    def _reference_encode(arr):
+        # the encoding of store formats 1-4, written out with its copies
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        header = np.array(arr.shape, dtype="<u8").tobytes()
+        return header + np.asfortranarray(arr).astype("<f8").tobytes(order="F")
+
+    def test_bytes_match_reference_and_round_trip(self):
+        base = np.random.default_rng(0).normal(size=(7, 12))
+        for arr in (base[0], base, np.asfortranarray(base), base[1::2, ::3],
+                    base.astype(np.float32), np.empty((4, 0))):
+            data = persistence.encode_f64(arr)
+            assert data == self._reference_encode(arr)
+            out = persistence.decode_f64(data)
+            assert out.flags.owndata and out.flags.writeable
+            expect = np.asarray(arr, dtype=np.float64)
+            np.testing.assert_array_equal(out, expect.reshape(len(expect), -1))
+
+
 class TestValidation:
     def test_truncated_array_checksum(self, tmp_path):
         model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))

@@ -224,6 +224,19 @@ class TestPredictRange:
             pc.predict_range(model, "s0", 10, 5)
 
     @pytest.mark.parametrize("fallback", [False, True])
+    def test_forecast_range_checks_interval_args(self, fallback):
+        model, _, _ = _model(n_steps=50 if fallback else 2000)
+        assert model.in_fallback == fallback
+        t = model.n_steps + 1
+        for with_uq in (True, False):
+            for bad in ({"confidence": 150.0}, {"method": "bogus"}):
+                with pytest.raises(InvalidConfidence):
+                    pc.predict_point(model, "s0", t, with_uq=with_uq, **bad)
+                with pytest.raises(InvalidConfidence):
+                    pc.predict_range(model, "s0", t, t + 2, with_uq=with_uq,
+                                     **bad)
+
+    @pytest.mark.parametrize("fallback", [False, True])
     def test_horizon_beyond_limit_raises_before_allocating(self, fallback):
         model, _, _ = _model(n_steps=50 if fallback else 2000)
         assert model.in_fallback == fallback
