@@ -200,19 +200,25 @@ class SubModel:
     def start_obs(self) -> int:
         return self.start_step * self.N
 
-    def col_position(self, n: int, j: int) -> int:
-        """Physical row of V for per-series column j of series n.
+    def col_position(self, n, j):
+        """Rows of V for per-series columns j of series n (ints or arrays).
 
-        Full retrains lay columns out series-major; incrementally appended
-        blocks arrive time-major (one column per series per block), so the
-        two regions index differently.
+        Full retrains lay the N * P0 columns out series-major; appended
+        blocks follow time-major (one column per series per block), so
+        appended column j of series n sits at N * P0 + (j - P0) * N + n,
+        which is N * j + n.
         """
-        if j < self.P0:
-            return n * self.P0 + j
-        return self.N * self.P0 + (j - self.P0) * self.N + n
+        return np.where(j < self.P0, n * self.P0 + j, self.N * j + n)
+
+    def covered_steps(self) -> tuple[int, int]:
+        """Global steps [a, b) whose Page cells the factors reconstruct: the
+        L * P cells of completed columns (none until trained)."""
+        span = self.L * self.P if self.trained else 0
+        return self.start_step, self.start_step + span
 
     def covers_local_step(self, local: int) -> bool:
-        return self.trained and 0 <= local < self.L * self.P
+        a, b = self.covered_steps()
+        return a <= self.start_step + local < b
 
 
 class PredictionModel:
@@ -279,12 +285,13 @@ class PredictionModel:
 
     def segments_for_step(self, step: int) -> list[SubModel]:
         """Sub-models whose segment contains the global step (newest last)."""
-        j = step // self.half_steps
-        out = []
-        for idx in (j - 1, j):
-            if 0 <= idx < len(self.submodels):
-                out.append(self.submodels[idx])
-        return out
+        return self.segments_for_steps(step, step)
+
+    def segments_for_steps(self, first: int, last: int) -> list[SubModel]:
+        """Sub-models whose segment contains some global step in
+        first..last (oldest first)."""
+        lo = max(0, first // self.half_steps - 1)
+        return self.submodels[lo:last // self.half_steps + 1]
 
     def _seg_steps(self, sm: SubModel) -> int:
         """Steps fed to ``sm`` so far (2 * half_steps at most)."""
@@ -503,11 +510,10 @@ class PredictionModel:
         vals = self.raw.slice_steps(sm.start_step, self.n_steps)
         B = np.ascontiguousarray(zero_filled(vals[:, -L:]).T)
         B_sq = B * B
-        # The last Page row in V's row order: series-major over the P0
-        # retrained columns, time-major over the appended ones.
+        # The last Page row, in V's row order.
         last = zero_filled(vals[:, L - 1::L])
-        last_row = np.concatenate([last[:, :sm.P0].reshape(-1),
-                                   last[:, sm.P0:].T.reshape(-1)])
+        last_row = np.empty(last.size)
+        last_row[sm.col_position(*np.indices(last.shape))] = last
         sm.mean_svd = append_columns(sm.mean_svd, B, sm.k1)
         sm.var_svd = append_columns(sm.var_svd, B_sq, sm.k2)
         kf1 = min(sm.k1, sm.L - 1)

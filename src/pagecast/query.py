@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfidence, OutOfRange, UnstableForecast
-from .incremental import PredictionModel, SubModel, zero_filled
+from .incremental import PredictionModel, zero_filled
 from .kernels import ar_recurrence, reconstruct_points
 from .stats import chebyshev_halfwidth, gaussian_halfwidth
 
@@ -23,6 +23,12 @@ METHODS = ("gaussian", "chebyshev")
 # its mean and second-moment paths and takes about 1.3 s per path (12 ms per
 # 1e4 steps); without a bound one query could ask for any amount of memory.
 MAX_HORIZON = 1_000_000
+
+# Most steps of a range answered together.  Each reconstruct_points call
+# gathers a U row and a V row per point, so a chunk holds about
+# 16 * k * QUERY_CHUNK bytes of factor rows (1 MB at k = 32), whatever the
+# length of the range.
+QUERY_CHUNK = 2048
 
 
 @dataclass
@@ -55,16 +61,6 @@ def prediction_interval(mean: float, sigma: float, confidence: float,
     return mean - half, mean + half
 
 
-def _reconstruct_entry(model: PredictionModel, sm: SubModel, svd,
-                       local: int, n: int) -> float:
-    row = local % sm.L
-    pos = sm.col_position(n, local // sm.L)
-    model.query_stats["factor_entries"] += 3 * svd.rank
-    return float(reconstruct_points(
-        svd.U, svd.s, svd.V,
-        np.array([row], dtype=np.int64), np.array([pos], dtype=np.int64))[0])
-
-
 def _check_horizon(model: PredictionModel, t: int) -> None:
     if t - model.n_steps > MAX_HORIZON:
         raise OutOfRange(
@@ -78,51 +74,6 @@ def _check_interval_args(confidence: float, method: str) -> None:
     if not 0.0 < confidence < 100.0:
         raise InvalidConfidence(
             f"confidence must lie in (0, 100), got {confidence}")
-
-
-def _fallback_result(model, series_name, t, kind, confidence, method,
-                     with_uq) -> PredictionResult:
-    mean = model.fallback_mean
-    if with_uq:
-        return PredictionResult(series_name, t, mean, model.fallback_var,
-                                -math.inf, math.inf, kind, confidence, method,
-                                fallback=True)
-    return PredictionResult(series_name, t, mean, None, None, None, kind,
-                            confidence, method, fallback=True)
-
-
-def _finish(series_name, t, mean, variance, kind, confidence, method,
-            with_uq) -> PredictionResult:
-    if not with_uq:
-        return PredictionResult(series_name, t, mean, None, None, None, kind,
-                                confidence, method)
-    sigma = math.sqrt(variance)
-    lo, hi = prediction_interval(mean, sigma, confidence, method)
-    return PredictionResult(series_name, t, mean, variance, lo, hi, kind,
-                            confidence, method)
-
-
-def _impute_one(model: PredictionModel, n: int, t: int, confidence,
-                method, with_uq) -> PredictionResult:
-    name = model.names[n]
-    step = t - 1
-    means = []
-    seconds = []
-    for sm in model.segments_for_step(step):
-        local = step - sm.start_step
-        if not sm.covers_local_step(local):
-            continue
-        means.append(_reconstruct_entry(model, sm, sm.mean_svd, local, n))
-        if with_uq:
-            seconds.append(_reconstruct_entry(model, sm, sm.var_svd, local, n))
-    if not means:
-        return _fallback_result(model, name, t, "imputed", confidence, method,
-                                with_uq)
-    mean = float(np.mean(means))
-    if not with_uq:
-        return _finish(name, t, mean, None, "imputed", confidence, method, False)
-    variance = max(0.0, float(np.mean(seconds)) - mean * mean)
-    return _finish(name, t, mean, variance, "imputed", confidence, method, True)
 
 
 def _forecast_trajectories(model: PredictionModel, n: int, horizon: int,
@@ -139,8 +90,10 @@ def _forecast_trajectories(model: PredictionModel, n: int, horizon: int,
         g_mean = ar_recurrence(seed, beta_mean, horizon)
         g_second = (ar_recurrence(seed * seed, beta_var, horizon)
                     if with_uq else None)
+    # A non-finite value stays in the recurrence's window and makes every
+    # later value non-finite, so a path is finite when its last value is.
     for name, path in (("mean", g_mean), ("second moment", g_second)):
-        if path is not None and not np.isfinite(path).all():
+        if path is not None and not math.isfinite(path[-1]):
             first = int(np.argmin(np.isfinite(path))) + 1
             raise UnstableForecast(
                 f"series {model.names[n]!r}: the forecast {name} is not "
@@ -152,64 +105,83 @@ def predict_point(model: PredictionModel, series, t: int,
                   confidence: float = 95.0, method: str = "gaussian",
                   with_uq: bool = True) -> PredictionResult:
     """Answer one prediction query for series ``series`` at time ``t``."""
-    n = model.series_index(series)
-    if t < 1:
-        raise OutOfRange(f"t must be >= 1, got {t}")
-    _check_horizon(model, t)
-    _check_interval_args(confidence, method)
-
-    kind = "imputed" if t <= model.n_steps else "forecast"
-    if model.in_fallback:
-        return _fallback_result(model, model.names[n], t, kind, confidence,
-                                method, with_uq)
-    if kind == "imputed":
-        return _impute_one(model, n, t, confidence, method, with_uq)
-
-    horizon = t - model.n_steps
-    g_mean, g_second = _forecast_trajectories(model, n, horizon, with_uq)
-    mean = float(g_mean[-1])
-    if not with_uq:
-        return _finish(model.names[n], t, mean, None, "forecast", confidence,
-                       method, False)
-    variance = max(0.0, float(g_second[-1]) - mean * mean)
-    return _finish(model.names[n], t, mean, variance, "forecast", confidence,
-                   method, True)
+    return predict_range(model, series, t, t, confidence, method, with_uq)[0]
 
 
 def predict_range(model: PredictionModel, series, t1: int, t2: int,
                   confidence: float = 95.0, method: str = "gaussian",
                   with_uq: bool = True) -> list[PredictionResult]:
-    """Elementwise :func:`predict_point` over t1..t2 (inclusive).
+    """Answer every t in t1..t2 (inclusive) for series ``series``.
 
-    The forecast suffix shares a single sequential trajectory instead of
-    recomputing it per point.
+    The forecast suffix shares one sequential trajectory; the steps are
+    answered QUERY_CHUNK at a time.
     """
     if t1 > t2:
         raise OutOfRange(f"range start {t1} exceeds end {t2}")
+    if t1 < 1:
+        raise OutOfRange(f"t must be >= 1, got {t1}")
     _check_horizon(model, t2)
     _check_interval_args(confidence, method)
     n = model.series_index(series)
-    name = model.names[n]
+    g_mean = g_second = None
+    if t2 > model.n_steps and not model.in_fallback:
+        g_mean, g_second = _forecast_trajectories(
+            model, n, t2 - model.n_steps, with_uq)
     out = []
-    split = min(t2, model.n_steps)
-    for t in range(t1, split + 1):
-        out.append(predict_point(model, n, t, confidence, method, with_uq))
-    if t2 > model.n_steps:
-        if model.in_fallback:
-            for t in range(max(t1, model.n_steps + 1), t2 + 1):
-                out.append(_fallback_result(model, name, t, "forecast",
-                                            confidence, method, with_uq))
-            return out
-        horizon = t2 - model.n_steps
-        g_mean, g_second = _forecast_trajectories(model, n, horizon, with_uq)
-        for t in range(max(t1, model.n_steps + 1), t2 + 1):
-            i = t - model.n_steps - 1
-            mean = float(g_mean[i])
-            if with_uq:
-                variance = max(0.0, float(g_second[i]) - mean * mean)
-                out.append(_finish(name, t, mean, variance, "forecast",
-                                   confidence, method, True))
-            else:
-                out.append(_finish(name, t, mean, None, "forecast",
-                                   confidence, method, False))
+    for c1 in range(t1, t2 + 1, QUERY_CHUNK):
+        c2 = min(c1 + QUERY_CHUNK - 1, t2)
+        out += _answer_chunk(model, n, c1, c2, g_mean, g_second, confidence,
+                             method, with_uq)
+    return out
+
+
+def _answer_chunk(model, n, t1, t2, g_mean, g_second, confidence, method,
+                  with_uq) -> list[PredictionResult]:
+    """Answers for t1..t2.  An imputation averages, oldest first, the entries
+    reconstructed by each trained sub-model whose completed Page cells cover
+    it; a forecast reads the trajectories (None in fallback mode); a point
+    with neither gets the running mean."""
+    T = model.n_steps
+    count = t2 - t1 + 1
+    sums, second_sums, hits = [0.0] * count, [0.0] * count, [0] * count
+    for sm in model.segments_for_steps(t1 - 1, t2 - 1) if t1 <= T else ():
+        a, b = sm.covered_steps()
+        a, b = max(a, t1 - 1), min(b, t2)    # covered steps of the chunk
+        if a >= b:
+            continue
+        local = np.arange(a - sm.start_step, b - sm.start_step)
+        rows = local % sm.L
+        cols = sm.col_position(n, local // sm.L)
+        part = range(a - t1 + 1, b - t1 + 1)
+        factor_sets = ((sm.mean_svd, sums), (sm.var_svd, second_sums))
+        for svd, acc in factor_sets[:2 if with_uq else 1]:
+            model.query_stats["factor_entries"] += 3 * svd.rank * len(part)
+            values = reconstruct_points(svd.U, svd.s, svd.V, rows, cols)
+            for i, x in zip(part, values.tolist()):
+                acc[i] += x
+        for i in part:
+            hits[i] += 1
+    if g_mean is not None and t2 > T:
+        first = max(t1, T + 1)
+        ahead = slice(first - T - 1, t2 - T)
+        sums[first - t1:] = g_mean[ahead].tolist()
+        if with_uq:
+            second_sums[first - t1:] = g_second[ahead].tolist()
+        hits[first - t1:] = [1] * (t2 - first + 1)
+
+    out = []
+    for t, total, second, hit in zip(range(t1, t2 + 1), sums, second_sums,
+                                     hits):
+        mean = total / hit if hit else model.fallback_mean
+        if not with_uq:
+            variance = lo = hi = None
+        elif not hit:
+            variance, lo, hi = model.fallback_var, -math.inf, math.inf
+        else:
+            variance = max(0.0, second / hit - mean * mean)
+            lo, hi = prediction_interval(mean, math.sqrt(variance),
+                                         confidence, method)
+        out.append(PredictionResult(
+            model.names[n], t, mean, variance, lo, hi,
+            "imputed" if t <= T else "forecast", confidence, method, not hit))
     return out

@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 import pagecast as pc
 from pagecast.errors import (InvalidConfidence, OutOfRange, UnknownSeries,
                              UnstableForecast)
-from pagecast.query import MAX_HORIZON
+from pagecast.incremental import zero_filled
+from pagecast.kernels import ar_recurrence, reconstruct_points
+from pagecast.query import MAX_HORIZON, QUERY_CHUNK
 
 
 def _model(n_steps=2000, n_series=1, seed=0, noise=0.1, hp=None):
@@ -280,3 +283,180 @@ class TestLatencyShape:
             total += 1
             covered += (r.lo <= f[tt - 1] <= r.hi)
         assert covered / total >= 0.88
+
+
+def _reference_range(model, n, t1, t2, confidence, method, with_uq):
+    """The per-point algorithm, kept as the reference for predict_range:
+    each t averages (np.mean) one single-point reconstruction per covering
+    sub-model and factor set; a forecast reads one sequential trajectory of
+    the averaged coefficients from the zero-filled tail of the data."""
+    T = model.n_steps
+    if t2 > T and not model.in_fallback:
+        beta_mean, beta_var = model.averaged_coefficients()
+        seed = zero_filled(model.raw.tail(len(beta_mean))[n])
+        g_mean = ar_recurrence(seed, beta_mean, t2 - T)
+        g_second = ar_recurrence(seed * seed, beta_var, t2 - T)
+    out = []
+    for t in range(t1, t2 + 1):
+        kind = "imputed" if t <= T else "forecast"
+        means, seconds = [], []
+        if model.in_fallback:
+            pass
+        elif kind == "forecast":
+            means.append(float(g_mean[t - T - 1]))
+            seconds.append(float(g_second[t - T - 1]))
+        else:
+            for sm in model.segments_for_step(t - 1):
+                local = t - 1 - sm.start_step
+                if not sm.covers_local_step(local):
+                    continue
+                row = np.array([local % sm.L], dtype=np.int64)
+                col = np.array([sm.col_position(n, local // sm.L)],
+                               dtype=np.int64)
+                factor_sets = ((sm.mean_svd, means), (sm.var_svd, seconds))
+                for svd, acc in factor_sets[:2 if with_uq else 1]:
+                    model.query_stats["factor_entries"] += 3 * svd.rank
+                    acc.append(float(reconstruct_points(
+                        svd.U, svd.s, svd.V, row, col)[0]))
+        name = model.names[n]
+        if not means:
+            mean, var = model.fallback_mean, model.fallback_var
+            out.append(pc.PredictionResult(
+                name, t, mean, var if with_uq else None,
+                -math.inf if with_uq else None, math.inf if with_uq else None,
+                kind, confidence, method, fallback=True))
+            continue
+        mean = float(np.mean(means))
+        if not with_uq:
+            out.append(pc.PredictionResult(name, t, mean, None, None, None,
+                                           kind, confidence, method))
+            continue
+        var = max(0.0, float(np.mean(seconds)) - mean * mean)
+        lo, hi = pc.prediction_interval(mean, math.sqrt(var), confidence,
+                                        method)
+        out.append(pc.PredictionResult(name, t, mean, var, lo, hi, kind,
+                                       confidence, method))
+    return out
+
+
+def _multi_segment_model():
+    truth = pc.gen_synthetic_I(n=1, m=3, T=2500, r=3, seed=2,
+                               preset="scaling")
+    batch = pc.corrupt(truth, sigma=0.2, p_obs=0.8, seed=3).observations
+    return pc.create_model(batch, pc.HyperParams(T0=60, Tprime=3000))
+
+
+def _query_mix_model(steps=20_000, hp=None):
+    truth = pc.gen_synthetic_I(n=2, m=5, T=steps, r=4, seed=0,
+                               preset="scaling")
+    batch = pc.corrupt(truth, sigma=0.2, p_obs=0.9, seed=1).observations
+    return pc.create_model(batch, hp)
+
+
+def _fallback_model():
+    return _model(n_steps=50)[0]
+
+
+class TestOneQueryPath:
+    """predict_range answers exactly as the per-point reference does."""
+
+    @staticmethod
+    def _landmarks(model):
+        """Steps where the answer changes regime: the start and end of each
+        sub-model's covered cells (overlaps and the unfinished-column tail)
+        and the end of the data."""
+        marks = {1, model.n_steps, model.n_steps + 1}
+        for sm in model.submodels:
+            a, b = sm.covered_steps()
+            marks |= {a + 1, b, b + 1}
+        return sorted(marks)
+
+    @pytest.mark.parametrize("build", [_multi_segment_model, _query_mix_model,
+                                       _fallback_model])
+    def test_matches_reference(self, build):
+        model = build()
+        rng = np.random.default_rng(17)
+        spans = []
+        for mark in self._landmarks(model):
+            before = int(rng.integers(0, QUERY_CHUNK + 300))
+            after = int(rng.integers(0, 40))
+            spans.append((max(1, mark - before),
+                          min(model.n_steps + 40, mark + after)))
+        spans.append((1, min(model.n_steps, 2 * QUERY_CHUNK + 7)))
+        configs = [(95.0, "gaussian", True), (80.0, "chebyshev", True),
+                   (95.0, "gaussian", False)]
+        for i, (t1, t2) in enumerate(spans):
+            confidence, method, with_uq = configs[i % len(configs)]
+            n = i % model.N
+            model.query_stats["factor_entries"] = 0
+            got = pc.predict_range(model, n, t1, t2, confidence, method,
+                                   with_uq)
+            entries = model.query_stats["factor_entries"]
+            model.query_stats["factor_entries"] = 0
+            want = _reference_range(model, n, t1, t2, confidence, method,
+                                    with_uq)
+            assert entries == model.query_stats["factor_entries"]
+            assert got == want, (t1, t2)
+            point = int(rng.integers(t1, t2 + 1))
+            assert pc.predict_point(model, n, point, confidence, method,
+                                    with_uq) == want[point - t1]
+
+    def test_spans_cross_every_regime(self):
+        model = _multi_segment_model()
+        assert any(sm.P > sm.P0 for sm in model.submodels)
+        kinds = {(r.kind, r.fallback) for r in pc.predict_range(
+            model, 0, 1, model.n_steps + 5)}
+        assert kinds == {("imputed", False), ("imputed", True),
+                         ("forecast", False)}
+        a, b = model.submodels[1].covered_steps()
+        assert model.submodels[0].covered_steps()[1] > a
+
+    @pytest.mark.parametrize("call, error", [
+        (dict(t1=0, t2=0), OutOfRange),
+        (dict(t1=0, t2=5), OutOfRange),
+        (dict(t1=9, t2=8), OutOfRange),
+        (dict(t1=2000 + MAX_HORIZON + 1, t2=2000 + MAX_HORIZON + 1),
+         OutOfRange),
+        (dict(t1=1, t2=2000 + MAX_HORIZON + 1), OutOfRange),
+        (dict(series="nope"), UnknownSeries),
+        (dict(series=7), UnknownSeries),
+        (dict(confidence=0.0), InvalidConfidence),
+        (dict(confidence=100.0), InvalidConfidence),
+        (dict(method="bogus"), InvalidConfidence),
+    ])
+    def test_invalid_input_errors(self, call, error):
+        model, _, _ = _model()
+        args = dict(series="s0", t1=5, t2=9, confidence=95.0,
+                    method="gaussian")
+        args.update(call)
+        point_too = "t2" not in call or call["t1"] == call["t2"]
+        for with_uq in (True, False):
+            with pytest.raises(error):
+                pc.predict_range(model, args["series"], args["t1"],
+                                 args["t2"], args["confidence"],
+                                 args["method"], with_uq)
+            if point_too:
+                with pytest.raises(error):
+                    pc.predict_point(model, args["series"], args["t1"],
+                                     args["confidence"], args["method"],
+                                     with_uq)
+
+
+class TestQueryMemory:
+    def test_range_memory_does_not_grow_with_length(self):
+        # Peak memory of a call beyond what its answers keep: the factor
+        # rows gathered per chunk, not per range.
+        model = _query_mix_model(steps=24_000, hp=pc.HyperParams(k2=32))
+        assert model.submodels[0].k2 >= 20
+        transient = {}
+        for steps in (2000, 20000):
+            tracemalloc.start()
+            try:
+                out = pc.predict_range(model, 3, 1, steps)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(out) == steps and not any(r.fallback for r in out)
+            del out
+            transient[steps] = peak - held
+        assert transient[20000] - transient[2000] < 1 << 20
