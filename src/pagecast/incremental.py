@@ -26,10 +26,11 @@ from .svd_engine import append_columns, svd_with_spectrum
 # its temporaries at O(N * BULK_STEPS) whatever the block size.
 BULK_STEPS = 1024
 
-# The largest float whose square is finite.  Training squares every observed
-# value for the second-moment model, so a larger one would make every retrain
-# of its sub-models fail.
-SQUARE_MAX = math.sqrt(np.finfo(np.float64).max)
+# The largest magnitude an observed value may have.  Training sums x^2 over
+# the observations (the running moments) and, on the Gram route, x^4 over the
+# columns of the second-moment matrix; with |x| <= 2^240 both stay below
+# 2^1023 for up to 2^63 terms, so no retrain meets an overflow.
+VALUE_MAX = 2.0 ** 240
 
 
 @dataclass
@@ -301,7 +302,7 @@ class PredictionModel:
 
     def insert(self, values: np.ndarray, observed: np.ndarray | None = None) -> None:
         """Insert one time step of N values; NaN and inf entries count as
-        missing, and a finite entry above ``SQUARE_MAX`` in magnitude raises
+        missing, and a finite entry above ``VALUE_MAX`` in magnitude raises
         :class:`NonFiniteInput` before any state changes."""
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if len(values) != self.N:
@@ -312,7 +313,7 @@ class PredictionModel:
                 raise WidthMismatch("mask width mismatch")
         usable = _usable(values, observed)[:, None]
         values = values[:, None]
-        self._check_squares(values, usable, 0)
+        self._check_magnitudes(values, usable, 0)
         self._insert_step(values, usable)
 
     def insert_many(self, values: np.ndarray,
@@ -347,7 +348,7 @@ class PredictionModel:
         for pos in range(0, values.shape[1], BULK_STEPS):
             vals = values[:, pos:pos + BULK_STEPS]
             obs = None if observed is None else observed[:, pos:pos + BULK_STEPS]
-            self._check_squares(vals, _usable(vals, obs), pos)
+            self._check_magnitudes(vals, _usable(vals, obs), pos)
         pos, end = 0, values.shape[1]
         while pos < end:
             for sm in self.segments_for_step(self.n_steps):
@@ -364,17 +365,18 @@ class PredictionModel:
                 self._insert_step(vals, obs)
             pos = stop
 
-    def _check_squares(self, values: np.ndarray, usable: np.ndarray,
-                       offset: int) -> None:
+    def _check_magnitudes(self, values: np.ndarray, usable: np.ndarray,
+                          offset: int) -> None:
         """Raise :class:`NonFiniteInput` if a usable entry of the N x n block,
-        whose first column is ``offset`` steps past the data, is finite but
-        its square is not."""
-        bad = usable & (np.abs(values) > SQUARE_MAX)
+        whose first column is ``offset`` steps past the data, exceeds
+        ``VALUE_MAX`` in magnitude."""
+        bad = usable & (np.abs(values) > VALUE_MAX)
         if bad.any():
             n, j = np.argwhere(bad)[0]
             raise NonFiniteInput(
                 f"series {self.names[n]!r} at t={self.n_steps + offset + j + 1}: "
-                f"{values[n, j]:.6g} is finite but its square overflows")
+                f"|{values[n, j]:.6g}| exceeds {VALUE_MAX:.6g}, beyond which "
+                "training's sums of powers overflow")
 
     def _retrain_due(self, sm: SubModel, t_seg: int) -> bool:
         """The retrain rule: ``sm`` fully retrains on reaching ``t_seg``

@@ -4,6 +4,13 @@ Time indices are 1-based: t in [1, T] is an imputation (reconstructed from
 the stored sub-model factors covering t, averaged when t lies in the overlap
 of two segments), t > T is a forecast (the averaged coefficients are applied
 sequentially from T+1 up to t, tracking the mean and the second moment).
+
+One routine answers every query: a point is a one-step range.  A range is
+answered QUERY_CHUNK steps at a time.  Per chunk, each trained sub-model
+whose completed Page cells meet it reconstructs all its steps there with
+one ``reconstruct_points`` call per factor set, and one per-point loop then
+forms the averages, the clamped variance, the interval and the running-mean
+fallback, for imputations and forecasts alike.
 """
 
 import math

@@ -222,6 +222,20 @@ class TestCreatePredict:
                                        "--confidence", "150", "--no-uq"])
         assert code == 1 and "InvalidConfidence" in err and out == ""
 
+    def test_create_refuses_values_training_cannot_sum(self, tmp_path,
+                                                       capsys):
+        data = tmp_path / "data.csv"
+        t = np.arange(1, 401)
+        vals = (7.5e153 + 2.5e153 * np.cos(t / 7.0)).tolist()
+        rows = ["t,s0"] + [f"{i},{v!r}" for i, v in zip(t, vals)]
+        data.write_text("\n".join(rows) + "\n")
+        model_dir = tmp_path / "model"
+        code, out, err = _run(capsys, ["create", "--input", str(data),
+                                       "--model", str(model_dir),
+                                       "--T0", "20", "--Tprime", "1000"])
+        assert code == 1 and "NonFiniteInput" in err and out == ""
+        assert not model_dir.exists()
+
     def test_insert_tick_must_match_model_step(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         _write_series_csv(data, n_steps=300, first_t=2, stride=2)

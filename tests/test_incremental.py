@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import math
@@ -13,6 +14,7 @@ import pagecast as pc
 import pagecast.incremental as inc
 from pagecast.errors import InvalidParams, NonFiniteInput, WidthMismatch
 from pagecast.incremental import q0_limit, q_limit, retrain_thresholds
+from pagecast.svd_engine import GRAM_PATH_MIN_ROWS
 
 
 def _stream(n_steps, n_series=1, seed=0, noise=0.1):
@@ -442,6 +444,58 @@ class TestOverflowingSquares:
         with pytest.raises(NonFiniteInput):
             pc.create_model(batch, self.HP)
         assert calls == []
+
+
+class TestValueBound:
+    """Values up to VALUE_MAX train with finite answers on both SVD routes;
+    larger ones, whose sums of powers would overflow inside training, are
+    refused before any state changes."""
+
+    HP = pc.HyperParams(T0=20, Tprime=1000)
+
+    @staticmethod
+    def _scaled(n_series, n_steps, top):
+        vals = _stream(n_steps, n_series=n_series, seed=6).values
+        return vals * (top / np.abs(vals).max())
+
+    def test_near_max_square_stream_refused(self):
+        model = pc.PredictionModel(["a"], self.HP)
+        model.insert_many(_stream(9, seed=3).values)
+        t = np.arange(400)
+        block = (7.5e153 + 2.5e153 * np.cos(t / 7.0))[None, :]
+        with pytest.raises(NonFiniteInput, match=r"'a'.*t=10"):
+            model.insert_many(block)
+        with pytest.raises(NonFiniteInput):
+            model.insert(block[:, 0])
+        clean = pc.PredictionModel(["a"], self.HP)
+        clean.insert_many(_stream(9, seed=3).values)
+        _assert_same_state(model, clean)
+
+    def test_gram_route_batch_refused(self):
+        batch = _stream(12_000, n_series=10, seed=7)
+        batch.values[4, 9000] = 1e80
+        with pytest.raises(NonFiniteInput, match=r"'s4'.*t=9001"):
+            pc.create_model(batch)
+        model = pc.PredictionModel(batch.names)
+        model.insert_many(batch.values[:, :100])
+        clean = copy.deepcopy(model)
+        with pytest.raises(NonFiniteInput):
+            model.insert_many(batch.values[:, 100:])
+        _assert_same_state(model, clean)
+
+    @pytest.mark.parametrize("n_series, n_steps, hp, gram", [
+        (1, 400, HP, False), (10, 12_000, None, True)])
+    def test_largest_values_train_finite(self, n_series, n_steps, hp, gram):
+        vals = self._scaled(n_series, n_steps, 1.7e72)
+        batch = pc.TimeSeriesBatch([f"s{i}" for i in range(n_series)], vals,
+                                   np.ones(vals.shape, bool))
+        model = pc.create_model(batch, hp)
+        assert (model.submodels[0].L >= GRAM_PATH_MIN_ROWS) == gram
+        assert math.isfinite(model.fallback_var)
+        for t in (1, n_steps // 2, n_steps, n_steps + 1, n_steps + 20):
+            r = pc.predict_point(model, 0, t)
+            assert math.isfinite(r.mean) and math.isfinite(r.variance)
+            assert not r.fallback or t == n_steps
 
 
 class TestRawWindowContract:
