@@ -515,7 +515,8 @@ class PredictionModel:
         # The last Page row, in V's row order.
         last = zero_filled(vals[:, L - 1::L])
         last_row = np.empty(last.size)
-        last_row[sm.col_position(*np.indices(last.shape))] = last
+        last_row[sm.col_position(np.arange(sm.N)[:, None],
+                                 np.arange(last.shape[1]))] = last
         sm.mean_svd = append_columns(sm.mean_svd, B, sm.k1)
         sm.var_svd = append_columns(sm.var_svd, B_sq, sm.k2)
         kf1 = min(sm.k1, sm.L - 1)

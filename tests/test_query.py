@@ -408,8 +408,8 @@ class TestOneQueryPath:
             model, 0, 1, model.n_steps + 5)}
         assert kinds == {("imputed", False), ("imputed", True),
                          ("forecast", False)}
-        a, b = model.submodels[1].covered_steps()
-        assert model.submodels[0].covered_steps()[1] > a
+        older, newer = model.submodels[:2]
+        assert older.covered_steps()[1] > newer.covered_steps()[0]
 
     @pytest.mark.parametrize("call, error", [
         (dict(t1=0, t2=0), OutOfRange),
