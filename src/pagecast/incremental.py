@@ -140,16 +140,19 @@ class _RawWindow:
         b = self._lo + (end - self.start_step)
         return self._vals[:, a:b]
 
-    def tail(self, width: int) -> np.ndarray:
-        """Last ``width`` steps, left-padded as missing if not enough."""
+    def tail(self, width: int, series=slice(None)) -> np.ndarray:
+        """Last ``width`` steps of the series indexed by ``series`` (all by
+        default; one row for an int), left-padded as missing if not enough."""
         have = min(width, self.n_cols)
-        vals = np.full((self._vals.shape[0], width), np.nan)
-        if have:
-            vals[:, width - have:] = self._vals[:, self._hi - have:self._hi]
+        last = self._vals[series, self._hi - have:self._hi]
+        vals = np.full(last.shape[:-1] + (width,), np.nan)
+        vals[..., width - have:] = last
         return vals
 
     def state(self) -> tuple[np.ndarray, int]:
-        return self._vals[:, self._lo:self._hi].copy(), self.start_step
+        """The stored steps, as a view into the window, and the global step
+        of the first."""
+        return self._vals[:, self._lo:self._hi], self.start_step
 
     @classmethod
     def from_state(cls, vals: np.ndarray, start_step: int) -> "_RawWindow":
@@ -483,25 +486,33 @@ class PredictionModel:
         return L
 
     def _full_retrain(self, sm: SubModel) -> None:
-        zf = zero_filled(self.raw.slice_steps(sm.start_step, self.n_steps))
-        t_seg = zf.shape[1]
+        """Refit every factor set and beta from the segment's raw steps.
+        One working copy of the segment: its Page matrix, zero-filled in
+        place, fits the mean sets and is then squared in place for the
+        variance sets."""
+        raw = self.raw.slice_steps(sm.start_step, self.n_steps)
+        t_seg = raw.shape[1]
         L = self._window_for(t_seg)
         P = t_seg // L
-        data = stack_pages(zf, L, P)
-        data_sq = data * data
+        data = stack_pages(raw, L, P)
+        np.copyto(data, 0.0, where=~np.isfinite(data))
 
         mean_svd, _ = svd_with_spectrum(data, self.hp.k1)
-        var_svd, _ = svd_with_spectrum(data_sq, self.hp.k2)
-        k1, k2 = mean_svd.rank, var_svd.rank
+        k1 = mean_svd.rank
         fc_mean_svd, _ = svd_with_spectrum(data[:-1, :], min(k1, L - 1))
-        fc_var_svd, _ = svd_with_spectrum(data_sq[:-1, :], min(k2, L - 1))
+        beta_mean, _ = pcr_coefficients(fc_mean_svd, data[-1])
+
+        np.multiply(data, data, out=data)
+        var_svd, _ = svd_with_spectrum(data, self.hp.k2)
+        k2 = var_svd.rank
+        fc_var_svd, _ = svd_with_spectrum(data[:-1, :], min(k2, L - 1))
+        beta_var, _ = pcr_coefficients(fc_var_svd, data[-1])
 
         sm.L, sm.P, sm.P0 = L, P, P
         sm.k1, sm.k2 = k1, k2
         sm.mean_svd, sm.var_svd = mean_svd, var_svd
         sm.fc_mean_svd, sm.fc_var_svd = fc_mean_svd, fc_var_svd
-        sm.beta_mean, _ = pcr_coefficients(fc_mean_svd, data[-1])
-        sm.beta_var, _ = pcr_coefficients(fc_var_svd, data_sq[-1])
+        sm.beta_mean, sm.beta_var = beta_mean, beta_var
         sm.retrain_history.append(self.total_obs)
         sm.superseded = False
 

@@ -60,7 +60,7 @@ class TimeSeriesBatch:
             raise ShapeMismatch("batch needs at least one series and one step")
         # Normalize the sentinel: masked-out cells are exactly NaN.
         self.values = np.where(self.observed, self.values, np.nan)
-        if not np.all(np.isfinite(self.values[self.observed])):
+        if not np.all(np.isfinite(self.values) | ~self.observed):
             raise UnparseableValue("observed entries must be finite")
 
     @property

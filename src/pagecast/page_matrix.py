@@ -36,7 +36,8 @@ class StackedPageMatrix:
 
 def stack_pages(x: np.ndarray, L: int, P: int) -> np.ndarray:
     """Stacked L x (N*P) Page layout of the first L*P steps of the N x T
-    array ``x``: column n*P + j holds x[n, j*L:(j+1)*L].
+    array ``x``: column n*P + j holds x[n, j*L:(j+1)*L].  Always a new
+    array, never a view of ``x``.
 
     The result is Fortran-ordered when P > 1.  On the Gram route of
     :func:`~pagecast.svd_engine.svd_with_spectrum` the last bits of the

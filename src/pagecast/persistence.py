@@ -88,14 +88,19 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def encode_f64(arr: np.ndarray) -> bytes:
+def encode_f64(arr: np.ndarray) -> bytearray:
+    """The bytes of one ``.f64`` file, built in one buffer: the header and
+    the column-major payload are written straight into it."""
     arr = np.asarray(arr, dtype="<f8")
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"only 1-D/2-D arrays supported, got {arr.ndim}-D")
-    header = np.array(arr.shape, dtype="<u8").tobytes()
-    return header + arr.tobytes(order="F")
+    data = bytearray(16 + 8 * arr.size)
+    np.frombuffer(data, dtype="<u8", count=2)[:] = arr.shape
+    np.frombuffer(data, dtype="<f8", offset=16).reshape(
+        arr.shape, order="F")[...] = arr
+    return data
 
 
 def decode_f64(data: bytes) -> np.ndarray:

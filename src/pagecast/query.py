@@ -68,6 +68,17 @@ def prediction_interval(mean: float, sigma: float, confidence: float,
     return mean - half, mean + half
 
 
+def _halfwidth(confidence: float, method: str):
+    """The interval half-width as a function of sigma, with the quantile
+    worked out once: sigma * z (gaussian) or sigma / sqrt(1 - c/100)
+    (chebyshev), the floats of gaussian_halfwidth and chebyshev_halfwidth."""
+    if method == "gaussian":
+        z = gaussian_halfwidth(1.0, confidence)
+        return lambda sigma: sigma * z
+    root = math.sqrt(1.0 - confidence / 100.0)
+    return lambda sigma: sigma / root
+
+
 def _check_horizon(model: PredictionModel, t: int) -> None:
     if t - model.n_steps > MAX_HORIZON:
         raise OutOfRange(
@@ -92,7 +103,7 @@ def _forecast_trajectories(model: PredictionModel, n: int, horizon: int,
     nan with an interval clamped to zero width.
     """
     beta_mean, beta_var = model.averaged_coefficients()
-    seed = zero_filled(model.raw.tail(len(beta_mean))[n])
+    seed = zero_filled(model.raw.tail(len(beta_mean), n))
     with np.errstate(over="ignore", invalid="ignore"):
         g_mean = ar_recurrence(seed, beta_mean, horizon)
         g_second = (ar_recurrence(seed * seed, beta_var, horizon)
@@ -134,20 +145,23 @@ def predict_range(model: PredictionModel, series, t1: int, t2: int,
     if t2 > model.n_steps and not model.in_fallback:
         g_mean, g_second = _forecast_trajectories(
             model, n, t2 - model.n_steps, with_uq)
+    half = _halfwidth(confidence, method) if with_uq else None
     out = []
     for c1 in range(t1, t2 + 1, QUERY_CHUNK):
         c2 = min(c1 + QUERY_CHUNK - 1, t2)
         out += _answer_chunk(model, n, c1, c2, g_mean, g_second, confidence,
-                             method, with_uq)
+                             method, half)
     return out
 
 
 def _answer_chunk(model, n, t1, t2, g_mean, g_second, confidence, method,
-                  with_uq) -> list[PredictionResult]:
+                  half) -> list[PredictionResult]:
     """Answers for t1..t2.  An imputation averages, oldest first, the entries
     reconstructed by each trained sub-model whose completed Page cells cover
     it; a forecast reads the trajectories (None in fallback mode); a point
-    with neither gets the running mean."""
+    with neither gets the running mean.  ``half`` maps sigma to the
+    interval half-width; None answers without UQ."""
+    with_uq = half is not None
     T = model.n_steps
     count = t2 - t1 + 1
     sums, second_sums, hits = [0.0] * count, [0.0] * count, [0] * count
@@ -186,8 +200,8 @@ def _answer_chunk(model, n, t1, t2, g_mean, g_second, confidence, method,
             variance, lo, hi = model.fallback_var, -math.inf, math.inf
         else:
             variance = max(0.0, second / hit - mean * mean)
-            lo, hi = prediction_interval(mean, math.sqrt(variance),
-                                         confidence, method)
+            h = half(math.sqrt(variance))
+            lo, hi = mean - h, mean + h
         out.append(PredictionResult(
             model.names[n], t, mean, variance, lo, hi,
             "imputed" if t <= T else "forecast", confidence, method, not hit))

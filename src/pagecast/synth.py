@@ -37,6 +37,12 @@ STREAM_THETA = 10
 STREAM_LRF_SHAPE = 11
 STREAM_MASK = 12
 
+# Draws made at a time by the normal sampler and by corrupt: their
+# temporaries stay at a few times DRAW_BLOCK floats, whatever the output
+# size.  Each stream is one sequential sequence, so the block size changes
+# no value.
+DRAW_BLOCK = 1 << 16
+
 
 class PhiloxStream:
     """Deterministic draw source keyed by (seed, stream id)."""
@@ -48,15 +54,22 @@ class PhiloxStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         raw = self._bg.random_raw(n)
-        return (raw >> np.uint64(11)) * 2.0**-53
+        raw >>= np.uint64(11)
+        out = raw.astype(np.float64)
+        out *= 2.0**-53
+        return out
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
         return lo + (hi - lo) * self.uniforms(n)
 
     def normals(self, n: int) -> np.ndarray:
-        # Clip away exact zeros so the inverse CDF stays finite.
-        u = np.clip(self.uniforms(n), 2.0**-53, None)
-        return norm_ppf_array(u)
+        out = np.empty(n)
+        for a in range(0, n, DRAW_BLOCK):
+            u = self.uniforms(min(DRAW_BLOCK, n - a))
+            # Clip away exact zeros so the inverse CDF stays finite.
+            np.clip(u, 2.0**-53, None, out=u)
+            out[a:a + u.size] = norm_ppf_array(u)
+        return out
 
     def bernoulli(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
@@ -151,8 +164,8 @@ def gen_synthetic_I(n: int = 20, m: int = 20, T: int = 15000, r: int = 4,
         raise InvalidParams(f"unknown preset {preset!r}")
     g = _harmonic_mixtures(seed, T, r, 4, alpha_range, omega_range)
     values = _cp_field(seed, n, m, g)
-    zero = np.zeros_like(values)
-    return SyntheticTruth(_batch(values, "s"), values.copy(), zero,
+    # The batch holds its own copy of the values.
+    return SyntheticTruth(_batch(values, "s"), values, np.zeros(values.shape),
                           "synthetic_I", seed,
                           {"n": n, "m": m, "T": T, "r": r, "preset": preset})
 
@@ -311,15 +324,18 @@ def corrupt(truth: SyntheticTruth, sigma: float = 0.0, p_obs: float = 1.0,
     if sigma < 0.0:
         raise InvalidParams("sigma must be nonnegative")
     base = truth.observations
-    values = base.zero_filled()
+    values = np.ascontiguousarray(base.zero_filled())
     obs = base.observed.copy()
-    if sigma > 0.0:
-        z = PhiloxStream(seed, STREAM_OBS_GAUSS + 1000).normals(values.size) \
-            .reshape(values.shape)
-        values = values + sigma * z
-    if p_obs < 1.0:
-        u = PhiloxStream(seed, STREAM_MASK).uniforms(values.size).reshape(values.shape)
-        obs &= u < p_obs
+    noise = PhiloxStream(seed, STREAM_OBS_GAUSS + 1000)
+    mask = PhiloxStream(seed, STREAM_MASK)
+    # Entry i of the C-order grid takes draw i of each stream.
+    flat_vals, flat_obs = values.reshape(-1), obs.reshape(-1)
+    for a in range(0, values.size, DRAW_BLOCK):
+        b = min(a + DRAW_BLOCK, values.size)
+        if sigma > 0.0:
+            flat_vals[a:b] += sigma * noise.normals(b - a)
+        if p_obs < 1.0:
+            flat_obs[a:b] &= mask.uniforms(b - a) < p_obs
     batch = TimeSeriesBatch(list(base.names), values, obs, base.t0, base.step)
     return SyntheticTruth(batch, truth.latent_mean.copy(),
                           truth.latent_var + sigma * sigma,

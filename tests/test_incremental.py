@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,6 +528,45 @@ class TestRawWindowContract:
             for sm in model.submodels:
                 if model.n_steps - sm.start_step < 2 * model.half_steps:
                     assert raw.start_step <= sm.start_step, (sm.index, sm.L)
+
+
+    def test_tail_of_one_series(self):
+        # A forecast seed reads one row: the same floats, padding included,
+        # as that row of the all-series tail.
+        model = pc.PredictionModel(["a", "b", "c"])
+        vals = np.arange(15.0).reshape(3, 5)
+        vals[1, 3] = np.nan
+        model.insert_many(vals)
+        for width in (1, 4, 5, 9):
+            whole = model.raw.tail(width)
+            assert whole.shape == (3, width)
+            for n in range(3):
+                np.testing.assert_array_equal(model.raw.tail(width, n),
+                                              whole[n])
+        np.testing.assert_array_equal(
+            model.raw.tail(7, 2), [np.nan, np.nan, 10, 11, 12, 13, 14])
+
+
+class TestWorkingMemory:
+    def test_create_model_holds_one_working_copy(self):
+        # Peak memory of training beyond what the model keeps, on the
+        # query_mix input (N=10 x 5e4, one sub-model, 4 MB of raw steps).
+        # A full retrain holds its Page matrix once (4 MB), zero-filled
+        # and then squared in place: 6.8 MB in all, against 14.7 MB when
+        # it also held a zero-filled copy of the segment and the squared
+        # matrix.
+        truth = pc.gen_synthetic_I(n=2, m=5, T=50_000, r=4, seed=0,
+                                   preset="scaling")
+        batch = pc.corrupt(truth, sigma=0.2, p_obs=0.9, seed=1).observations
+        del truth
+        tracemalloc.start()
+        try:
+            model = pc.create_model(batch)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.raw.n_cols == 50_000
+        assert peak - held < 10e6
 
 
 class TestSupersededAppends:

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +241,53 @@ class TestArrayEncoding:
             assert out.flags.owndata and out.flags.writeable
             expect = np.asarray(arr, dtype=np.float64)
             np.testing.assert_array_equal(out, expect.reshape(len(expect), -1))
+
+    def test_saved_files_match_reference(self, tmp_path):
+        # Every file of a multi-segment store holds the reference encoding
+        # of the array it stores, and the manifest its sha256.
+        model = _model()
+        assert len(model.trained_submodels()) >= 2
+        expect = {"raw_values.f64": model.raw.state()[0]}
+        for sm in model.trained_submodels():
+            for attr, names in persistence._SVD_FILES.items():
+                svd = getattr(sm, attr)
+                for fname, arr in zip(names, (svd.U, svd.s, svd.V)):
+                    expect[f"sub_{sm.index}/{fname}.f64"] = arr
+            for attr in persistence._VEC_FILES:
+                expect[f"sub_{sm.index}/{attr}.f64"] = getattr(sm, attr)
+        manifest = pc.save_model(model, tmp_path / "m")
+        files = {p.relative_to(tmp_path / "m").as_posix()
+                 for p in (tmp_path / "m").rglob("*.f64")}
+        assert files == set(expect)
+        for relpath, arr in expect.items():
+            want = self._reference_encode(arr)
+            assert (tmp_path / "m" / relpath).read_bytes() == want, relpath
+            assert manifest[f"checksum.{relpath}"] == \
+                hashlib.sha256(want).hexdigest()
+
+
+class TestSaveMemory:
+    def test_save_holds_one_copy_of_the_raw_window(self, tmp_path):
+        # A one-segment N=10 x 5e4 model keeps a 4 MB raw window.  Saving
+        # it holds one encoded copy of the window at a time: 1.0x its
+        # bytes beyond what the model keeps, against 3.0x when the window
+        # was copied out and its header and payload joined afterwards.
+        rng = np.random.default_rng(3)
+        t = np.arange(50_000.0)
+        vals = np.cos(t / 40.0 + np.arange(10)[:, None]) \
+            + 0.1 * rng.normal(size=(10, t.size))
+        batch = pc.TimeSeriesBatch([f"s{i}" for i in range(10)], vals,
+                                   rng.random(vals.shape) < 0.9)
+        model = pc.create_model(batch)
+        window = model.raw.state()[0].nbytes
+        assert window == 4_000_000 and model.trained_submodels()
+        tracemalloc.start()
+        try:
+            pc.save_model(model, tmp_path / "m")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 1.5 * window
 
 
 class TestValidation:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pagecast as pc
+from pagecast import query
 from pagecast.errors import (InvalidConfidence, OutOfRange, UnknownSeries,
                              UnstableForecast)
 from pagecast.incremental import zero_filled
@@ -410,6 +411,19 @@ class TestOneQueryPath:
                          ("forecast", False)}
         older, newer = model.submodels[:2]
         assert older.covered_steps()[1] > newer.covered_steps()[0]
+
+    @pytest.mark.parametrize("method", ["gaussian", "chebyshev"])
+    def test_interval_quantile_once_per_call(self, monkeypatch, method):
+        # A range works out its interval quantile once, not per point.
+        model = _multi_segment_model()
+        calls = []
+        for name in ("gaussian_halfwidth", "chebyshev_halfwidth"):
+            original = getattr(query, name)
+            monkeypatch.setattr(query, name, lambda *a, f=original:
+                                calls.append(a) or f(*a))
+        out = pc.predict_range(model, 1, 1, model.n_steps + 20, 90.0, method)
+        assert sum(r.lo is not None and not r.fallback for r in out) > 2000
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize("call, error", [
         (dict(t1=0, t2=0), OutOfRange),
