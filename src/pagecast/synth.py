@@ -39,7 +39,7 @@ STREAM_MASK = 12
 
 # Draws made at a time by the normal sampler and by corrupt: their
 # temporaries stay at a few times DRAW_BLOCK floats, whatever the output
-# size.  Each stream is one sequential sequence, so the block size changes
+# size.  Each stream is one sequence of draws, so the block size changes
 # no value.
 DRAW_BLOCK = 1 << 16
 
