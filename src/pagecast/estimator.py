@@ -1,4 +1,4 @@
-"""Batch mean/variance imputation and forecasting on one data segment.
+"""One segment fit (:func:`fit_segment`), for batches and every retrain.
 
 Mean imputation: zero-fill missing entries of the stacked Page matrix,
 hard-threshold the SVD to rank k, and read estimates back off the
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import InvalidL, LengthMismatch
 from .ingestion import TimeSeriesBatch
-from .page_matrix import StackedPageMatrix, build_stacked_page, drop_last_row
+from .page_matrix import stack_pages
 from .svd_engine import (
     REL_FLOOR,
     TruncatedSVD,
@@ -25,14 +25,25 @@ from .svd_engine import (
 
 
 @dataclass
-class DenoisedSegment:
-    """Rank-k reconstruction of a stacked Page matrix plus its factors."""
+class SegmentFit:
+    """Every factor set and coefficient vector of one segment.
 
-    mhat: np.ndarray
-    svd: TruncatedSVD
+    ``mean_svd`` and ``var_svd`` factor the L x (N*P) stacked Page matrix of
+    the raw and of the squared observations; ``fc_mean_svd`` and
+    ``fc_var_svd`` factor their first L-1 rows, and ``beta_mean`` and
+    ``beta_var`` regress the last row on them.  ``degenerate`` flags all-zero
+    first L-1 rows, where both betas are 0.
+    """
+
     L: int
     P: int
-    N: int
+    mean_svd: TruncatedSVD
+    var_svd: TruncatedSVD
+    fc_mean_svd: TruncatedSVD
+    fc_var_svd: TruncatedSVD
+    beta_mean: np.ndarray
+    beta_var: np.ndarray
+    degenerate: bool
 
 
 @dataclass
@@ -71,36 +82,6 @@ class VarianceForecaster:
     second_moment_model: ForecastModel
 
 
-def denoise(page: StackedPageMatrix, k: int | None = None) -> DenoisedSegment:
-    """Hard singular value thresholding of a stacked Page matrix."""
-    svd, _ = svd_with_spectrum(page.data, k)
-    return DenoisedSegment(svd.reconstruct(), svd, page.L, page.P, page.N)
-
-
-def _unstack(mhat: np.ndarray, L: int, P: int, N: int) -> np.ndarray:
-    """Inverse of the Page layout: matrix -> (N, L*P) time-ordered values."""
-    out = np.empty((N, L * P))
-    for n in range(N):
-        out[n] = mhat[:, n * P:(n + 1) * P].T.reshape(-1)
-    return out
-
-
-def impute_mean(batch: TimeSeriesBatch, L: int, k: int | None = None) -> ImputeResult:
-    """Estimate the latent mean at every in-segment (series, time) point."""
-    page = build_stacked_page(batch, L)
-    seg = denoise(page, k)
-    return _to_result(batch, seg)
-
-
-def _to_result(batch: TimeSeriesBatch, seg: DenoisedSegment) -> ImputeResult:
-    span = seg.L * seg.P
-    values = batch.values.copy()
-    values[:, :span] = _unstack(seg.mhat, seg.L, seg.P, seg.N)
-    in_model = np.zeros_like(batch.observed)
-    in_model[:, :span] = True
-    return ImputeResult(values, in_model)
-
-
 def pcr_coefficients(svd_tilde: TruncatedSVD, last_row: np.ndarray) -> tuple[np.ndarray, bool]:
     """Minimum-norm least squares for last_row ~ reconstruction^T @ beta.
 
@@ -118,19 +99,66 @@ def pcr_coefficients(svd_tilde: TruncatedSVD, last_row: np.ndarray) -> tuple[np.
     return beta, False
 
 
+def fit_segment(raw: np.ndarray, L: int, k1: int | None = None,
+                k2: int | None = None) -> SegmentFit:
+    """Fit one segment from its N x T raw steps (NaN where missing).
+
+    The first L * floor(T/L) steps of each series form the stacked Page
+    matrix, zero-filled; the trailing T mod L steps are left out.  k1 ranks
+    the mean factors and k2 the second-moment factors (data-driven when
+    None); a forecast rank is its full matrix's rank capped at L-1.  One
+    working copy: the Page matrix fits the mean sets and is then squared in
+    place for the variance sets.  Raises :class:`InvalidL` unless
+    2 <= L <= T.
+    """
+    t = raw.shape[1]
+    if not 2 <= L <= t:
+        raise InvalidL(f"L={L} invalid for T={t}: need 2 <= L <= T")
+    P = t // L
+    data = stack_pages(raw, L, P)
+    np.copyto(data, 0.0, where=~np.isfinite(data))
+
+    mean_svd, _ = svd_with_spectrum(data, k1)
+    fc_mean_svd, _ = svd_with_spectrum(data[:-1, :], min(mean_svd.rank, L - 1))
+    beta_mean, degenerate = pcr_coefficients(fc_mean_svd, data[-1])
+
+    np.multiply(data, data, out=data)
+    var_svd, _ = svd_with_spectrum(data, k2)
+    fc_var_svd, _ = svd_with_spectrum(data[:-1, :], min(var_svd.rank, L - 1))
+    beta_var, _ = pcr_coefficients(fc_var_svd, data[-1])
+
+    return SegmentFit(L, P, mean_svd, var_svd, fc_mean_svd, fc_var_svd,
+                      beta_mean, beta_var, degenerate)
+
+
+def _result(fit: SegmentFit, page: np.ndarray, values: np.ndarray) -> ImputeResult:
+    """``values`` (N x T) with each series' first L * P steps overwritten by
+    the L x (N*P) ``page`` laid back out in time order."""
+    span, n = fit.L * fit.P, values.shape[0]
+    values[:, :span] = (page.reshape(fit.L, n, fit.P).transpose(1, 2, 0)
+                        .reshape(n, span))
+    in_model = np.zeros(values.shape, dtype=bool)
+    in_model[:, :span] = True
+    return ImputeResult(values, in_model)
+
+
+def impute_mean(batch: TimeSeriesBatch, L: int, k: int | None = None) -> ImputeResult:
+    """Estimate the latent mean at every in-segment (series, time) point.
+    Raises :class:`InvalidL` unless 2 <= L <= T."""
+    fit = fit_segment(batch.values, L, k)
+    return _result(fit, fit.mean_svd.reconstruct(), batch.values.copy())
+
+
 def fit_forecaster(batch: TimeSeriesBatch, L: int,
                    k: int | None = None) -> ForecastModel:
     """Fit the linear forecaster for one segment.
 
     The stacked Page matrix loses its last row, the remainder is de-noised
-    to rank k, and the raw last row is regressed on it.
+    to the full matrix's rank (k, or data-driven when None) capped at L-1,
+    and the raw last row is regressed on it.  Raises :class:`InvalidL`
+    unless 2 <= L <= T.
     """
-    page = build_stacked_page(batch, L)
-    z_tilde, z_last = drop_last_row(page)
-    cap = None if k is None else min(k, L - 1)
-    svd, _ = svd_with_spectrum(z_tilde, cap)
-    beta, degenerate = pcr_coefficients(svd, z_last)
-    return ForecastModel(beta, svd, L, degenerate)
+    return fit_variance_forecaster(batch, L, k).mean_model
 
 
 def forecast_mean(fm: ForecastModel, history: np.ndarray) -> float:
@@ -153,31 +181,24 @@ def impute_variance(batch: TimeSeriesBatch, L: int, k1: int | None = None,
 
     Subtracts the squared mean reconstruction from the second-moment
     reconstruction, entrywise, clamped at zero.  k1 ranks the mean model,
-    k2 the squared-observation model.
+    k2 the squared-observation model.  Raises :class:`InvalidL` unless
+    2 <= L <= T.
     """
-    page = build_stacked_page(batch, L)
-    page_sq = build_stacked_page(batch, L, square=True)
-    seg_mean = denoise(page, k1)
-    seg_sq = denoise(page_sq, k2)
-    var = np.clip(seg_sq.mhat - seg_mean.mhat**2, 0.0, None)
-    span = seg_mean.L * seg_mean.P
-    values = np.full_like(batch.values, np.nan)
-    values[:, :span] = _unstack(var, seg_mean.L, seg_mean.P, seg_mean.N)
-    in_model = np.zeros_like(batch.observed)
-    in_model[:, :span] = True
-    return ImputeResult(values, in_model)
+    fit = fit_segment(batch.values, L, k1, k2)
+    var = np.clip(fit.var_svd.reconstruct() - fit.mean_svd.reconstruct()**2,
+                  0.0, None)
+    return _result(fit, var, np.full_like(batch.values, np.nan))
 
 
 def fit_variance_forecaster(batch: TimeSeriesBatch, L: int,
                             k1: int | None = None,
                             k2: int | None = None) -> VarianceForecaster:
-    """Fit the forecaster pair (raw series and squared series)."""
-    mean_model = fit_forecaster(batch, L, k1)
-    squared = TimeSeriesBatch(list(batch.names),
-                              np.where(batch.observed, batch.values, 0.0)**2,
-                              batch.observed.copy(), batch.t0, batch.step)
-    second_model = fit_forecaster(squared, L, k2)
-    return VarianceForecaster(mean_model, second_model)
+    """Fit the forecaster pair (raw series and squared series).  Raises
+    :class:`InvalidL` unless 2 <= L <= T."""
+    fit = fit_segment(batch.values, L, k1, k2)
+    return VarianceForecaster(
+        ForecastModel(fit.beta_mean, fit.fc_mean_svd, L, fit.degenerate),
+        ForecastModel(fit.beta_var, fit.fc_var_svd, L, fit.degenerate))
 
 
 def forecast_variance(vf: VarianceForecaster, history: np.ndarray) -> float:

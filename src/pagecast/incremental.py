@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import (InvalidParams, NonFiniteInput, UnknownSeries, UntrainedModel,
                      WidthMismatch)
-from .estimator import pcr_coefficients
+from .estimator import fit_segment, pcr_coefficients
 from .ingestion import TimeSeriesBatch
-from .page_matrix import stack_pages
-from .svd_engine import append_columns, svd_with_spectrum
+from .svd_engine import append_columns
 
 # Longest run of steps that insert_many adds in one bulk operation; keeps
 # its temporaries at O(N * BULK_STEPS) whatever the block size.
@@ -219,10 +218,6 @@ class SubModel:
         L * P cells of completed columns (none until trained)."""
         span = self.L * self.P if self.trained else 0
         return self.start_step, self.start_step + span
-
-    def covers_local_step(self, local: int) -> bool:
-        a, b = self.covered_steps()
-        return a <= self.start_step + local < b
 
 
 class PredictionModel:
@@ -486,33 +481,15 @@ class PredictionModel:
         return L
 
     def _full_retrain(self, sm: SubModel) -> None:
-        """Refit every factor set and beta from the segment's raw steps.
-        One working copy of the segment: its Page matrix, zero-filled in
-        place, fits the mean sets and is then squared in place for the
-        variance sets."""
+        """Refit every factor set and beta from the segment's raw steps."""
         raw = self.raw.slice_steps(sm.start_step, self.n_steps)
-        t_seg = raw.shape[1]
-        L = self._window_for(t_seg)
-        P = t_seg // L
-        data = stack_pages(raw, L, P)
-        np.copyto(data, 0.0, where=~np.isfinite(data))
-
-        mean_svd, _ = svd_with_spectrum(data, self.hp.k1)
-        k1 = mean_svd.rank
-        fc_mean_svd, _ = svd_with_spectrum(data[:-1, :], min(k1, L - 1))
-        beta_mean, _ = pcr_coefficients(fc_mean_svd, data[-1])
-
-        np.multiply(data, data, out=data)
-        var_svd, _ = svd_with_spectrum(data, self.hp.k2)
-        k2 = var_svd.rank
-        fc_var_svd, _ = svd_with_spectrum(data[:-1, :], min(k2, L - 1))
-        beta_var, _ = pcr_coefficients(fc_var_svd, data[-1])
-
-        sm.L, sm.P, sm.P0 = L, P, P
-        sm.k1, sm.k2 = k1, k2
-        sm.mean_svd, sm.var_svd = mean_svd, var_svd
-        sm.fc_mean_svd, sm.fc_var_svd = fc_mean_svd, fc_var_svd
-        sm.beta_mean, sm.beta_var = beta_mean, beta_var
+        fit = fit_segment(raw, self._window_for(raw.shape[1]),
+                          self.hp.k1, self.hp.k2)
+        sm.L, sm.P, sm.P0 = fit.L, fit.P, fit.P
+        sm.k1, sm.k2 = fit.mean_svd.rank, fit.var_svd.rank
+        sm.mean_svd, sm.var_svd = fit.mean_svd, fit.var_svd
+        sm.fc_mean_svd, sm.fc_var_svd = fit.fc_mean_svd, fit.fc_var_svd
+        sm.beta_mean, sm.beta_var = fit.beta_mean, fit.beta_var
         sm.retrain_history.append(self.total_obs)
         sm.superseded = False
 
@@ -530,10 +507,10 @@ class PredictionModel:
                                  np.arange(last.shape[1]))] = last
         sm.mean_svd = append_columns(sm.mean_svd, B, sm.k1)
         sm.var_svd = append_columns(sm.var_svd, B_sq, sm.k2)
-        kf1 = min(sm.k1, sm.L - 1)
-        kf2 = min(sm.k2, sm.L - 1)
-        sm.fc_mean_svd = append_columns(sm.fc_mean_svd, B[:-1, :], kf1)
-        sm.fc_var_svd = append_columns(sm.fc_var_svd, B_sq[:-1, :], kf2)
+        sm.fc_mean_svd = append_columns(sm.fc_mean_svd, B[:-1, :],
+                                        sm.fc_mean_svd.rank)
+        sm.fc_var_svd = append_columns(sm.fc_var_svd, B_sq[:-1, :],
+                                       sm.fc_var_svd.rank)
         sm.beta_mean, _ = pcr_coefficients(sm.fc_mean_svd, last_row)
         sm.beta_var, _ = pcr_coefficients(sm.fc_var_svd, last_row * last_row)
         sm.P += 1

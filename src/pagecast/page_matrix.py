@@ -4,7 +4,7 @@ A length-T series reshapes into an L x P matrix (P = floor(T/L)) whose
 column j holds observations (j-1)L+1 .. jL; the per-series matrices are
 then concatenated column-wise, so series n occupies columns
 (n-1)P+1 .. nP of the stacked L x NP matrix.  Missing entries are filled
-with zero and tracked in a boolean ``filled`` mask.
+with zero.
 """
 
 from dataclasses import dataclass
@@ -17,21 +17,15 @@ from .ingestion import TimeSeriesBatch
 
 @dataclass
 class StackedPageMatrix:
-    """L x (N*P) stacked Page matrix with a fill mask.
+    """L x (N*P) stacked Page matrix, zero where an entry is missing.
 
-    ``data[i, j]`` is zero wherever ``filled[i, j]`` is False.  ``P`` is the
-    per-series column count, so the stacked width is N*P.
+    ``P`` is the per-series column count, so the stacked width is N*P.
     """
 
     data: np.ndarray
-    filled: np.ndarray
     L: int
     P: int
     N: int
-
-    @property
-    def width(self) -> int:
-        return self.N * self.P
 
 
 def stack_pages(x: np.ndarray, L: int, P: int) -> np.ndarray:
@@ -46,25 +40,18 @@ def stack_pages(x: np.ndarray, L: int, P: int) -> np.ndarray:
     return np.concatenate([row[:L * P].reshape(P, L).T for row in x], axis=1)
 
 
-def build_stacked_page(batch: TimeSeriesBatch, L: int,
-                       square: bool = False) -> StackedPageMatrix:
+def build_stacked_page(batch: TimeSeriesBatch, L: int) -> StackedPageMatrix:
     """Reshape a batch into its stacked Page matrix.
 
     Uses the first L*floor(T/L) observations of each series; the trailing
     T mod L observations are excluded (callers that forecast keep the raw
-    tail separately).  With ``square=True`` the observed entries are squared
-    first.  Missing entries become 0 with ``filled`` False.
+    tail separately).  Missing entries become 0.
     """
     n, t = batch.values.shape
     p = t // L if L >= 1 else 0
     if L < 1 or p < 1:
         raise InvalidL(f"L={L} invalid for T={t}: need 1 <= L <= T")
-    vals = batch.zero_filled()
-    if square:
-        vals = vals * vals
-    return StackedPageMatrix(np.ascontiguousarray(stack_pages(vals, L, p)),
-                             np.ascontiguousarray(stack_pages(batch.observed, L, p)),
-                             L, p, n)
+    return StackedPageMatrix(stack_pages(batch.zero_filled(), L, p), L, p, n)
 
 
 def coords_of(t: int, n: int, L: int, P: int) -> tuple[int, int]:

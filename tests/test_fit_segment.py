@@ -1,0 +1,63 @@
+"""The one segment fit: the model that answers queries is the batch
+estimator, and both refuse a window below two rows."""
+
+import math
+
+import numpy as np
+import pytest
+
+import pagecast as pc
+from pagecast.errors import InvalidL
+from pagecast.estimator import fit_segment
+
+
+def test_batch_functions_refuse_L_below_2():
+    values = np.cos(np.arange(40.0))[None, :]
+    batch = pc.TimeSeriesBatch(["a"], values, np.ones(values.shape, bool))
+    for fn in (pc.impute_mean, pc.impute_variance, pc.fit_forecaster,
+               pc.fit_variance_forecaster):
+        with pytest.raises(InvalidL):
+            fn(batch, L=1)
+
+
+def test_served_model_equals_batch():
+    """One sub-model that fully retrains once, at the last step, holds the
+    batch fit bit for bit and answers as the batch functions do; its variance
+    meets criterion 4's bound with L fixed as the criterion fixes it."""
+    data = pc.gen_synthetic_II(seed=0, T=3000)[("gaussian", "har")]
+    batch = data.observations
+    n_series, t_len = batch.values.shape
+    L = int(math.sqrt(n_series * t_len / 10))
+    model = pc.create_model(batch, pc.HyperParams(
+        T0=n_series * t_len, Tprime=2 * n_series * t_len, L=L))
+    [sm] = model.submodels
+    assert len(sm.retrain_history) == 1 and sm.P == sm.P0
+
+    fit = fit_segment(batch.values, L)
+    for name in ("mean_svd", "var_svd", "fc_mean_svd", "fc_var_svd"):
+        for part in ("U", "s", "V"):
+            np.testing.assert_array_equal(getattr(getattr(sm, name), part),
+                                          getattr(getattr(fit, name), part))
+    np.testing.assert_array_equal(sm.beta_mean, fit.beta_mean)
+    np.testing.assert_array_equal(sm.beta_var, fit.beta_var)
+
+    mean = pc.impute_mean(batch, L=L)
+    var = pc.impute_variance(batch, L=L)
+    span = mean.in_model[0]
+    steps = int(span.sum())
+    served_mean = np.empty((n_series, steps))
+    served_var = np.empty((n_series, steps))
+    for n in range(n_series):
+        answers = pc.predict_range(model, n, 1, steps)
+        served_mean[n] = [r.mean for r in answers]
+        served_var[n] = [r.variance for r in answers]
+    np.testing.assert_allclose(served_mean, mean.values[:, span],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(served_var, var.values[:, span],
+                               rtol=0, atol=1e-12)
+
+    x = batch.zero_filled()
+    truth = data.latent_var[:, span]
+    per = [np.mean((served_var[n] - truth[n]) ** 2) / x[n, span].std() ** 2
+           for n in range(n_series)]
+    assert np.sqrt(np.mean(per)) <= 2 * 0.076

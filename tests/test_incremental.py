@@ -437,8 +437,8 @@ class TestOverflowingSquares:
 
     def test_create_model_raises_before_training(self, monkeypatch):
         calls = []
-        real = inc.svd_with_spectrum
-        monkeypatch.setattr(inc, "svd_with_spectrum",
+        real = inc.fit_segment
+        monkeypatch.setattr(inc, "fit_segment",
                             lambda *a: calls.append(1) or real(*a))
         batch = _stream(300, n_series=2, seed=5)
         batch.values[1, 200] = 1e200

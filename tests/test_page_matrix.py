@@ -30,11 +30,6 @@ class TestBuild:
     def test_zero_fill_and_trailing_drop(self):
         page = pc.build_stacked_page(_batch([1, np.nan, 3]), L=2)
         np.testing.assert_array_equal(page.data, [[1], [0]])
-        np.testing.assert_array_equal(page.filled, [[True], [False]])
-
-    def test_square_mode(self):
-        page = pc.build_stacked_page(_batch([1, -2, 3, 4]), L=2, square=True)
-        np.testing.assert_array_equal(page.data, [[1, 9], [4, 16]])
 
     def test_invalid_L(self):
         with pytest.raises(InvalidL):

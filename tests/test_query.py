@@ -78,7 +78,7 @@ class TestImputationQueries:
         t = 1100  # covered by segments 1 (500..1500) and 2 (1000..2000)
         step = t - 1
         segs = [sm for sm in model.segments_for_step(step)
-                if sm.covers_local_step(step - sm.start_step)]
+                if step in range(*sm.covered_steps())]
         assert len(segs) == 2
         expected = []
         for sm in segs:
@@ -309,7 +309,7 @@ def _reference_range(model, n, t1, t2, confidence, method, with_uq):
         else:
             for sm in model.segments_for_step(t - 1):
                 local = t - 1 - sm.start_step
-                if not sm.covers_local_step(local):
+                if t - 1 not in range(*sm.covered_steps()):
                     continue
                 row = np.array([local % sm.L], dtype=np.int64)
                 col = np.array([sm.col_position(n, local // sm.L)],
