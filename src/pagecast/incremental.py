@@ -92,10 +92,16 @@ class _RawWindow:
     """Recent raw steps with amortized O(1) appends and front pruning.  The
     only copy of the stream: it keeps every step of every sub-model still
     being fed, whose unfinished Page column and last Page row live here.
-    A missing entry is NaN; every stored entry that is finite is observed."""
+    A missing entry is NaN; every stored entry that is finite is observed.
+
+    The buffer is time-major: a C-order (capacity, N) array whose row i is
+    one step of all N series.  The stored steps are then one contiguous run
+    of rows, byte for byte the column-major payload of ``raw_values.f64``,
+    so a save writes them and a load reads into them without a copy.
+    Readers see N x T views (:meth:`slice_steps`, :meth:`state`)."""
 
     def __init__(self, n_series: int):
-        self._vals = np.empty((n_series, 64))
+        self._vals = np.empty((64, n_series))
         self._lo = 0
         self._hi = 0
         self.start_step = 0
@@ -105,22 +111,22 @@ class _RawWindow:
         return self._hi - self._lo
 
     def extend(self, values: np.ndarray) -> None:
-        """Append columns in order; capacity grows as it would one column at
-        a time (fill, then regrow), whatever the block sizes."""
+        """Append the columns of the N x n ``values`` in order; capacity
+        grows as it would one column at a time (fill, then regrow), whatever
+        the block sizes."""
         done, n = 0, values.shape[1]
         while done < n:
-            if self._hi == self._vals.shape[1]:
+            if self._hi == len(self._vals):
                 self._regrow()
-            take = min(n - done, self._vals.shape[1] - self._hi)
-            self._vals[:, self._hi:self._hi + take] = values[:, done:done + take]
+            take = min(n - done, len(self._vals) - self._hi)
+            self._vals[self._hi:self._hi + take] = values[:, done:done + take].T
             self._hi += take
             done += take
 
     def _regrow(self) -> None:
         n = self.n_cols
-        cap = max(64, 2 * (n + 1))
-        vals = np.empty((self._vals.shape[0], cap))
-        vals[:, :n] = self._vals[:, self._lo:self._hi]
+        vals = np.empty((max(64, 2 * (n + 1)), self._vals.shape[1]))
+        vals[:n] = self.rows()
         self._vals = vals
         self._lo, self._hi = 0, n
 
@@ -131,41 +137,48 @@ class _RawWindow:
             self.start_step += drop
 
     def slice_steps(self, start: int, end: int) -> np.ndarray:
-        """Raw values for global steps [start, end)."""
+        """Raw values for global steps [start, end), as an N x T view."""
         if start < self.start_step:
             raise InvalidParams(
                 f"step {start} already pruned (window starts at {self.start_step})")
         a = self._lo + (start - self.start_step)
         b = self._lo + (end - self.start_step)
-        return self._vals[:, a:b]
+        return self._vals[a:b].T
 
     def tail(self, width: int, series=slice(None)) -> np.ndarray:
         """Last ``width`` steps of the series indexed by ``series`` (all by
         default; one row for an int), left-padded as missing if not enough."""
         have = min(width, self.n_cols)
-        last = self._vals[series, self._hi - have:self._hi]
+        last = self._vals[self._hi - have:self._hi, series].T
         vals = np.full(last.shape[:-1] + (width,), np.nan)
         vals[..., width - have:] = last
         return vals
 
+    def rows(self) -> np.ndarray:
+        """The stored steps, one row per step: a C-contiguous T x N view
+        into the buffer."""
+        return self._vals[self._lo:self._hi]
+
     def state(self) -> tuple[np.ndarray, int]:
-        """The stored steps, as a view into the window, and the global step
-        of the first."""
-        return self._vals[:, self._lo:self._hi], self.start_step
+        """The stored steps, as an N x T view into the window, and the
+        global step of the first."""
+        return self.rows().T, self.start_step
 
     @classmethod
-    def from_state(cls, vals: np.ndarray, start_step: int) -> "_RawWindow":
+    def allocate(cls, n_series: int, n_steps: int,
+                 start_step: int) -> "_RawWindow":
+        """A window of ``n_steps`` steps from global step ``start_step``,
+        left uninitialised for the caller to fill through :meth:`rows`."""
         # The capacity that feeding the steps one at a time to an empty
         # window leaves (regrows to 64, 130, 262, ...), so the step after a
         # load does not copy the whole window.
-        n = vals.shape[1]
         cap = 64
-        while cap <= n:
+        while cap <= n_steps:
             cap = 2 * (cap + 1)
-        win = cls(vals.shape[0])
-        win._vals = np.empty((vals.shape[0], cap))
-        win._vals[:, :n] = vals
-        win._hi, win.start_step = n, start_step
+        win = cls(n_series)
+        # The byte order of raw_values.f64, native on little-endian hosts.
+        win._vals = np.empty((cap, n_series), dtype="<f8")
+        win._hi, win.start_step = n_steps, start_step
         return win
 
 

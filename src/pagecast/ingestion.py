@@ -38,6 +38,13 @@ class TimeSeriesBatch:
         observed: N x T boolean mask; True means the value was present.
         t0: time coordinate of the first grid index.
         step: spacing between consecutive grid indices, in timestamp units.
+
+    The batch keeps the ``values`` array it is given when that array is
+    already float64 with NaN at every unobserved entry, so it shares memory
+    with the caller's array.  Anything else (another dtype, a list, a value
+    where ``observed`` is False) is normalised into a new array and the
+    caller's is left untouched.  ``observed`` is kept when it is a bool
+    array.
     """
 
     names: list[str]
@@ -59,7 +66,8 @@ class TimeSeriesBatch:
         if self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise ShapeMismatch("batch needs at least one series and one step")
         # Normalize the sentinel: masked-out cells are exactly NaN.
-        self.values = np.where(self.observed, self.values, np.nan)
+        if not np.isnan(self.values[~self.observed]).all():
+            self.values = np.where(self.observed, self.values, np.nan)
         if not np.all(np.isfinite(self.values) | ~self.observed):
             raise UnparseableValue("observed entries must be finite")
 

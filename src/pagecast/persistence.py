@@ -23,6 +23,13 @@ the step count, column and row (``steps``/``buf_len`` keys, ``buf.f64``,
 ``last_row_*.f64``), format 1 also ``coeff_avg.f64`` and ``half_steps``;
 such stores still load, ignoring them.
 
+The raw window keeps its steps time-major, one row of N values per step,
+which is byte for byte the column-major payload of ``raw_values.f64``.  A
+save writes the header and the window's live rows where they are, hashing
+them as it writes; a load reads the payload straight into a new window's
+buffer and checks its checksum before it returns the model.  Neither holds
+a second copy of the window.
+
 Saves are staged in ``<dir>.staging`` and committed by renaming the old
 directory to ``<dir>.bak`` and the staging directory to ``<dir>``.  Every
 file and every staging directory is fsynced before the renames and the
@@ -68,11 +75,17 @@ class PersistenceReadError(CorruptManifest):
 # Filesystem primitives routed through module functions so tests can inject
 # faults at any point of the commit sequence.
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _write_bytes(path: str, *chunks) -> str:
+    """Write the bytes-like ``chunks`` in order to a new file at ``path``
+    and fsync it.  Returns the sha256 of the file, hashed as it is written."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
         fh.flush()
         os.fsync(fh.fileno())
+    return digest.hexdigest()
 
 
 def _rename(src: str, dst: str) -> None:
@@ -164,16 +177,17 @@ def save_model(model: PredictionModel, directory) -> dict:
 
     checksums: dict[str, str] = {}
 
-    def emit(relpath: str, arr: np.ndarray) -> None:
-        data = encode_f64(arr)
+    def emit(relpath: str, *chunks) -> None:
         full = os.path.join(staging, relpath)
         os.makedirs(os.path.dirname(full), exist_ok=True)
-        _write_bytes(full, data)
-        checksums[relpath] = _sha256(data)
+        checksums[relpath] = _write_bytes(full, *chunks)
 
-    raw_vals, raw_start = model.raw.state()
-    manifest["raw_start"] = str(raw_start)
-    emit("raw_values.f64", raw_vals)
+    # The window's T x N rows are the column-major payload of the N x T
+    # array the file stores: write them where they are.
+    rows = model.raw.rows()
+    manifest["raw_start"] = str(model.raw.start_step)
+    emit("raw_values.f64", np.array(rows.shape[::-1], dtype="<u8").tobytes(),
+         rows.astype("<f8", copy=False))
 
     for sm in model.submodels:
         pre = f"sub{sm.index}."
@@ -192,9 +206,9 @@ def save_model(model: PredictionModel, directory) -> dict:
         for attr, names in _SVD_FILES.items():
             svd = getattr(sm, attr)
             for fname, arr in zip(names, (svd.U, svd.s, svd.V)):
-                emit(f"{sub}/{fname}.f64", arr)
+                emit(f"{sub}/{fname}.f64", encode_f64(arr))
         for attr in _VEC_FILES:
-            emit(f"{sub}/{attr}.f64", getattr(sm, attr))
+            emit(f"{sub}/{attr}.f64", encode_f64(getattr(sm, attr)))
 
     for relpath, digest in checksums.items():
         manifest[f"checksum.{relpath}"] = digest
@@ -240,19 +254,60 @@ def _read_manifest(directory: str) -> dict[str, str]:
     return out
 
 
-def _load_array(directory: str, relpath: str, manifest: dict[str, str]) -> np.ndarray:
-    digest = manifest.get(f"checksum.{relpath}")
-    if digest is None:
+def _verify(relpath: str, manifest: dict[str, str], digest: str) -> None:
+    """Raise :class:`ChecksumMismatch` unless ``digest`` is the manifest's
+    checksum of ``relpath``."""
+    expect = manifest.get(f"checksum.{relpath}")
+    if expect is None:
         raise CorruptManifest(f"manifest lacks checksum for {relpath}")
+    if digest != expect:
+        raise ChecksumMismatch(f"checksum mismatch for {relpath}")
+
+
+def _load_array(directory: str, relpath: str, manifest: dict[str, str]) -> np.ndarray:
     full = os.path.join(directory, relpath)
     try:
         with open(full, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ChecksumMismatch(f"cannot read {full}: {exc}") from exc
-    if _sha256(data) != digest:
-        raise ChecksumMismatch(f"checksum mismatch for {relpath}")
+    _verify(relpath, manifest, _sha256(data))
     return decode_f64(data)
+
+
+def _load_raw(directory: str, manifest: dict[str, str]) -> _RawWindow:
+    """``raw_values.f64`` read straight into the rows of a new window (the
+    window's layout is the file's payload), then checked against the
+    manifest.  A file is refused as :func:`_load_array` refuses it:
+    ChecksumMismatch when it cannot be read or its checksum differs,
+    CorruptManifest when its length disagrees with its header."""
+    relpath = "raw_values.f64"
+    full = os.path.join(directory, relpath)
+    digest = hashlib.sha256()
+    win = None
+    try:
+        with open(full, "rb") as fh:
+            header = fh.read(16)
+            digest.update(header)
+            if len(header) == 16:
+                n_series, n_steps = (int(d) for d in np.frombuffer(header, "<u8"))
+                # Only a file as long as its header says sizes a window, so
+                # a damaged header allocates nothing.
+                if os.fstat(fh.fileno()).st_size == 16 + 8 * n_series * n_steps:
+                    win = _RawWindow.allocate(n_series, n_steps,
+                                              int(manifest["raw_start"]))
+                    payload = win.rows().reshape(-1).view(np.uint8)
+                    got = fh.readinto(payload)
+                    digest.update(payload[:got])
+                    whole = got == len(payload)
+            rest = fh.read()
+            digest.update(rest)
+    except OSError as exc:
+        raise ChecksumMismatch(f"cannot read {full}: {exc}") from exc
+    _verify(relpath, manifest, digest.hexdigest())
+    if win is None or not whole or rest:
+        raise CorruptManifest(f"{relpath}: length disagrees with its header")
+    return win
 
 
 def _vector(arr: np.ndarray) -> np.ndarray:
@@ -291,9 +346,7 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
     model.obs_sumsq = float.fromhex(manifest["obs_sumsq"])
     model.obs_cnt = int(manifest["obs_cnt"])
 
-    model.raw = _RawWindow.from_state(
-        _load_array(directory, "raw_values.f64", manifest),
-        int(manifest["raw_start"]))
+    model.raw = _load_raw(directory, manifest)
 
     count = int(manifest["submodel_count"])
     for i in range(count):

@@ -164,8 +164,9 @@ def gen_synthetic_I(n: int = 20, m: int = 20, T: int = 15000, r: int = 4,
         raise InvalidParams(f"unknown preset {preset!r}")
     g = _harmonic_mixtures(seed, T, r, 4, alpha_range, omega_range)
     values = _cp_field(seed, n, m, g)
-    # The batch holds its own copy of the values.
-    return SyntheticTruth(_batch(values, "s"), values, np.zeros(values.shape),
+    # The batch keeps the array it is given, so it gets its own copy.
+    return SyntheticTruth(_batch(values.copy(), "s"), values,
+                          np.zeros(values.shape),
                           "synthetic_I", seed,
                           {"n": n, "m": m, "T": T, "r": r, "preset": preset})
 
@@ -317,7 +318,9 @@ def corrupt(truth: SyntheticTruth, sigma: float = 0.0, p_obs: float = 1.0,
 
     Each entry stays observed independently with probability ``p_obs``;
     noise with standard deviation ``sigma`` is added to observed entries.
-    The latent mean is unchanged; sigma^2 is added to the latent variance.
+    The latent mean is unchanged, and the result shares that array with
+    ``truth``; sigma^2 is added to the latent variance, in a new array.
+    The observations are one new array, which the new batch keeps.
     """
     if not 0.0 < p_obs <= 1.0:
         raise InvalidParams("p_obs must lie in (0, 1]")
@@ -336,8 +339,9 @@ def corrupt(truth: SyntheticTruth, sigma: float = 0.0, p_obs: float = 1.0,
             flat_vals[a:b] += sigma * noise.normals(b - a)
         if p_obs < 1.0:
             flat_obs[a:b] &= mask.uniforms(b - a) < p_obs
+        flat_vals[a:b][~flat_obs[a:b]] = np.nan
     batch = TimeSeriesBatch(list(base.names), values, obs, base.t0, base.step)
-    return SyntheticTruth(batch, truth.latent_mean.copy(),
+    return SyntheticTruth(batch, truth.latent_mean,
                           truth.latent_var + sigma * sigma,
                           truth.kind + "+corrupt", seed,
                           dict(truth.params, sigma=sigma, p_obs=p_obs))

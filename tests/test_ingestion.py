@@ -102,6 +102,41 @@ class TestLoadCsv:
                                       batch.values[batch.observed])
 
 
+class TestBatchValues:
+    """A batch keeps a float64 array with NaN at every unobserved entry and
+    normalises anything else into a new array."""
+
+    @staticmethod
+    def _grid():
+        vals = np.arange(12.0).reshape(3, 4)
+        mask = np.ones(vals.shape, dtype=bool)
+        mask[1, 2] = mask[2, 0] = False
+        return vals, mask
+
+    def test_conforming_array_kept(self):
+        vals, mask = self._grid()
+        vals[~mask] = np.nan
+        batch = pc.TimeSeriesBatch(["a", "b", "c"], vals, mask)
+        assert np.shares_memory(batch.values, vals)
+
+    @pytest.mark.parametrize("kind", ["value_where_missing", "float32",
+                                      "list"])
+    def test_other_input_normalised(self, kind):
+        vals, mask = self._grid()
+        if kind != "value_where_missing":
+            vals[~mask] = np.nan
+        given = {"value_where_missing": vals, "float32":
+                 vals.astype(np.float32), "list": vals.tolist()}[kind]
+        before = np.array(given, copy=True)
+        batch = pc.TimeSeriesBatch(["a", "b", "c"], given, mask)
+        if isinstance(given, np.ndarray):
+            assert not np.shares_memory(batch.values, given)
+        np.testing.assert_array_equal(np.asarray(given), before)
+        assert batch.values.dtype == np.float64
+        assert np.isnan(batch.values[~mask]).all()
+        np.testing.assert_array_equal(batch.values[mask], vals[mask])
+
+
 class TestAggregate:
     def _batch(self, values, observed=None):
         values = np.asarray(values, dtype=float)[None, :]

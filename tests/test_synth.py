@@ -191,6 +191,23 @@ class TestCorrupt:
         resid = out.observations.values - truth.observations.values
         assert abs(resid.std() - 0.5) < 0.02
 
+    def test_arrays_shared_and_owned(self):
+        # The generator's batch holds its own copy of the latent mean;
+        # corrupt passes the unchanged latent mean through and its batch
+        # keeps the one observation array corrupt made.
+        truth = pc.gen_synthetic_I(n=2, m=2, T=500, seed=3)
+        assert not np.shares_memory(truth.observations.values,
+                                    truth.latent_mean)
+        before = truth.observations.values.copy()
+        out = pc.corrupt(truth, sigma=0.5, p_obs=0.7, seed=1)
+        assert out.latent_mean is truth.latent_mean
+        assert not np.shares_memory(out.observations.values,
+                                    truth.observations.values)
+        assert truth.observations.values.tobytes() == before.tobytes()
+        obs = out.observations
+        assert np.isnan(obs.values[~obs.observed]).all()
+        assert np.isfinite(obs.values[obs.observed]).all()
+
 
 def _one_shot_normals(seed, stream, n):
     """The normal sampler drawing all n uniforms at once: the reference
@@ -247,8 +264,9 @@ class TestDrawBlocks:
 class TestGeneratorMemory:
     def test_corrupted_synthetic_i_peak(self):
         # The query_mix input (N=10 x 5e4).  Peak memory beyond what the
-        # result keeps is 1.36x the result's bytes; it was 2.34x with the
-        # noise and mask drawn in one shot and the values copied twice more.
+        # result keeps is 0.72x the result's bytes; it was 2.34x with the
+        # noise and mask drawn in one shot and the values copied twice more,
+        # and 1.36x with the values and the latent mean copied once more.
         tracemalloc.start()
         try:
             truth = pc.corrupt(pc.gen_synthetic_I(n=2, m=5, T=50_000, r=4,
@@ -261,3 +279,21 @@ class TestGeneratorMemory:
                                       truth.observations.observed,
                                       truth.latent_mean, truth.latent_var))
         assert (peak - held) < 1.75 * kept
+
+    def test_caller_keeps_batch_and_latent_mean(self):
+        # The same input as a caller that keeps the observations and the
+        # latent mean uses it (8.5 MB).  The whole generation peaks at 2.5x
+        # that; it was 3.5x when the batches copied the values they were
+        # given and corrupt copied the latent mean.
+        tracemalloc.start()
+        try:
+            truth = pc.corrupt(pc.gen_synthetic_I(n=2, m=5, T=50_000, r=4,
+                                                  seed=0, preset="scaling"),
+                               sigma=0.2, p_obs=0.9, seed=1)
+            batch, latent = truth.observations, truth.latent_mean
+            del truth
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.values.nbytes + latent.nbytes == 8_000_000
+        assert peak <= 3 * held
