@@ -2,12 +2,15 @@
 
 The stream is cut into segments of ``Tprime`` observations starting every
 ``Tprime/2``, so each observation past the first half-segment belongs to
-exactly two sub-models.  A sub-model is fully retrained from raw data when
-its observation count crosses floor(T0 * (1+gamma)^l) for l up to a cap
-(a larger cap for the first segment, which grows from T0 all the way to
-Tprime); between retrains, completed Page-matrix columns are appended to its
-SVDs incrementally.  Below ``T0`` total observations the model answers with
-the running mean of everything seen (fallback mode).
+exactly two sub-models.  A sub-model is fully retrained from raw data at
+the first step count that crosses floor(T0 * (1+gamma)^l) observations, for
+l up to a cap (a larger cap for the first segment, which grows from T0 all
+the way to Tprime), and has a Page window: L0 * ceil(L0 / N) steps or more,
+with L0 the L override or 2.  :func:`retrain_thresholds` and
+:meth:`PredictionModel._next_retrain` are the whole schedule.  Between
+retrains, completed Page-matrix columns are appended to its SVDs
+incrementally.  Until the first retrain the model answers with the running
+mean of everything seen (fallback mode).
 """
 
 import math
@@ -186,11 +189,12 @@ class SubModel:
     """One trained segment: imputation/forecast factors for mean and variance."""
 
     def __init__(self, index: int, start_step: int, n_series: int,
-                 thresholds: list[int]):
+                 pending: list[int]):
         self.index = index
         self.start_step = start_step
         self.N = n_series
-        self.pending = list(thresholds)
+        # Retrain thresholds, in observations, not yet crossed.
+        self.pending = pending
         self.retrain_history: list[int] = []
         self.L: int | None = None
         self.P = 0
@@ -282,7 +286,7 @@ class PredictionModel:
 
     @property
     def in_fallback(self) -> bool:
-        return self.total_obs < self.hp.T0 or not self.trained_submodels()
+        return not self.trained_submodels()
 
     def series_index(self, series) -> int:
         if isinstance(series, str):
@@ -325,7 +329,8 @@ class PredictionModel:
         usable = _usable(values, observed)[:, None]
         values = values[:, None]
         self._check_magnitudes(values, usable, 0)
-        self._insert_step(values, usable)
+        self._add_steps(values, usable)
+        self._train()
 
     def insert_many(self, values: np.ndarray,
                     observed: np.ndarray | None = None) -> None:
@@ -333,19 +338,19 @@ class PredictionModel:
         the j-th new step.
 
         Validates like :meth:`insert` and leaves the model in the state that
-        inserting the columns one by one would, bit for bit.  Only the steps
-        where something is trained (a retrain, an append, a new sub-model)
-        go through the per-step path; the steps between them are added in
-        bulk.
+        inserting the columns one by one would, bit for bit.  Each event (a
+        new sub-model, a completed Page column, a retrain) costs one bulk
+        add of the steps up to and including it and one feed, the two calls
+        :meth:`insert` makes for its one step.
 
         Appends that a full retrain later in the same block supersedes are
         skipped: a trained sub-model whose next retrain falls inside the
         block is marked ``superseded`` and folds no steps into its factors
-        until that retrain.  This is exact because a
-        retrain reads none of what an append writes: when it fires depends
-        only on the step count, the pending thresholds and the window rule,
-        and it rebuilds L, P, the factors and beta from the raw window
-        (whose pruning reads only L).
+        until that retrain.  This is exact because a retrain reads none of
+        what an append writes: when it fires depends only on the step count
+        and the pending thresholds (:meth:`_next_retrain`), and it rebuilds
+        L, P, the factors and beta from the raw window (whose pruning reads
+        only L).
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != self.N:
@@ -362,18 +367,11 @@ class PredictionModel:
             self._check_magnitudes(vals, _usable(vals, obs), pos)
         pos, end = 0, values.shape[1]
         while pos < end:
-            for sm in self.segments_for_step(self.n_steps):
-                if (sm.trained and not sm.superseded
-                        and self._next_retrain(sm, end - pos) is not None):
-                    sm.superseded = True
-            n = self._quiet_steps(end - pos)
-            stop = pos + max(n, 1)
+            stop = pos + self._steps_to_event(end - pos)
             vals = values[:, pos:stop]
-            obs = _usable(vals, None if observed is None else observed[:, pos:stop])
-            if n:
-                self._add_steps(vals, obs)
-            else:
-                self._insert_step(vals, obs)
+            obs = None if observed is None else observed[:, pos:stop]
+            self._add_steps(vals, _usable(vals, obs))
+            self._train()
             pos = stop
 
     def _check_magnitudes(self, values: np.ndarray, usable: np.ndarray,
@@ -389,48 +387,36 @@ class PredictionModel:
                 f"|{values[n, j]:.6g}| exceeds {VALUE_MAX:.6g}, beyond which "
                 "training's sums of powers overflow")
 
-    def _retrain_due(self, sm: SubModel, t_seg: int) -> bool:
-        """The retrain rule: ``sm`` fully retrains on reaching ``t_seg``
-        segment steps when some pending threshold is at most t_seg * N
-        observations and the window for ``t_seg`` steps is feasible.
-        Multi-series steps can jump over a threshold, so a threshold counts
-        from its first crossing, not only on exact equality."""
-        return (bool(sm.pending) and min(sm.pending) <= t_seg * self.N
-                and self._window_for(t_seg) is not None)
-
-    def _next_retrain(self, sm: SubModel, horizon: int) -> int | None:
-        """Segment step count at which ``sm`` next fully retrains, if that
-        happens within its next ``horizon`` steps (the first count where
-        :meth:`_retrain_due` holds).  A sub-model is fed 2 * half_steps
-        steps at most."""
+    def _next_retrain(self, sm: SubModel) -> int | None:
+        """Segment step count at which ``sm`` next fully retrains, or None
+        if it never does: the first count that crosses its lowest pending
+        threshold (multi-series steps can jump over a threshold) and has a
+        Page window.  A window exists for exactly the counts from
+        L0 * ceil(L0 / N) on, with L0 the L override or 2; a sub-model is
+        fed 2 * half_steps steps at most."""
         if not sm.pending:
             return None
-        steps = self._seg_steps(sm)
-        last = min(steps + horizon, 2 * self.half_steps)
-        # No pending threshold is crossed before this count.
-        t_seg = max(steps + 1, -(-min(sm.pending) // self.N))
-        while t_seg <= last:
-            if self._retrain_due(sm, t_seg):
-                return t_seg
-            t_seg += 1
-        return None
+        L0 = self.hp.L or 2
+        due = max(-(-min(sm.pending) // self.N), L0 * -(-L0 // self.N))
+        return due if due <= 2 * self.half_steps else None
 
-    def _quiet_steps(self, limit: int) -> int:
+    def _steps_to_event(self, limit: int) -> int:
         """How many of the next steps (at most ``limit`` and BULK_STEPS)
-        train nothing: no sub-model starts, no trained and not superseded
-        sub-model completes a Page column, and no sub-model retrains (the
-        rules of :meth:`_insert_step` and :meth:`_feed`)."""
+        :meth:`insert_many` adds at once: up to and including the first
+        that opens a sub-model, completes a Page column of a trained sub-model
+        that is not superseded, or retrains one.  Marks ``superseded`` every
+        trained sub-model whose next retrain lies within ``limit`` steps."""
         step = self.n_steps
-        n = min(limit, BULK_STEPS, len(self.submodels) * self.half_steps - step)
-        if n <= 0:
-            return 0
+        n = min(limit, BULK_STEPS, len(self.submodels) * self.half_steps - step + 1)
         for sm in self.segments_for_step(step):
             steps = self._seg_steps(sm)
+            due = self._next_retrain(sm)
+            if due is not None:
+                if sm.trained and due - steps <= limit:
+                    sm.superseded = True
+                n = min(n, due - steps)
             if sm.trained and not sm.superseded:
-                n = min(n, sm.L * (sm.P + 1) - steps - 1)
-            t_seg = self._next_retrain(sm, n)
-            if t_seg is not None:
-                n = min(n, t_seg - steps - 1)
+                n = min(n, sm.L * (sm.P + 1) - steps)
         return n
 
     def _add_steps(self, values: np.ndarray, observed: np.ndarray) -> None:
@@ -446,11 +432,10 @@ class PredictionModel:
         self.raw.extend(np.where(observed, values, np.nan))
         self.n_steps += values.shape[1]
 
-    def _insert_step(self, values: np.ndarray, observed: np.ndarray) -> None:
-        """Add one step (N x 1 block), open sub-models and train."""
-        step = self.n_steps
-        self._add_steps(values, observed)
-
+    def _train(self) -> None:
+        """Open the sub-model that the last added step starts, if any, and
+        feed every sub-model whose segment holds that step."""
+        step = self.n_steps - 1
         newest = step // self.half_steps
         while len(self.submodels) <= newest:
             j = len(self.submodels)
@@ -467,7 +452,8 @@ class PredictionModel:
 
     def _feed(self, sm: SubModel) -> None:
         steps = self._seg_steps(sm)
-        if self._retrain_due(sm, steps):
+        due = self._next_retrain(sm)
+        if due is not None and steps >= due:
             sm.pending = [th for th in sm.pending if th > steps * self.N]
             self._full_retrain(sm)
             self._coeff_cache.clear()
@@ -476,22 +462,14 @@ class PredictionModel:
             self._append_block(sm)
             self._coeff_cache.clear()
 
-    def _window_for(self, t_seg: int) -> int | None:
-        """Page window for a segment of ``t_seg`` steps, or None if infeasible.
-
-        L = floor(sqrt(N * t_seg / 10)) clamped into [2, t_seg]; a window is
-        usable only if the stacked matrix is wide enough (L <= N*floor(t_seg/L)).
-        """
+    def _window_for(self, t_seg: int) -> int:
+        """Page window for a segment of ``t_seg`` steps: the L override, or
+        floor(sqrt(N * t_seg / 10)) clamped into [2, t_seg].  Retrains wait
+        for a count whose window leaves the stacked matrix wide enough
+        (L <= N * floor(t_seg / L)); see :meth:`_next_retrain`."""
         if self.hp.L is not None:
-            L = self.hp.L
-        else:
-            L = int(math.floor(math.sqrt(self.N * t_seg / 10.0)))
-            L = max(2, min(L, t_seg))
-        if L < 2 or L > t_seg:
-            return None
-        if L > self.N * (t_seg // L):
-            return None
-        return L
+            return self.hp.L
+        return max(2, min(int(math.floor(math.sqrt(self.N * t_seg / 10.0))), t_seg))
 
     def _full_retrain(self, sm: SubModel) -> None:
         """Refit every factor set and beta from the segment's raw steps."""

@@ -48,13 +48,7 @@ import shutil
 import numpy as np
 
 from .errors import ChecksumMismatch, CorruptManifest, VersionUnsupported
-from .incremental import (
-    HyperParams,
-    PredictionModel,
-    SubModel,
-    _RawWindow,
-    retrain_thresholds,
-)
+from .incremental import HyperParams, PredictionModel, SubModel, _RawWindow
 from .svd_engine import TruncatedSVD
 
 FORMAT_VERSION = 4
@@ -354,8 +348,7 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
         if pre + "start_step" not in manifest:
             raise CorruptManifest(f"manifest missing sub-model {i}")
         sm = SubModel(i, int(manifest[pre + "start_step"]), model.N,
-                      retrain_thresholds(hp, first_segment=(i == 0)))
-        sm.pending = list(json.loads(manifest[pre + "pending"]))
+                      list(json.loads(manifest[pre + "pending"])))
         sm.retrain_history = list(json.loads(manifest[pre + "retrain_history"]))
         if manifest[pre + "trained"] == "1":
             sm.L = int(manifest[pre + "L"])

@@ -39,6 +39,47 @@ class TestScheduleFormulas:
         pts = retrain_thresholds(hp, first_segment=True)
         assert pts[:6] == [100, 150, 225, 337, 506, 759]
 
+    @pytest.mark.parametrize("L", [None, 2, 7, 50, 150])
+    @pytest.mark.parametrize("n_series", [1, 2, 3, 10, 400])
+    def test_next_retrain_matches_window_rule(self, n_series, L):
+        # The window rule as it was written before the closed form: the
+        # window for t steps, and whether the stacked matrix is wide enough.
+        def feasible(t):
+            if L is None:
+                w = max(2, min(int(math.floor(math.sqrt(n_series * t / 10.0))), t))
+            else:
+                w = L
+            return w <= t and w <= n_series * (t // w)
+
+        ts = range(1, 3001)
+        first = (L or 2) * -(-(L or 2) // n_series)
+        assert [feasible(t) for t in ts] == [t >= first for t in ts]
+        model = pc.PredictionModel([f"s{i}" for i in range(n_series)],
+                                   pc.HyperParams(T0=1, L=L))
+        sm = inc.SubModel(0, 0, n_series, [])
+        assert model._next_retrain(sm) is None
+        for t in ts:
+            # the lowest threshold is first crossed at t steps
+            sm.pending = [(t - 1) * n_series + 1, t * n_series + 5]
+            assert model._next_retrain(sm) == max(t, first), t
+
+    def test_first_retrain_with_override_waits_for_window(self):
+        # With L=150 at N=1 a window needs 150 columns: 22 500 steps, far
+        # past the first threshold (T0 = 100 observations).
+        hp = pc.HyperParams(T0=100, Tprime=30_000, L=150)
+        vals = _stream(22_500, seed=2).values
+        model = pc.PredictionModel(["a"], hp)
+        model.insert_many(vals[:, :-1])
+        assert model.in_fallback
+        model.insert(vals[:, -1])
+        sm = model.submodels[0]
+        assert sm.retrain_history == [22_500] and (sm.L, sm.P) == (150, 150)
+        assert min(sm.pending) > 22_500
+        # a segment of 22 000 steps ends before the window arrives
+        short = pc.PredictionModel(["a"], pc.HyperParams(T0=100, Tprime=22_000,
+                                                         L=150))
+        assert short._next_retrain(inc.SubModel(0, 0, 1, [100])) is None
+
     def test_hyperparam_validation(self):
         with pytest.raises(InvalidParams):
             pc.HyperParams(T0=0)
@@ -212,13 +253,15 @@ def _answers(model):
             for r in [pc.predict_point(model, n, t)]]
 
 
-def _chunk_stream(n_series):
+def _chunk_stream(n_series, L=None):
     """Block, mask, hyper-parameters and a step-by-step reference model.
 
     N=1 runs several segments with 10 % missing values (NaN and inf, no
     mask); N=3 and N=10 pass an explicit mask that also flags some NaN/inf
     entries, which must count as missing.  N=10 rows are long enough for
-    numpy to sum them pairwise, so their summation order shows.
+    numpy to sum them pairwise, so their summation order shows.  With an L
+    override, N=3 lowers T0 to 60, so every sub-model's first retrain
+    waits past its first thresholds for the window.
     """
     rng = np.random.default_rng(40 + n_series)
     n_steps = {1: 1400, 3: 800, 10: 400}[n_series]
@@ -229,16 +272,17 @@ def _chunk_stream(n_series):
         hp = pc.HyperParams(T0=200, gamma=0.5, Tprime=800)
         mask = None
     else:
-        hp = pc.HyperParams(T0=300, gamma=0.5, Tprime=400 * n_series)
+        hp = pc.HyperParams(T0=300 if L is None else 60, gamma=0.5,
+                            Tprime=400 * n_series, L=L)
         mask = rng.random(vals.shape) < 0.85
     return vals, mask, hp
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(n_series):
+def _reference(n_series, L=None):
     """Step-by-step model, the cut points around its events, its answers,
     and its (step, sub-model index) retrain and append events."""
-    vals, mask, hp = _chunk_stream(n_series)
+    vals, mask, hp = _chunk_stream(n_series, L)
     model = pc.PredictionModel([f"s{i}" for i in range(n_series)], hp)
     cuts = set()
     kinds = {"retrain": [], "append": []}
@@ -261,9 +305,9 @@ def _reference(n_series):
     return model, sorted(cuts), _answers(model), kinds
 
 
-def _check_chunked(n_series, cuts, stepwise):
-    vals, mask, hp = _chunk_stream(n_series)
-    ref, _, answers, _ = _reference(n_series)
+def _check_chunked(n_series, cuts, stepwise, L=None):
+    vals, mask, hp = _chunk_stream(n_series, L)
+    ref, _, answers, _ = _reference(n_series, L)
     model = pc.PredictionModel(ref.names, hp)
     edges = [0] + sorted(cuts) + [vals.shape[1]]
     for i, (a, b) in enumerate(zip(edges, edges[1:])):
@@ -308,9 +352,9 @@ def _count_appends(monkeypatch):
     return calls
 
 
-def _chunkings(n_series):
-    n_steps = _chunk_stream(n_series)[0].shape[1]
-    events = _reference(n_series)[1]
+def _chunkings(n_series, L=None):
+    n_steps = _chunk_stream(n_series, L)[0].shape[1]
+    events = _reference(n_series, L)[1]
     cut = st.one_of(st.sampled_from(events), st.integers(0, n_steps))
     return st.lists(cut, max_size=12), st.lists(st.booleans(), min_size=1,
                                                   max_size=4)
@@ -336,6 +380,18 @@ class TestInsertMany:
     def test_multivariate_masked_nonfinite(self, data):
         cuts, flags = _chunkings(3)
         _check_chunked(3, data.draw(cuts), data.draw(flags))
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_window_defers_first_retrain(self, data):
+        # L=20 at N=3: the first threshold is crossed at 20 steps, but the
+        # stacked matrix is wide enough only from 20 * 7 = 140 steps on
+        ref = _reference(3, 20)[0]
+        assert len(ref.submodels) == 4
+        assert [sm.retrain_history[0] - sm.start_obs
+                for sm in ref.submodels] == [420] * 4
+        cuts, flags = _chunkings(3, 20)
+        _check_chunked(3, data.draw(cuts), data.draw(flags), 20)
 
     @pytest.mark.parametrize("n_series", [1, 3])
     def test_cuts_around_superseding_retrains(self, n_series, monkeypatch):
