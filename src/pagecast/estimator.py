@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import InvalidL, LengthMismatch
 from .ingestion import TimeSeriesBatch
-from .page_matrix import stack_pages
 from .svd_engine import (
     REL_FLOOR,
     TruncatedSVD,
@@ -29,14 +28,13 @@ class SegmentFit:
     """Every factor set and coefficient vector of one segment.
 
     ``mean_svd`` and ``var_svd`` factor the L x (N*P) stacked Page matrix of
-    the raw and of the squared observations; ``fc_mean_svd`` and
+    the raw and of the squared observations (column N*j + n is Page column
+    j of series n); ``fc_mean_svd`` and
     ``fc_var_svd`` factor their first L-1 rows, and ``beta_mean`` and
     ``beta_var`` regress the last row on them.  ``degenerate`` flags all-zero
     first L-1 rows, where both betas are 0.
     """
 
-    L: int
-    P: int
     mean_svd: TruncatedSVD
     var_svd: TruncatedSVD
     fc_mean_svd: TruncatedSVD
@@ -104,18 +102,22 @@ def fit_segment(raw: np.ndarray, L: int, k1: int | None = None,
     """Fit one segment from its N x T raw steps (NaN where missing).
 
     The first L * floor(T/L) steps of each series form the stacked Page
-    matrix, zero-filled; the trailing T mod L steps are left out.  k1 ranks
-    the mean factors and k2 the second-moment factors (data-driven when
-    None); a forecast rank is its full matrix's rank capped at L-1.  One
-    working copy: the Page matrix fits the mean sets and is then squared in
-    place for the variance sets.  Raises :class:`InvalidL` unless
-    2 <= L <= T.
+    matrix, zero-filled, in the window's own order: column N*j + n holds
+    steps j*L .. (j+1)*L - 1 of series n, and the trailing T mod L steps
+    are left out.  k1 ranks the mean factors and k2 the second-moment
+    factors (data-driven when None); a forecast rank is its full matrix's
+    rank capped at L-1.  One working copy: the Page matrix fits the mean
+    sets and is then squared in place for the variance sets.  Raises
+    :class:`InvalidL` unless 2 <= L <= T.
     """
     t = raw.shape[1]
     if not 2 <= L <= t:
         raise InvalidL(f"L={L} invalid for T={t}: need 2 <= L <= T")
-    P = t // L
-    data = stack_pages(raw, L, P)
+    n, P = raw.shape[0], t // L
+    # One strided copy; Fortran order keeps each column's L steps together.
+    data = np.empty((L, n * P), order="F")
+    data.T.reshape(P, n, L)[...] = (raw[:, :L * P].reshape(n, P, L)
+                                    .transpose(1, 0, 2))
     np.copyto(data, 0.0, where=~np.isfinite(data))
 
     mean_svd, _ = svd_with_spectrum(data, k1)
@@ -127,16 +129,16 @@ def fit_segment(raw: np.ndarray, L: int, k1: int | None = None,
     fc_var_svd, _ = svd_with_spectrum(data[:-1, :], min(var_svd.rank, L - 1))
     beta_var, _ = pcr_coefficients(fc_var_svd, data[-1])
 
-    return SegmentFit(L, P, mean_svd, var_svd, fc_mean_svd, fc_var_svd,
+    return SegmentFit(mean_svd, var_svd, fc_mean_svd, fc_var_svd,
                       beta_mean, beta_var, degenerate)
 
 
-def _result(fit: SegmentFit, page: np.ndarray, values: np.ndarray) -> ImputeResult:
+def _result(page: np.ndarray, values: np.ndarray) -> ImputeResult:
     """``values`` (N x T) with each series' first L * P steps overwritten by
     the L x (N*P) ``page`` laid back out in time order."""
-    span, n = fit.L * fit.P, values.shape[0]
-    values[:, :span] = (page.reshape(fit.L, n, fit.P).transpose(1, 2, 0)
-                        .reshape(n, span))
+    n, (L, cols) = values.shape[0], page.shape
+    span = L * (cols // n)
+    values[:, :span] = page.reshape(L, -1, n).transpose(2, 1, 0).reshape(n, span)
     in_model = np.zeros(values.shape, dtype=bool)
     in_model[:, :span] = True
     return ImputeResult(values, in_model)
@@ -146,7 +148,7 @@ def impute_mean(batch: TimeSeriesBatch, L: int, k: int | None = None) -> ImputeR
     """Estimate the latent mean at every in-segment (series, time) point.
     Raises :class:`InvalidL` unless 2 <= L <= T."""
     fit = fit_segment(batch.values, L, k)
-    return _result(fit, fit.mean_svd.reconstruct(), batch.values.copy())
+    return _result(fit.mean_svd.reconstruct(), batch.values.copy())
 
 
 def fit_forecaster(batch: TimeSeriesBatch, L: int,
@@ -187,7 +189,7 @@ def impute_variance(batch: TimeSeriesBatch, L: int, k1: int | None = None,
     fit = fit_segment(batch.values, L, k1, k2)
     var = np.clip(fit.var_svd.reconstruct() - fit.mean_svd.reconstruct()**2,
                   0.0, None)
-    return _result(fit, var, np.full_like(batch.values, np.nan))
+    return _result(var, np.full_like(batch.values, np.nan))
 
 
 def fit_variance_forecaster(batch: TimeSeriesBatch, L: int,

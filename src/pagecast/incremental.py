@@ -9,8 +9,9 @@ the way to Tprime), and has a Page window: L0 * ceil(L0 / N) steps or more,
 with L0 the L override or 2.  :func:`retrain_thresholds` and
 :meth:`PredictionModel._next_retrain` are the whole schedule.  Between
 retrains, completed Page-matrix columns are appended to its SVDs
-incrementally.  Until the first retrain the model answers with the running
-mean of everything seen (fallback mode).
+incrementally, in the column order of full retrains.  Until the first
+retrain the model answers with the running mean of everything seen
+(fallback mode).
 """
 
 import math
@@ -101,7 +102,7 @@ class _RawWindow:
     one step of all N series.  The stored steps are then one contiguous run
     of rows, byte for byte the column-major payload of ``raw_values.f64``,
     so a save writes them and a load reads into them without a copy.
-    Readers see N x T views (:meth:`slice_steps`, :meth:`state`)."""
+    Readers see N x T views (:meth:`slice_steps`, :meth:`tail`)."""
 
     def __init__(self, n_series: int):
         self._vals = np.empty((64, n_series))
@@ -162,11 +163,6 @@ class _RawWindow:
         into the buffer."""
         return self._vals[self._lo:self._hi]
 
-    def state(self) -> tuple[np.ndarray, int]:
-        """The stored steps, as an N x T view into the window, and the
-        global step of the first."""
-        return self.rows().T, self.start_step
-
     @classmethod
     def allocate(cls, n_series: int, n_steps: int,
                  start_step: int) -> "_RawWindow":
@@ -186,7 +182,9 @@ class _RawWindow:
 
 
 class SubModel:
-    """One trained segment: imputation/forecast factors for mean and variance."""
+    """One trained segment: imputation/forecast factors for mean and variance
+    of its L x (N*P) stacked Page matrix, whose column N*j + n is Page column
+    j of series n.  L, P and the ranks k1 and k2 are read off the factors."""
 
     def __init__(self, index: int, start_step: int, n_series: int,
                  pending: list[int]):
@@ -196,11 +194,6 @@ class SubModel:
         # Retrain thresholds, in observations, not yet crossed.
         self.pending = pending
         self.retrain_history: list[int] = []
-        self.L: int | None = None
-        self.P = 0
-        self.P0 = 0
-        self.k1 = 0
-        self.k2 = 0
         self.mean_svd = None
         self.var_svd = None
         self.fc_mean_svd = None
@@ -217,18 +210,28 @@ class SubModel:
         return self.mean_svd is not None
 
     @property
+    def L(self) -> int | None:
+        return self.mean_svd.U.shape[0] if self.trained else None
+
+    @property
+    def P(self) -> int:
+        return self.mean_svd.V.shape[0] // self.N if self.trained else 0
+
+    @property
+    def k1(self) -> int:
+        return self.mean_svd.rank if self.trained else 0
+
+    @property
+    def k2(self) -> int:
+        return self.var_svd.rank if self.trained else 0
+
+    @property
     def start_obs(self) -> int:
         return self.start_step * self.N
 
     def col_position(self, n, j):
-        """Rows of V for per-series columns j of series n (ints or arrays).
-
-        Full retrains lay the N * P0 columns out series-major; appended
-        blocks follow time-major (one column per series per block), so
-        appended column j of series n sits at N * P0 + (j - P0) * N + n,
-        which is N * j + n.
-        """
-        return np.where(j < self.P0, n * self.P0 + j, self.N * j + n)
+        """Rows of V for per-series columns j of series n (ints or arrays)."""
+        return self.N * j + n
 
     def covered_steps(self) -> tuple[int, int]:
         """Global steps [a, b) whose Page cells the factors reconstruct: the
@@ -349,8 +352,8 @@ class PredictionModel:
         until that retrain.  This is exact because a retrain reads none of
         what an append writes: when it fires depends only on the step count
         and the pending thresholds (:meth:`_next_retrain`), and it rebuilds
-        L, P, the factors and beta from the raw window (whose pruning reads
-        only L).
+        the factors (hence L and P) and beta from the raw window (whose
+        pruning reads only L).
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != self.N:
@@ -476,8 +479,6 @@ class PredictionModel:
         raw = self.raw.slice_steps(sm.start_step, self.n_steps)
         fit = fit_segment(raw, self._window_for(raw.shape[1]),
                           self.hp.k1, self.hp.k2)
-        sm.L, sm.P, sm.P0 = fit.L, fit.P, fit.P
-        sm.k1, sm.k2 = fit.mean_svd.rank, fit.var_svd.rank
         sm.mean_svd, sm.var_svd = fit.mean_svd, fit.var_svd
         sm.fc_mean_svd, sm.fc_var_svd = fit.fc_mean_svd, fit.fc_var_svd
         sm.beta_mean, sm.beta_var = fit.beta_mean, fit.beta_var
@@ -491,11 +492,8 @@ class PredictionModel:
         vals = self.raw.slice_steps(sm.start_step, self.n_steps)
         B = np.ascontiguousarray(zero_filled(vals[:, -L:]).T)
         B_sq = B * B
-        # The last Page row, in V's row order.
-        last = zero_filled(vals[:, L - 1::L])
-        last_row = np.empty(last.size)
-        last_row[sm.col_position(np.arange(sm.N)[:, None],
-                                 np.arange(last.shape[1]))] = last
+        # The last Page row, in V's row order (column N*j + n).
+        last_row = zero_filled(vals[:, L - 1::L]).ravel(order="F")
         sm.mean_svd = append_columns(sm.mean_svd, B, sm.k1)
         sm.var_svd = append_columns(sm.var_svd, B_sq, sm.k2)
         sm.fc_mean_svd = append_columns(sm.fc_mean_svd, B[:-1, :],
@@ -504,7 +502,6 @@ class PredictionModel:
                                        sm.fc_var_svd.rank)
         sm.beta_mean, _ = pcr_coefficients(sm.fc_mean_svd, last_row)
         sm.beta_var, _ = pcr_coefficients(sm.fc_var_svd, last_row * last_row)
-        sm.P += 1
 
     # --- coefficients -----------------------------------------------------
 

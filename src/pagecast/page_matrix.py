@@ -4,7 +4,9 @@ A length-T series reshapes into an L x P matrix (P = floor(T/L)) whose
 column j holds observations (j-1)L+1 .. jL; the per-series matrices are
 then concatenated column-wise, so series n occupies columns
 (n-1)P+1 .. nP of the stacked L x NP matrix.  Missing entries are filled
-with zero.
+with zero.  This is the paper's layout, the reference; the estimator
+orders the same columns time-major (column N*j + n), which only permutes
+V's rows.
 """
 
 from dataclasses import dataclass
@@ -28,18 +30,6 @@ class StackedPageMatrix:
     N: int
 
 
-def stack_pages(x: np.ndarray, L: int, P: int) -> np.ndarray:
-    """Stacked L x (N*P) Page layout of the first L*P steps of the N x T
-    array ``x``: column n*P + j holds x[n, j*L:(j+1)*L].  Always a new
-    array, never a view of ``x``.
-
-    The result is Fortran-ordered when P > 1.  On the Gram route of
-    :func:`~pagecast.svd_engine.svd_with_spectrum` the last bits of the
-    factors depend on memory order, so each caller keeps the order it had.
-    """
-    return np.concatenate([row[:L * P].reshape(P, L).T for row in x], axis=1)
-
-
 def build_stacked_page(batch: TimeSeriesBatch, L: int) -> StackedPageMatrix:
     """Reshape a batch into its stacked Page matrix.
 
@@ -51,7 +41,9 @@ def build_stacked_page(batch: TimeSeriesBatch, L: int) -> StackedPageMatrix:
     p = t // L if L >= 1 else 0
     if L < 1 or p < 1:
         raise InvalidL(f"L={L} invalid for T={t}: need 1 <= L <= T")
-    return StackedPageMatrix(stack_pages(batch.zero_filled(), L, p), L, p, n)
+    data = np.concatenate([row[:L * p].reshape(p, L).T
+                           for row in batch.zero_filled()], axis=1)
+    return StackedPageMatrix(data, L, p, n)
 
 
 def coords_of(t: int, n: int, L: int, P: int) -> tuple[int, int]:

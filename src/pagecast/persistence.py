@@ -14,14 +14,19 @@ Layout of a saved model directory::
 Every ``.f64`` file is two little-endian uint64 dimensions (rows, cols)
 followed by rows*cols little-endian IEEE-754 float64 values in column-major
 order.  Exact float state (running sums, gamma) is stored in the manifest as
-hex floats, so a load reproduces predictions bit for bit.  Nothing that
-load can derive is stored: the averaged forecast coefficients, the
-half-segment length, each sub-model's step count, unfinished Page column
-and last Page row, and the observation mask (the finite raw entries) are
-recomputed.  Formats 1-3 stored the mask (``raw_mask.f64``), formats 1 and 2
-the step count, column and row (``steps``/``buf_len`` keys, ``buf.f64``,
-``last_row_*.f64``), format 1 also ``coeff_avg.f64`` and ``half_steps``;
-such stores still load, ignoring them.
+hex floats, so a load reproduces predictions bit for bit.  Row N*j + n of
+a V file is Page column j of series n.  Nothing that load can derive is
+stored: a sub-model keeps only ``pending``, ``retrain_history`` and its
+checksums (its first step is i * half_steps, it is trained once it has
+retrained, L, P, k1 and k2 are its factor shapes), and the averaged forecast
+coefficients, the half-segment length, each sub-model's step count,
+unfinished Page column and last Page row, and the observation mask (the
+finite raw entries) are recomputed.  Formats 1-4 stored the sub-model
+shapes and laid the last retrain's columns out series-major, which load
+undoes (:func:`_reorder_columns`), formats 1-3 the mask (``raw_mask.f64``),
+formats 1 and 2 the step count, column and row (``steps``/``buf_len`` keys,
+``buf.f64``, ``last_row_*.f64``), format 1 also ``coeff_avg.f64`` and
+``half_steps``; such stores still load, ignoring them.
 
 The raw window keeps its steps time-major, one row of N values per step,
 which is byte for byte the column-major payload of ``raw_values.f64``.  A
@@ -51,7 +56,7 @@ from .errors import ChecksumMismatch, CorruptManifest, VersionUnsupported
 from .incremental import HyperParams, PredictionModel, SubModel, _RawWindow
 from .svd_engine import TruncatedSVD
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _SVD_FILES = {
     "mean_svd": ("U", "S", "V"),
@@ -185,17 +190,10 @@ def save_model(model: PredictionModel, directory) -> dict:
 
     for sm in model.submodels:
         pre = f"sub{sm.index}."
-        manifest[pre + "start_step"] = str(sm.start_step)
-        manifest[pre + "trained"] = "1" if sm.trained else "0"
         manifest[pre + "pending"] = json.dumps(sm.pending)
         manifest[pre + "retrain_history"] = json.dumps(sm.retrain_history)
         if not sm.trained:
             continue
-        manifest[pre + "L"] = str(sm.L)
-        manifest[pre + "P"] = str(sm.P)
-        manifest[pre + "P0"] = str(sm.P0)
-        manifest[pre + "k1"] = str(sm.k1)
-        manifest[pre + "k2"] = str(sm.k2)
         sub = f"sub_{sm.index}"
         for attr, names in _SVD_FILES.items():
             svd = getattr(sm, attr)
@@ -304,15 +302,11 @@ def _load_raw(directory: str, manifest: dict[str, str]) -> _RawWindow:
     return win
 
 
-def _vector(arr: np.ndarray) -> np.ndarray:
-    return arr.reshape(-1).copy()
-
-
 def _load_from(directory: str) -> PredictionModel:
     manifest = _read_manifest(directory)
     try:
         return _rebuild(directory, manifest)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise CorruptManifest(f"{directory}: malformed manifest: {exc}") from exc
 
 
@@ -345,28 +339,36 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
     count = int(manifest["submodel_count"])
     for i in range(count):
         pre = f"sub{i}."
-        if pre + "start_step" not in manifest:
-            raise CorruptManifest(f"manifest missing sub-model {i}")
-        sm = SubModel(i, int(manifest[pre + "start_step"]), model.N,
+        sm = SubModel(i, i * model.half_steps, model.N,
                       list(json.loads(manifest[pre + "pending"])))
         sm.retrain_history = list(json.loads(manifest[pre + "retrain_history"]))
-        if manifest[pre + "trained"] == "1":
-            sm.L = int(manifest[pre + "L"])
-            sm.P = int(manifest[pre + "P"])
-            sm.P0 = int(manifest[pre + "P0"])
-            sm.k1 = int(manifest[pre + "k1"])
-            sm.k2 = int(manifest[pre + "k2"])
+        if sm.retrain_history:
             sub = f"sub_{i}"
             for attr, fnames in _SVD_FILES.items():
-                U = _load_array(directory, f"{sub}/{fnames[0]}.f64", manifest)
-                s = _vector(_load_array(directory, f"{sub}/{fnames[1]}.f64", manifest))
-                V = _load_array(directory, f"{sub}/{fnames[2]}.f64", manifest)
-                setattr(sm, attr, TruncatedSVD(U, s, V))
+                U, s, V = (_load_array(directory, f"{sub}/{name}.f64", manifest)
+                           for name in fnames)
+                setattr(sm, attr, TruncatedSVD(U, s.reshape(-1), V))
             for attr in _VEC_FILES:
-                setattr(sm, attr,
-                        _vector(_load_array(directory, f"{sub}/{attr}.f64", manifest)))
+                vec = _load_array(directory, f"{sub}/{attr}.f64", manifest)
+                setattr(sm, attr, vec.reshape(-1))
+            if version < 5:
+                _reorder_columns(sm, int(manifest[pre + "P"]))
         model.submodels.append(sm)
     return model
+
+
+def _reorder_columns(sm: SubModel, P: int) -> None:
+    """Move the V rows of a format 1-4 sub-model of ``P`` columns per series
+    to row N*j + n.  Those stores kept column j of series n at row n*R + j
+    for the R columns per series of the last retrain."""
+    R = (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
+    svds = [getattr(sm, attr) for attr in _SVD_FILES]
+    if not 0 <= R <= P or any(svd.V.shape[0] != sm.N * P for svd in svds):
+        raise CorruptManifest(f"sub{sm.index}.P={P} disagrees with its V files")
+    j, n = np.arange(P)[:, None], np.arange(sm.N)
+    old = np.where(j < R, n * R + j, sm.N * j + n).ravel()
+    for svd in svds:
+        svd.V = svd.V[old]
 
 
 def load_model(directory) -> PredictionModel:

@@ -82,6 +82,14 @@ def _sign_fix(U: np.ndarray, V: np.ndarray) -> None:
         V[:, flip] *= -1.0
 
 
+def _factors(U: np.ndarray, s: np.ndarray, V: np.ndarray) -> TruncatedSVD:
+    """The sign-fixed factors in contiguous arrays, with their own ``s``."""
+    U = np.ascontiguousarray(U)
+    V = np.ascontiguousarray(V)
+    _sign_fix(U, V)
+    return TruncatedSVD(U, s.copy(), V)
+
+
 def truncated_svd(m: np.ndarray, k: int) -> TruncatedSVD:
     """Best rank-k approximation of ``m`` in Frobenius norm (exact LAPACK)."""
     m = np.asarray(m, dtype=np.float64)
@@ -92,11 +100,7 @@ def truncated_svd(m: np.ndarray, k: int) -> TruncatedSVD:
     if not 1 <= k <= min(m.shape):
         raise RankOutOfRange(f"k={k} outside [1, {min(m.shape)}]")
     U, s, Vt = np.linalg.svd(m, full_matrices=False)
-    U = np.ascontiguousarray(U[:, :k])
-    V = np.ascontiguousarray(Vt[:k].T)
-    s = s[:k].copy()
-    _sign_fix(U, V)
-    return TruncatedSVD(U, s, V)
+    return _factors(U[:, :k], s[:k], Vt[:k].T)
 
 
 def select_rank(s: np.ndarray, L: int, cols: int) -> int:
@@ -140,11 +144,7 @@ def svd_with_spectrum(m: np.ndarray,
         if k is None:
             k = select_rank(s_full, rows, cols)
         k = max(1, min(k, min_dim))
-        U = np.ascontiguousarray(U[:, :k])
-        V = np.ascontiguousarray(Vt[:k].T)
-        s = s_full[:k].copy()
-        _sign_fix(U, V)
-        return TruncatedSVD(U, s, V), s_full
+        return _factors(U[:, :k], s_full[:k], Vt[:k].T), s_full
 
     gram = m @ m.T
     w, q = np.linalg.eigh(gram)
@@ -155,11 +155,7 @@ def svd_with_spectrum(m: np.ndarray,
     U0 = q[:, ::-1][:, :k]
     V1, _ = np.linalg.qr(m.T @ U0)
     U, s, Wt = np.linalg.svd(m @ V1, full_matrices=False)
-    V = V1 @ Wt.T
-    U = np.ascontiguousarray(U)
-    V = np.ascontiguousarray(V)
-    _sign_fix(U, V)
-    return TruncatedSVD(U, s.copy(), V), s_full
+    return _factors(U, s, V1 @ Wt.T), s_full
 
 
 def _reorthogonalize(Q: np.ndarray) -> np.ndarray:
@@ -209,13 +205,9 @@ def append_columns(svd: TruncatedSVD, B: np.ndarray, k: int) -> TruncatedSVD:
 
     U_new = np.hstack([U, Q]) @ F
     V_new = np.vstack([V @ G[:kk], G[kk:]])
-    s_new = theta[:k_new].copy()
 
     if np.abs(U_new.T @ U_new - np.eye(k_new)).max() > ORTHO_DRIFT_TOL:
         U_new = _reorthogonalize(U_new)
     if np.abs(V_new.T @ V_new - np.eye(k_new)).max() > ORTHO_DRIFT_TOL:
         V_new = _reorthogonalize(V_new)
-
-    _sign_fix(U_new, V_new)
-    return TruncatedSVD(np.ascontiguousarray(U_new), s_new,
-                        np.ascontiguousarray(V_new))
+    return _factors(U_new, theta[:k_new], V_new)

@@ -31,7 +31,8 @@ def test_served_model_equals_batch():
     model = pc.create_model(batch, pc.HyperParams(
         T0=n_series * t_len, Tprime=2 * n_series * t_len, L=L))
     [sm] = model.submodels
-    assert len(sm.retrain_history) == 1 and sm.P == sm.P0
+    assert len(sm.retrain_history) == 1
+    assert sm.P == (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
 
     fit = fit_segment(batch.values, L)
     for name in ("mean_svd", "var_svd", "fc_mean_svd", "fc_var_svd"):

@@ -1,5 +1,9 @@
 import hashlib
+import json
 import os
+import pathlib
+import re
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,8 @@ import pagecast as pc
 from pagecast import persistence
 from pagecast.errors import ChecksumMismatch, CorruptManifest, VersionUnsupported
 from pagecast.estimator import pcr_coefficients
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _model(n_steps=900, n_series=2, seed=0, hp=None):
@@ -28,6 +34,48 @@ def _probe(model, n_steps):
             r = pc.predict_point(model, series, t)
             out.append((r.mean, r.variance, r.lo, r.hi, r.kind))
     return out
+
+
+def _old_rows(sm):
+    """Where store formats 1-4 kept each V row: they laid the R columns
+    per series of the last retrain out series-major, column j < R of series
+    n at row n*R + j, and appended columns at N*j + n as format 5 does."""
+    R = (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
+    j, n = np.arange(sm.P)[:, None], np.arange(sm.N)
+    return np.where(j < R, n * R + j, sm.N * j + n).ravel()
+
+
+def _as_format(model, store, manifest, version):
+    """Rewrite the format-5 save of ``model`` in ``store``, whose manifest
+    is ``manifest``, into the layout of store format ``version`` (1-4): the
+    V rows of the retrain columns go back to series-major, the sub-model keys
+    start_step, trained, L, P, P0, k1 and k2 are written and the checksums
+    recomputed.  Updates ``manifest`` in place; the caller adds what else
+    that format held and writes it with :func:`_write_manifest`."""
+    manifest["format_version"] = str(version)
+    for sm in model.submodels:
+        pre = f"sub{sm.index}."
+        manifest[pre + "start_step"] = str(sm.start_step)
+        manifest[pre + "trained"] = "1" if sm.trained else "0"
+        if not sm.trained:
+            continue
+        P0 = (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
+        for key, value in (("L", sm.L), ("P", sm.P), ("P0", P0),
+                           ("k1", sm.k1), ("k2", sm.k2)):
+            manifest[pre + key] = str(value)
+        for attr, (_, _, v_file) in persistence._SVD_FILES.items():
+            V = getattr(sm, attr).V
+            old = np.empty_like(V)
+            old[_old_rows(sm)] = V
+            relpath = f"sub_{sm.index}/{v_file}.f64"
+            data = persistence.encode_f64(old)
+            (store / relpath).write_bytes(data)
+            manifest[f"checksum.{relpath}"] = persistence._sha256(data)
+
+
+def _write_manifest(store, manifest):
+    (store / "manifest.txt").write_text(
+        "".join(f"{k}={v}\n" for k, v in manifest.items()))
 
 
 def _assert_loads_like(model, tmp_path):
@@ -71,8 +119,9 @@ class TestRoundTrip:
         assert loaded.hp == model.hp
         assert len(loaded.submodels) == len(model.submodels)
         for a, b in zip(model.submodels, loaded.submodels):
-            assert (a.L, a.P, a.P0, a.k1, a.k2) == (b.L, b.P, b.P0, b.k1, b.k2)
+            assert (a.L, a.P, a.k1, a.k2) == (b.L, b.P, b.k1, b.k2)
             assert a.pending == b.pending
+            assert a.retrain_history == b.retrain_history
             if a.trained:
                 np.testing.assert_array_equal(a.mean_svd.U, b.mean_svd.U)
                 np.testing.assert_array_equal(a.beta_var, b.beta_var)
@@ -115,17 +164,15 @@ class TestRoundTrip:
         # format 1 also stored coeff_avg.f64 and half_steps; both are
         # derived state that load now ignores
         model = _model()
-        assert "half_steps" not in pc.save_model(model, tmp_path / "m")
+        manifest = pc.save_model(model, tmp_path / "m")
+        assert "half_steps" not in manifest
         assert not (tmp_path / "m" / "coeff_avg.f64").exists()
+        _as_format(model, tmp_path / "m", manifest, 1)
         coeff = persistence.encode_f64(np.vstack(model.averaged_coefficients()))
         (tmp_path / "m" / "coeff_avg.f64").write_bytes(coeff)
-        manifest = tmp_path / "m" / "manifest.txt"
-        text = manifest.read_text().replace(
-            f"format_version={persistence.FORMAT_VERSION}\n",
-            "format_version=1\n")
-        text += (f"half_steps={model.half_steps}\n"
-                 f"checksum.coeff_avg.f64={persistence._sha256(coeff)}\n")
-        manifest.write_text(text)
+        manifest["half_steps"] = str(model.half_steps)
+        manifest["checksum.coeff_avg.f64"] = persistence._sha256(coeff)
+        _write_manifest(tmp_path / "m", manifest)
         loaded = pc.load_model(tmp_path / "m")
         assert loaded.half_steps == model.half_steps
         assert _probe(loaded, loaded.n_steps) == _probe(model, model.n_steps)
@@ -138,16 +185,15 @@ class TestRoundTrip:
         manifest = pc.save_model(model, tmp_path / "m")
         assert not any(k.endswith((".steps", ".buf_len")) for k in manifest)
         assert not list((tmp_path / "m").glob("sub_*/buf.f64"))
-        lines = ["format_version=2" if k == "format_version" else f"{k}={v}"
-                 for k, v in manifest.items()]
+        _as_format(model, tmp_path / "m", manifest, 2)
         rebuilt = 0
         for sm in model.submodels:
             steps = min(model.n_steps - sm.start_step, 2 * model.half_steps)
-            lines.append(f"sub{sm.index}.steps={steps}")
+            manifest[f"sub{sm.index}.steps"] = str(steps)
             if not sm.trained:
                 continue
             buf_len = steps - sm.L * sm.P
-            lines.append(f"sub{sm.index}.buf_len={buf_len}")
+            manifest[f"sub{sm.index}.buf_len"] = str(buf_len)
             # sub-models whose steps are pruned keep these placeholders
             buf = np.zeros((model.N, sm.L))
             last = np.full(model.N * sm.P, np.nan)
@@ -164,14 +210,16 @@ class TestRoundTrip:
                 assert fitted[0].tobytes() == sm.beta_mean.tobytes()
                 assert fitted[1].tobytes() == sm.beta_var.tobytes()
                 rebuilt += 1
+            # the row in that store's V order
+            last[_old_rows(sm)] = last.copy()
             for name, arr in (("buf", buf), ("last_row_mean", last),
                               ("last_row_var", last * last)):
                 data = persistence.encode_f64(arr)
                 (tmp_path / "m" / f"sub_{sm.index}" / f"{name}.f64").write_bytes(data)
-                lines.append(f"checksum.sub_{sm.index}/{name}.f64="
-                             f"{persistence._sha256(data)}")
+                manifest[f"checksum.sub_{sm.index}/{name}.f64"] = \
+                    persistence._sha256(data)
         assert rebuilt >= 2
-        (tmp_path / "m" / "manifest.txt").write_text("\n".join(lines) + "\n")
+        _write_manifest(tmp_path / "m", manifest)
         _assert_loads_like(model, tmp_path)
 
     def test_format_3_store_loads(self, tmp_path):
@@ -179,17 +227,16 @@ class TestRoundTrip:
         # exactly where raw_values.f64 is finite; load now derives it
         model = _model()
         manifest = pc.save_model(model, tmp_path / "m")
-        assert manifest["format_version"] == "4"
+        assert manifest["format_version"] == "5"
         assert not (tmp_path / "m" / "raw_mask.f64").exists()
+        _as_format(model, tmp_path / "m", manifest, 3)
         raw = persistence.decode_f64(
             (tmp_path / "m" / "raw_values.f64").read_bytes())
         assert not np.isfinite(raw).all()
         data = persistence.encode_f64(np.isfinite(raw).astype(np.float64))
         (tmp_path / "m" / "raw_mask.f64").write_bytes(data)
-        lines = ["format_version=3" if k == "format_version" else f"{k}={v}"
-                 for k, v in manifest.items()]
-        lines.append(f"checksum.raw_mask.f64={persistence._sha256(data)}")
-        (tmp_path / "m" / "manifest.txt").write_text("\n".join(lines) + "\n")
+        manifest["checksum.raw_mask.f64"] = persistence._sha256(data)
+        _write_manifest(tmp_path / "m", manifest)
         _assert_loads_like(model, tmp_path)
 
     def test_loaded_window_has_spare_capacity(self, tmp_path):
@@ -214,11 +261,82 @@ class TestRoundTrip:
             after = _probe(pc.load_model(tmp_path / f"m{seed}"), model.n_steps)
             assert before == after, seed
 
+    def test_submodel_entry_is_pending_history_and_checksums(self, tmp_path):
+        # a sub-model's first step, whether it is trained and its shapes
+        # are derived at load, so format 5 stores none of them
+        model = _model()
+        manifest = pc.save_model(model, tmp_path / "m")
+        keys = {k for k in manifest if re.match(r"sub\d+\.", k)}
+        assert keys == {f"sub{sm.index}.{name}" for sm in model.submodels
+                        for name in ("pending", "retrain_history")}
+        assert model.trained_submodels()
+        for sm in model.trained_submodels():
+            assert f"checksum.sub_{sm.index}/V.f64" in manifest
+
     def test_version_counter_monotone(self, tmp_path):
         model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
         m1 = pc.save_model(model, tmp_path / "m")
         m2 = pc.save_model(model, tmp_path / "m")
         assert int(m2["model_version"]) == int(m1["model_version"]) + 1
+
+
+def _fixture_answers(model):
+    """The queries of data/format4_answers.json, answered by ``model``."""
+    out = []
+    for n in range(model.N):
+        rows = pc.predict_range(model, n, 1, 520)
+        out += [[n, t, rows[t - 1].mean.hex(), rows[t - 1].variance.hex()]
+                for t in range(1, 521, 4)]
+    return out
+
+
+class TestFormat4Store:
+    """data/format4/, written in store format 4 by the code that last
+    saved it (data/make_format4.py): three series, five sub-models, each
+    retrained and then extended by appended Page columns."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        shutil.copytree(DATA / "format4", tmp_path / "m")
+        return tmp_path / "m"
+
+    @staticmethod
+    def _edit(store, key, value):
+        manifest = persistence._read_manifest(str(store))
+        assert key in manifest
+        manifest[key] = value
+        _write_manifest(store, manifest)
+
+    def test_answers_bit_for_bit(self, store):
+        model = pc.load_model(store)
+        assert len(model.trained_submodels()) == 5
+        for sm in model.trained_submodels():
+            assert sm.P > (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
+        want = json.loads((DATA / "format4_answers.json").read_text())
+        assert _fixture_answers(model) == want
+
+    def test_resaved_as_format_5_answers_as_in_memory(self, store, tmp_path):
+        model = pc.load_model(store)
+        rng = np.random.default_rng(11)
+        block = np.cos(np.arange(150.0) / 7)[None, :] * np.ones((3, 1))
+        block[rng.random(block.shape) < 0.1] = np.nan
+        model.insert_many(block)
+        manifest = pc.save_model(model, tmp_path / "m5")
+        assert manifest["format_version"] == "5"
+        reloaded = pc.load_model(tmp_path / "m5")
+        assert _fixture_answers(reloaded) == _fixture_answers(model)
+        assert _probe(reloaded, model.n_steps) == _probe(model, model.n_steps)
+
+    def test_stored_shape_keys_are_not_read(self, store):
+        # sub0 has L=6; an edited L once changed its answers
+        self._edit(store, "sub0.L", "5")
+        want = json.loads((DATA / "format4_answers.json").read_text())
+        assert _fixture_answers(pc.load_model(store)) == want
+
+    def test_P_disagreeing_with_V_refused(self, store):
+        self._edit(store, "sub0.P", "34")
+        with pytest.raises(CorruptManifest):
+            pc.load_model(store)
 
 
 class TestArrayEncoding:
@@ -247,7 +365,7 @@ class TestArrayEncoding:
         # of the array it stores, and the manifest its sha256.
         model = _model()
         assert len(model.trained_submodels()) >= 2
-        expect = {"raw_values.f64": model.raw.state()[0]}
+        expect = {"raw_values.f64": model.raw.rows().T}
         for sm in model.trained_submodels():
             for attr, names in persistence._SVD_FILES.items():
                 svd = getattr(sm, attr)
@@ -276,7 +394,7 @@ def window_model():
     batch = pc.TimeSeriesBatch([f"s{i}" for i in range(10)], vals,
                                rng.random(vals.shape) < 0.9)
     model = pc.create_model(batch)
-    assert model.raw.state()[0].nbytes == 4_000_000
+    assert model.raw.rows().nbytes == 4_000_000
     assert model.trained_submodels()
     return model
 
@@ -363,6 +481,16 @@ class TestValidation:
             f"format_version={persistence.FORMAT_VERSION + 1}")
         manifest.write_text(text)
         with pytest.raises(VersionUnsupported):
+            pc.load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("key, value", [
+        ("hp.L", '"x"'), ("names", "5"), ("sub0.retrain_history", "3")])
+    def test_wrongly_typed_value(self, tmp_path, key, value):
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        manifest = pc.save_model(model, tmp_path / "m")
+        manifest[key] = value
+        _write_manifest(tmp_path / "m", manifest)
+        with pytest.raises(CorruptManifest):
             pc.load_model(tmp_path / "m")
 
     def test_missing_dir(self, tmp_path):

@@ -404,7 +404,9 @@ class TestOneQueryPath:
 
     def test_spans_cross_every_regime(self):
         model = _multi_segment_model()
-        assert any(sm.P > sm.P0 for sm in model.submodels)
+        assert any(
+            sm.P > (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
+            for sm in model.trained_submodels())
         kinds = {(r.kind, r.fallback) for r in pc.predict_range(
             model, 0, 1, model.n_steps + 5)}
         assert kinds == {("imputed", False), ("imputed", True),
