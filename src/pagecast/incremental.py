@@ -14,6 +14,7 @@ retrain the model answers with the running mean of everything seen
 (fallback mode).
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -186,13 +187,10 @@ class SubModel:
     of its L x (N*P) stacked Page matrix, whose column N*j + n is Page column
     j of series n.  L, P and the ranks k1 and k2 are read off the factors."""
 
-    def __init__(self, index: int, start_step: int, n_series: int,
-                 pending: list[int]):
+    def __init__(self, index: int, start_step: int, n_series: int):
         self.index = index
         self.start_step = start_step
         self.N = n_series
-        # Retrain thresholds, in observations, not yet crossed.
-        self.pending = pending
         self.retrain_history: list[int] = []
         self.mean_svd = None
         self.var_svd = None
@@ -261,9 +259,11 @@ class PredictionModel:
         self.obs_sumsq = 0.0
         self.obs_cnt = 0
         self.half_steps = max(1, self.hp.Tprime // (2 * self.N))
+        # Retrain thresholds of later segments ([0]) and the first ([1]).
+        self._thresholds = [retrain_thresholds(self.hp, f) for f in (False, True)]
         self.submodels: list[SubModel] = []
         self.raw = _RawWindow(self.N)
-        self._coeff_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._coeff_cache = None  # (coeff_window, its averaged coefficients)
         self.query_stats = {"factor_entries": 0}
 
     # --- basic state ----------------------------------------------------
@@ -351,7 +351,7 @@ class PredictionModel:
         block is marked ``superseded`` and folds no steps into its factors
         until that retrain.  This is exact because a retrain reads none of
         what an append writes: when it fires depends only on the step count
-        and the pending thresholds (:meth:`_next_retrain`), and it rebuilds
+        and the retrain history (:meth:`_next_retrain`), and it rebuilds
         the factors (hence L and P) and beta from the raw window (whose
         pruning reads only L).
         """
@@ -392,23 +392,27 @@ class PredictionModel:
 
     def _next_retrain(self, sm: SubModel) -> int | None:
         """Segment step count at which ``sm`` next fully retrains, or None
-        if it never does: the first count that crosses its lowest pending
-        threshold (multi-series steps can jump over a threshold) and has a
-        Page window.  A window exists for exactly the counts from
+        if it never does: the first count that crosses its first threshold
+        above the observations of its last retrain, or above 0 before any
+        (multi-series steps can jump over a threshold), and has a Page
+        window.  A window exists for exactly the counts from
         L0 * ceil(L0 / N) on, with L0 the L override or 2; a sub-model is
         fed 2 * half_steps steps at most."""
-        if not sm.pending:
+        thresholds = self._thresholds[sm.index == 0]
+        done = sm.retrain_history[-1] - sm.start_obs if sm.retrain_history else 0
+        nxt = bisect.bisect_right(thresholds, done)
+        if nxt == len(thresholds):
             return None
         L0 = self.hp.L or 2
-        due = max(-(-min(sm.pending) // self.N), L0 * -(-L0 // self.N))
+        due = max(-(-thresholds[nxt] // self.N), L0 * -(-L0 // self.N))
         return due if due <= 2 * self.half_steps else None
 
     def _steps_to_event(self, limit: int) -> int:
         """How many of the next steps (at most ``limit`` and BULK_STEPS)
-        :meth:`insert_many` adds at once: up to and including the first
-        that opens a sub-model, completes a Page column of a trained sub-model
-        that is not superseded, or retrains one.  Marks ``superseded`` every
-        trained sub-model whose next retrain lies within ``limit`` steps."""
+        :meth:`insert_many` adds at once: up to and including the first that
+        opens a sub-model, completes a Page column of a trained sub-model not
+        superseded, or retrains one (an overdue one at the next step).  Marks
+        ``superseded`` every trained sub-model due within ``limit`` steps."""
         step = self.n_steps
         n = min(limit, BULK_STEPS, len(self.submodels) * self.half_steps - step + 1)
         for sm in self.segments_for_step(step):
@@ -417,7 +421,7 @@ class PredictionModel:
             if due is not None:
                 if sm.trained and due - steps <= limit:
                     sm.superseded = True
-                n = min(n, due - steps)
+                n = min(n, max(due - steps, 1))
             if sm.trained and not sm.superseded:
                 n = min(n, sm.L * (sm.P + 1) - steps)
         return n
@@ -442,9 +446,7 @@ class PredictionModel:
         newest = step // self.half_steps
         while len(self.submodels) <= newest:
             j = len(self.submodels)
-            self.submodels.append(SubModel(
-                j, j * self.half_steps, self.N,
-                retrain_thresholds(self.hp, first_segment=(j == 0))))
+            self.submodels.append(SubModel(j, j * self.half_steps, self.N))
             if len(self.submodels) >= 2:
                 keep_from = self.submodels[-2].start_step
                 margin = max((sm.L or 2) for sm in self.submodels) + 2
@@ -457,13 +459,12 @@ class PredictionModel:
         steps = self._seg_steps(sm)
         due = self._next_retrain(sm)
         if due is not None and steps >= due:
-            sm.pending = [th for th in sm.pending if th > steps * self.N]
             self._full_retrain(sm)
-            self._coeff_cache.clear()
+            self._coeff_cache = None
         elif (sm.trained and not sm.superseded
               and steps == sm.L * (sm.P + 1)):
             self._append_block(sm)
-            self._coeff_cache.clear()
+            self._coeff_cache = None
 
     def _window_for(self, t_seg: int) -> int:
         """Page window for a segment of ``t_seg`` steps: the L override, or
@@ -505,19 +506,17 @@ class PredictionModel:
 
     # --- coefficients -----------------------------------------------------
 
-    def averaged_coefficients(self, window: int | None = None
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """Lag-aligned elementwise mean of beta over the last sub-models.
+    def averaged_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lag-aligned elementwise mean of beta over the last
+        ``hp.coeff_window`` fitted sub-models.
 
         Sub-models fitted with different windows yield different coefficient
         lengths; shorter vectors are zero-padded at the old-lag end before
         averaging, which treats absent lags as zero coefficients.
         """
-        m = self.hp.coeff_window if window is None else window
-        if m < 1:
-            raise InvalidParams("window must be >= 1")
-        if m in self._coeff_cache:
-            return self._coeff_cache[m]
+        m = self.hp.coeff_window
+        if self._coeff_cache is not None and self._coeff_cache[0] == m:
+            return self._coeff_cache[1]
         fitted = [sm for sm in self.submodels if sm.beta_mean is not None]
         if not fitted:
             raise UntrainedModel("no trained sub-model")
@@ -531,7 +530,7 @@ class PredictionModel:
             bv[pad:] += sm.beta_var
         bm /= len(last)
         bv /= len(last)
-        self._coeff_cache[m] = (bm, bv)
+        self._coeff_cache = (m, (bm, bv))
         return bm, bv
 
 

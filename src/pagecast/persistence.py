@@ -1,4 +1,4 @@
-"""Durable on-disk model store.
+"""Durable on-disk model store, format 6.
 
 Layout of a saved model directory::
 
@@ -15,34 +15,33 @@ Every ``.f64`` file is two little-endian uint64 dimensions (rows, cols)
 followed by rows*cols little-endian IEEE-754 float64 values in column-major
 order.  Exact float state (running sums, gamma) is stored in the manifest as
 hex floats, so a load reproduces predictions bit for bit.  Row N*j + n of
-a V file is Page column j of series n.  Nothing that load can derive is
-stored: a sub-model keeps only ``pending``, ``retrain_history`` and its
-checksums (its first step is i * half_steps, it is trained once it has
-retrained, L, P, k1 and k2 are its factor shapes), and the averaged forecast
-coefficients, the half-segment length, each sub-model's step count,
-unfinished Page column and last Page row, and the observation mask (the
-finite raw entries) are recomputed.  Formats 1-4 stored the sub-model
-shapes and laid the last retrain's columns out series-major, which load
-undoes (:func:`_reorder_columns`), formats 1-3 the mask (``raw_mask.f64``),
-formats 1 and 2 the step count, column and row (``steps``/``buf_len`` keys,
-``buf.f64``, ``last_row_*.f64``), format 1 also ``coeff_avg.f64`` and
-``half_steps``; such stores still load, ignoring them.
+a V file is Page column j of series n.  ``raw_values.f64`` is the raw
+window's time-major buffer as it is: a save writes it from the window and a
+load reads it into a new one, neither holding a copy.
 
-The raw window keeps its steps time-major, one row of N values per step,
-which is byte for byte the column-major payload of ``raw_values.f64``.  A
-save writes the header and the window's live rows where they are, hashing
-them as it writes; a load reads the payload straight into a new window's
-buffer and checks its checksum before it returns the model.  Neither holds
-a second copy of the window.
+Nothing that load can derive is stored.  The series count is the raw file's
+header, the step count ``raw_start`` plus its steps, the sub-model count
+ceil(n_steps / half_steps).  A sub-model keeps only ``retrain_history`` and
+its checksums: its first step is i * half_steps, it is trained once it has
+retrained, L, P, k1 and k2 are its factor shapes, and its next retrain
+follows from its history and :func:`retrain_thresholds`.  The averaged
+coefficients, each sub-model's unfinished Page column and last Page row, and
+the observation mask (the finite raw entries) are recomputed.  Load refuses
+names that disagree with the raw file, histories that disagree with the
+factor files listed and factors whose L or P disagree with the history and
+step count (CorruptManifest).  Formats 1-5 stored the counts and ``pending``
+thresholds, formats 1-4 the sub-model shapes with the last retrain's columns
+series-major (undone by :func:`_reorder_columns`), formats 1-3 the mask
+(``raw_mask.f64``), formats 1 and 2 each sub-model's step count, column and
+row (``steps``/``buf_len`` keys, ``buf.f64``, ``last_row_*.f64``), format 1
+``coeff_avg.f64`` and ``half_steps``; such stores still load, ignoring them.
 
 Saves are staged in ``<dir>.staging`` and committed by renaming the old
-directory to ``<dir>.bak`` and the staging directory to ``<dir>``.  Every
-file and every staging directory is fsynced before the renames and the
-parent directory after them, so a commit also survives power loss.  A load
-falls back to the backup when the primary's manifest is missing or
-unreadable, so an interrupted save always leaves the previous version
-loadable.  Checksum and other validation failures of a readable primary are
-raised, not hidden by the fallback.
+directory to ``<dir>.bak`` and the staging directory to ``<dir>``, with every
+file and directory fsynced before the renames and the parent after them.  A
+load falls back to the backup only when the primary's manifest is missing or
+unreadable, so an interrupted save leaves the previous version loadable;
+other validation failures of a readable primary are raised.
 """
 
 import hashlib
@@ -56,7 +55,7 @@ from .errors import ChecksumMismatch, CorruptManifest, VersionUnsupported
 from .incremental import HyperParams, PredictionModel, SubModel, _RawWindow
 from .svd_engine import TruncatedSVD
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _SVD_FILES = {
     "mean_svd": ("U", "S", "V"),
@@ -157,8 +156,6 @@ def save_model(model: PredictionModel, directory) -> dict:
         "format_version": str(FORMAT_VERSION),
         "model_version": str(prev_version + 1),
         "names": json.dumps(model.names),
-        "n_series": str(model.N),
-        "n_steps": str(model.n_steps),
         "t0": float(model.t0).hex(),
         "step": float(model.step).hex(),
         "obs_sum": float(model.obs_sum).hex(),
@@ -171,7 +168,6 @@ def save_model(model: PredictionModel, directory) -> dict:
         "hp.k1": json.dumps(model.hp.k1),
         "hp.k2": json.dumps(model.hp.k2),
         "hp.coeff_window": str(model.hp.coeff_window),
-        "submodel_count": str(len(model.submodels)),
     }
 
     checksums: dict[str, str] = {}
@@ -189,9 +185,7 @@ def save_model(model: PredictionModel, directory) -> dict:
          rows.astype("<f8", copy=False))
 
     for sm in model.submodels:
-        pre = f"sub{sm.index}."
-        manifest[pre + "pending"] = json.dumps(sm.pending)
-        manifest[pre + "retrain_history"] = json.dumps(sm.retrain_history)
+        manifest[f"sub{sm.index}.retrain_history"] = json.dumps(sm.retrain_history)
         if not sm.trained:
             continue
         sub = f"sub_{sm.index}"
@@ -240,7 +234,7 @@ def _read_manifest(directory: str) -> dict[str, str]:
                     f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             out[key] = value
-    for key in ("format_version", "model_version", "n_series", "n_steps"):
+    for key in ("format_version", "model_version"):
         if key not in out:
             raise PersistenceReadError(f"{path}: missing key {key!r}")
     return out
@@ -325,24 +319,28 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
         k2=json.loads(manifest["hp.k2"]),
         coeff_window=int(manifest["hp.coeff_window"]),
     )
-    names = json.loads(manifest["names"])
-    model = PredictionModel(names, hp,
+    model = PredictionModel(json.loads(manifest["names"]), hp,
                             t0=float.fromhex(manifest["t0"]),
                             step=float.fromhex(manifest["step"]))
-    model.n_steps = int(manifest["n_steps"])
     model.obs_sum = float.fromhex(manifest["obs_sum"])
     model.obs_sumsq = float.fromhex(manifest["obs_sumsq"])
     model.obs_cnt = int(manifest["obs_cnt"])
 
     model.raw = _load_raw(directory, manifest)
+    if model.raw.rows().shape[1] != model.N:
+        raise CorruptManifest("names disagree with raw_values.f64's series")
+    model.n_steps = model.raw.start_step + model.raw.n_cols
 
-    count = int(manifest["submodel_count"])
-    for i in range(count):
-        pre = f"sub{i}."
-        sm = SubModel(i, i * model.half_steps, model.N,
-                      list(json.loads(manifest[pre + "pending"])))
-        sm.retrain_history = list(json.loads(manifest[pre + "retrain_history"]))
-        if sm.retrain_history:
+    histories = [list(json.loads(manifest[f"sub{i}.retrain_history"]))
+                 for i in range(-(-model.n_steps // model.half_steps))]
+    listed = {key.partition("/")[0] for key in manifest
+              if key.startswith("checksum.sub_")}
+    if listed != {f"checksum.sub_{i}" for i, h in enumerate(histories) if h}:
+        raise CorruptManifest("retrain histories disagree with files listed")
+    for i, history in enumerate(histories):
+        sm = SubModel(i, i * model.half_steps, model.N)
+        sm.retrain_history = history
+        if history:
             sub = f"sub_{i}"
             for attr, fnames in _SVD_FILES.items():
                 U, s, V = (_load_array(directory, f"{sub}/{name}.f64", manifest)
@@ -352,7 +350,10 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
                 vec = _load_array(directory, f"{sub}/{attr}.f64", manifest)
                 setattr(sm, attr, vec.reshape(-1))
             if version < 5:
-                _reorder_columns(sm, int(manifest[pre + "P"]))
+                _reorder_columns(sm, int(manifest[f"sub{i}.P"]))
+            if (sm.L != model._window_for(history[-1] // model.N - sm.start_step)
+                    or sm.P != model._seg_steps(sm) // sm.L):
+                raise CorruptManifest(f"sub_{i} shapes disagree with its history")
         model.submodels.append(sm)
     return model
 

@@ -205,7 +205,6 @@ class TestCreatePredict:
         model = pc.load_model(model_dir)
         for sm in model.submodels:
             sm.beta_mean = np.full_like(sm.beta_mean, 2.0 / len(sm.beta_mean))
-        model._coeff_cache.clear()
         pc.save_model(model, model_dir)
         code, out, err = _run(capsys, ["predict", "--model", str(model_dir),
                                        "--series", "s0", "--t", "50000"])

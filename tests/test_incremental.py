@@ -56,12 +56,57 @@ class TestScheduleFormulas:
         assert [feasible(t) for t in ts] == [t >= first for t in ts]
         model = pc.PredictionModel([f"s{i}" for i in range(n_series)],
                                    pc.HyperParams(T0=1, L=L))
-        sm = inc.SubModel(0, 0, n_series, [])
+        # a threshold at every observation count
+        last = 3000 * n_series + 5
+        model._thresholds = ((), range(1, last + 1))
+        sm = inc.SubModel(0, 0, n_series)
+        assert model._next_retrain(sm) == first
+        sm.retrain_history = [last]
         assert model._next_retrain(sm) is None
         for t in ts:
-            # the lowest threshold is first crossed at t steps
-            sm.pending = [(t - 1) * n_series + 1, t * n_series + 5]
+            # the next threshold is first crossed at t steps
+            sm.retrain_history = [(t - 1) * n_series]
             assert model._next_retrain(sm) == max(t, first), t
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("L", [None, 4])
+    @pytest.mark.parametrize("n_series", [1, 2, 3, 5, 10])
+    def test_history_schedule_matches_pending_rule(self, n_series, L, gamma):
+        # The schedule as it was kept before the retrain history alone
+        # fixed it: a pending list per sub-model, its segment's thresholds
+        # at first and after each retrain those above the sub-model's
+        # observations; the next retrain at the first step count that
+        # crosses the lowest pending threshold and has a Page window.
+        hp = pc.HyperParams(T0=7, Tprime=240, gamma=gamma, L=L)
+        vals = _stream(5 * 120 // n_series + 7, n_series, seed=n_series).values
+        vals[np.random.default_rng(1).random(vals.shape) < 0.1] = np.nan
+        model = pc.PredictionModel([f"s{i}" for i in range(n_series)], hp)
+        L0 = L or 2
+        pending, seen = [], []
+
+        def due(sm):
+            if not pending[sm.index]:
+                return None
+            t = max(-(-min(pending[sm.index]) // n_series),
+                    L0 * -(-L0 // n_series))
+            return t if t <= 2 * model.half_steps else None
+
+        for j in range(vals.shape[1]):
+            model.insert(vals[:, j])
+            for sm in model.submodels[len(pending):]:
+                pending.append(retrain_thresholds(hp, sm.index == 0))
+                seen.append(0)
+            for sm in model.segments_for_step(model.n_steps - 1):
+                steps = model.n_steps - sm.start_step
+                fired = due(sm) is not None and steps >= due(sm)
+                assert len(sm.retrain_history) == seen[sm.index] + fired
+                if fired:
+                    seen[sm.index] += 1
+                    pending[sm.index] = [th for th in pending[sm.index]
+                                         if th > steps * n_series]
+            for sm in model.submodels:
+                assert model._next_retrain(sm) == due(sm), (j, sm.index)
+        assert len(model.submodels) >= 5 and max(seen) >= 2
 
     def test_first_retrain_with_override_waits_for_window(self):
         # With L=150 at N=1 a window needs 150 columns: 22 500 steps, far
@@ -74,11 +119,12 @@ class TestScheduleFormulas:
         model.insert(vals[:, -1])
         sm = model.submodels[0]
         assert sm.retrain_history == [22_500] and (sm.L, sm.P) == (150, 150)
-        assert min(sm.pending) > 22_500
+        # the thresholds it crossed are behind it: the next is 100 * 1.5^14
+        assert model._next_retrain(sm) == 29_192
         # a segment of 22 000 steps ends before the window arrives
         short = pc.PredictionModel(["a"], pc.HyperParams(T0=100, Tprime=22_000,
                                                          L=150))
-        assert short._next_retrain(inc.SubModel(0, 0, 1, [100])) is None
+        assert short._next_retrain(inc.SubModel(0, 0, 1)) is None
 
     def test_hyperparam_validation(self):
         with pytest.raises(InvalidParams):
@@ -232,8 +278,7 @@ def _assert_same_state(a, b):
     assert _same_array(ra.rows().T, rb.rows().T)
     assert len(a.submodels) == len(b.submodels)
     for sa, sb in zip(a.submodels, b.submodels):
-        for attr in ("start_step", "pending", "retrain_history",
-                     "L", "P", "k1", "k2"):
+        for attr in ("start_step", "retrain_history", "L", "P", "k1", "k2"):
             assert getattr(sa, attr) == getattr(sb, attr), (sa.index, attr)
         for attr in ("mean_svd", "var_svd", "fc_mean_svd", "fc_var_svd"):
             fa, fb = getattr(sa, attr), getattr(sb, attr)
@@ -411,16 +456,40 @@ class TestInsertMany:
     def test_unreached_threshold_supersedes_nothing(self):
         # hp gives the first segment thresholds 301, 602 and 1204, but the
         # sub-model sees only 2 * 200 steps (1200 observations): its last
-        # pending threshold never fires, so its appends must all be kept
+        # threshold never fires, so its appends must all be kept
         hp = pc.HyperParams(T0=301, gamma=1.0, Tprime=1205)
         vals = _stream(700, 3, seed=5).values
         ref = pc.PredictionModel(["a", "b", "c"], hp)
         for j in range(vals.shape[1]):
             ref.insert(vals[:, j])
-        assert ref.submodels[0].pending == [1204]
+        assert ref.submodels[0].retrain_history == [303, 603]
+        assert ref._next_retrain(ref.submodels[0]) is None
         model = pc.PredictionModel(ref.names, hp)
         model.insert_many(vals)
         _assert_same_state(model, ref)
+
+    def test_overdue_retrain_fires_at_next_step(self):
+        # New thresholds reach a model trained on old ones (a store keeps
+        # only the retrain histories), so a sub-model's next retrain can lie
+        # behind the steps it has; both insert paths retrain it at the next.
+        hp = pc.HyperParams(T0=61, Tprime=600)
+        vals = _stream(675, 3, seed=6).values
+        models = []
+        for bulk in (False, True):
+            model = pc.PredictionModel(["a", "b", "c"], hp)
+            model.insert_many(vals[:, :525])
+            sm = model.submodels[5]
+            assert sm.retrain_history == [1563]
+            model._thresholds[0] = [61, 64, 91]
+            assert model._next_retrain(sm) == 22 < model._seg_steps(sm) == 25
+            if bulk:
+                model.insert_many(vals[:, 525:])
+            else:
+                for j in range(525, 675):
+                    model.insert(vals[:, j])
+            assert sm.retrain_history == [1563, 1578, 1593]
+            models.append(model)
+        _assert_same_state(*models)
 
     def test_reference_spans_several_segments(self):
         ref, events = _reference(1)[:2]

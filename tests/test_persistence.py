@@ -13,6 +13,7 @@ import pagecast as pc
 from pagecast import persistence
 from pagecast.errors import ChecksumMismatch, CorruptManifest, VersionUnsupported
 from pagecast.estimator import pcr_coefficients
+from pagecast.incremental import retrain_thresholds
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -45,16 +46,31 @@ def _old_rows(sm):
     return np.where(j < R, n * R + j, sm.N * j + n).ravel()
 
 
+def _pending(model, sm):
+    """The thresholds store formats 1-5 kept as ``sub<i>.pending``: those
+    above the observations of the sub-model's last retrain."""
+    done = sm.retrain_history[-1] - sm.start_obs if sm.retrain_history else 0
+    return [th for th in retrain_thresholds(model.hp, sm.index == 0)
+            if th > done]
+
+
 def _as_format(model, store, manifest, version):
-    """Rewrite the format-5 save of ``model`` in ``store``, whose manifest
-    is ``manifest``, into the layout of store format ``version`` (1-4): the
-    V rows of the retrain columns go back to series-major, the sub-model keys
-    start_step, trained, L, P, P0, k1 and k2 are written and the checksums
-    recomputed.  Updates ``manifest`` in place; the caller adds what else
-    that format held and writes it with :func:`_write_manifest`."""
-    manifest["format_version"] = str(version)
+    """Rewrite the current-format save of ``model`` in ``store``, whose
+    manifest is ``manifest``, into the layout of store format ``version``
+    (1-5): the keys n_series, n_steps, submodel_count and each sub-model's
+    pending list are written; for formats 1-4 the V rows of the retrain
+    columns also go back to series-major, the sub-model keys start_step,
+    trained, L, P, P0, k1 and k2 are written and the checksums recomputed.
+    Updates ``manifest`` in place; the caller adds what else that format
+    held and writes it with :func:`_write_manifest`."""
+    manifest.update(format_version=str(version), n_series=str(model.N),
+                    n_steps=str(model.n_steps),
+                    submodel_count=str(len(model.submodels)))
     for sm in model.submodels:
         pre = f"sub{sm.index}."
+        manifest[pre + "pending"] = json.dumps(_pending(model, sm))
+        if version == 5:
+            continue
         manifest[pre + "start_step"] = str(sm.start_step)
         manifest[pre + "trained"] = "1" if sm.trained else "0"
         if not sm.trained:
@@ -120,8 +136,8 @@ class TestRoundTrip:
         assert len(loaded.submodels) == len(model.submodels)
         for a, b in zip(model.submodels, loaded.submodels):
             assert (a.L, a.P, a.k1, a.k2) == (b.L, b.P, b.k1, b.k2)
-            assert a.pending == b.pending
             assert a.retrain_history == b.retrain_history
+            assert model._next_retrain(a) == loaded._next_retrain(b)
             if a.trained:
                 np.testing.assert_array_equal(a.mean_svd.U, b.mean_svd.U)
                 np.testing.assert_array_equal(a.beta_var, b.beta_var)
@@ -227,7 +243,7 @@ class TestRoundTrip:
         # exactly where raw_values.f64 is finite; load now derives it
         model = _model()
         manifest = pc.save_model(model, tmp_path / "m")
-        assert manifest["format_version"] == "5"
+        assert manifest["format_version"] == str(persistence.FORMAT_VERSION)
         assert not (tmp_path / "m" / "raw_mask.f64").exists()
         _as_format(model, tmp_path / "m", manifest, 3)
         raw = persistence.decode_f64(
@@ -261,14 +277,26 @@ class TestRoundTrip:
             after = _probe(pc.load_model(tmp_path / f"m{seed}"), model.n_steps)
             assert before == after, seed
 
-    def test_submodel_entry_is_pending_history_and_checksums(self, tmp_path):
-        # a sub-model's first step, whether it is trained and its shapes
-        # are derived at load, so format 5 stores none of them
+    def test_format_4_and_5_stores_load(self, tmp_path):
+        # generated stores; data/format4 and data/format5 are stores those
+        # formats' own code wrote
+        for version in (4, 5):
+            model = _model()
+            manifest = pc.save_model(model, tmp_path / "m")
+            _as_format(model, tmp_path / "m", manifest, version)
+            _write_manifest(tmp_path / "m", manifest)
+            _assert_loads_like(model, tmp_path)
+
+    def test_submodel_entry_is_history_and_checksums(self, tmp_path):
+        # a sub-model's first step, whether it is trained, its shapes and
+        # its pending thresholds are derived at load, and so are the series,
+        # step and sub-model counts: format 6 stores none of them
         model = _model()
         manifest = pc.save_model(model, tmp_path / "m")
         keys = {k for k in manifest if re.match(r"sub\d+\.", k)}
-        assert keys == {f"sub{sm.index}.{name}" for sm in model.submodels
-                        for name in ("pending", "retrain_history")}
+        assert keys == {f"sub{sm.index}.retrain_history"
+                        for sm in model.submodels}
+        assert not {"n_series", "n_steps", "submodel_count"} & set(manifest)
         assert model.trained_submodels()
         for sm in model.trained_submodels():
             assert f"checksum.sub_{sm.index}/V.f64" in manifest
@@ -280,13 +308,14 @@ class TestRoundTrip:
         assert int(m2["model_version"]) == int(m1["model_version"]) + 1
 
 
-def _fixture_answers(model):
-    """The queries of data/format4_answers.json, answered by ``model``."""
+def _fixture_answers(model, last=520):
+    """The queries of data/format4_answers.json (every fourth step up to
+    ``last`` of each series), answered by ``model``."""
     out = []
     for n in range(model.N):
-        rows = pc.predict_range(model, n, 1, 520)
+        rows = pc.predict_range(model, n, 1, last)
         out += [[n, t, rows[t - 1].mean.hex(), rows[t - 1].variance.hex()]
-                for t in range(1, 521, 4)]
+                for t in range(1, last + 1, 4)]
     return out
 
 
@@ -315,14 +344,14 @@ class TestFormat4Store:
         want = json.loads((DATA / "format4_answers.json").read_text())
         assert _fixture_answers(model) == want
 
-    def test_resaved_as_format_5_answers_as_in_memory(self, store, tmp_path):
+    def test_resaved_answers_as_in_memory(self, store, tmp_path):
         model = pc.load_model(store)
         rng = np.random.default_rng(11)
         block = np.cos(np.arange(150.0) / 7)[None, :] * np.ones((3, 1))
         block[rng.random(block.shape) < 0.1] = np.nan
         model.insert_many(block)
         manifest = pc.save_model(model, tmp_path / "m5")
-        assert manifest["format_version"] == "5"
+        assert manifest["format_version"] == str(persistence.FORMAT_VERSION)
         reloaded = pc.load_model(tmp_path / "m5")
         assert _fixture_answers(reloaded) == _fixture_answers(model)
         assert _probe(reloaded, model.n_steps) == _probe(model, model.n_steps)
@@ -335,6 +364,81 @@ class TestFormat4Store:
 
     def test_P_disagreeing_with_V_refused(self, store):
         self._edit(store, "sub0.P", "34")
+        with pytest.raises(CorruptManifest):
+            pc.load_model(store)
+
+
+class TestFormat5Store:
+    """data/format5/, written in store format 5 by the code that last
+    saved it (data/make_format5.py): three series and six sub-models, the
+    newest retrained once with a threshold still pending.  Format 5 also
+    stored n_series, n_steps, submodel_count and each sub-model's pending
+    thresholds, which load now derives."""
+
+    _edit = staticmethod(TestFormat4Store._edit)
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        shutil.copytree(DATA / "format5", tmp_path / "m")
+        return tmp_path / "m"
+
+    @pytest.fixture(scope="class")
+    def want(self):
+        return json.loads((DATA / "format5_answers.json").read_text())
+
+    @staticmethod
+    def _block():
+        """data/make_format5.py's block(): 150 steps, 10 % missing."""
+        rng = np.random.default_rng(11)
+        vals = np.cos(np.arange(150.0) / 7)[None, :] * np.ones((3, 1))
+        vals[rng.random(vals.shape) < 0.1] = np.nan
+        return vals
+
+    def _check(self, store, want):
+        """The store answers as the fixture's code did, and after the same
+        block it has retrained and answers as that code did."""
+        model = pc.load_model(store)
+        assert (model.n_steps, len(model.submodels)) == (525, 6)
+        assert _fixture_answers(model, 540) == want["answers"]
+        model.insert_many(self._block())
+        after = want["after_block"]
+        assert [sm.retrain_history for sm in model.submodels] == \
+            after["retrain_history"]
+        assert _fixture_answers(model, 690) == after["answers"]
+
+    def test_answers_and_continues_bit_for_bit(self, store, want):
+        manifest = persistence._read_manifest(str(store))
+        assert manifest["format_version"] == "5"
+        assert manifest["sub5.pending"] == "[91]"
+        model = pc.load_model(store)
+        # 63 of the sub-model's observations are in; 91 is first crossed
+        # at 31 steps
+        assert model.submodels[5].retrain_history == [1563]
+        assert model._next_retrain(model.submodels[5]) == 31
+        self._check(store, want)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_steps", "500"), ("n_series", "2"), ("submodel_count", "5"),
+        ("sub5.pending", "[10000]")])
+    def test_legacy_keys_are_not_read(self, store, want, key, value):
+        self._edit(store, key, value)
+        self._check(store, want)
+
+    @pytest.mark.parametrize("key, value", [
+        ("names", '["a", "b"]'),             # 3 series in raw_values.f64
+        ("sub1.retrain_history", "[]"),      # its factor files are listed
+        ("sub5.retrain_history", "[1593]"),  # L=3 at 31 steps, its U has 2
+        ("raw_start", "410")],               # sub5 would have P=17, not 12
+        ids=["names", "empty_history", "history", "raw_start"])
+    def test_disagreeing_edit_refused(self, store, key, value):
+        self._edit(store, key, value)
+        with pytest.raises(CorruptManifest):
+            pc.load_model(store)
+
+    def test_history_without_factor_files_refused(self, store):
+        manifest = persistence._read_manifest(str(store))
+        _write_manifest(store, {k: v for k, v in manifest.items()
+                                if not k.startswith("checksum.sub_5/")})
         with pytest.raises(CorruptManifest):
             pc.load_model(store)
 

@@ -149,10 +149,12 @@ class TestForecastQueries:
         model, _, _ = _model(n_steps=1800, hp=hp)
         fitted = [sm for sm in model.submodels if sm.beta_mean is not None]
         assert len(fitted) >= 2
-        bm, bv = model.averaged_coefficients(1)
+        model.hp.coeff_window = 1
+        bm, bv = model.averaged_coefficients()
         last = fitted[-1]
         np.testing.assert_array_equal(bm[-len(last.beta_mean):], last.beta_mean)
-        bm10, _ = model.averaged_coefficients(10)
+        model.hp.coeff_window = 10
+        bm10, _ = model.averaged_coefficients()
         width = max(len(sm.beta_mean) for sm in fitted[-10:])
         manual = np.zeros(width)
         for sm in fitted[-10:]:
@@ -170,8 +172,8 @@ class TestForecastQueries:
         other.beta_mean = np.zeros(w)
         other.beta_mean[1] = 1.0
         model.submodels.append(other)
-        model._coeff_cache.clear()
-        bm, _ = model.averaged_coefficients(10)
+        model.hp.coeff_window = 10
+        bm, _ = model.averaged_coefficients()
         expected = np.zeros(w)
         expected[0] = expected[1] = 0.5
         np.testing.assert_allclose(bm, expected)
@@ -185,7 +187,6 @@ class TestForecastQueries:
         for sm in model.submodels:
             sm.beta_mean = np.full_like(sm.beta_mean, 2.0 / len(sm.beta_mean))
             sm.beta_var = np.full_like(sm.beta_var, 2.0 / len(sm.beta_var))
-        model._coeff_cache.clear()
         pc.predict_point(model, 0, model.n_steps + 10, with_uq=with_uq)
         far = model.n_steps + 50_000
         with pytest.raises(UnstableForecast):
