@@ -19,6 +19,7 @@ from .ingestion import TimeSeriesBatch, aggregate, load_csv, write_csv
 from .metrics import ExperimentGrid, nrmse_pooled, wbc
 from .persistence import load_model, save_model
 from .query import predict_point, predict_range
+from .stats import METHODS
 from .synth import corrupt, gen_lrf, gen_synthetic_I, gen_synthetic_II, gen_synthetic_III
 
 
@@ -71,12 +72,21 @@ def _fmt(x) -> str:
 # --- create / insert -----------------------------------------------------------
 
 
+def _read_csv(args, value_cols, tick) -> TimeSeriesBatch:
+    """load_csv of ``args.input``, timed on its own stderr line."""
+    start = time.perf_counter()
+    batch = load_csv(args.input, args.time_col, value_cols, tick=tick)
+    print(f"read {batch.n_series} series x {batch.n_steps} steps from "
+          f"{args.input} in {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    return batch
+
+
 def cmd_create(args) -> int:
     if os.path.exists(args.model) and not args.overwrite:
         print(f"error: {args.model} exists (use --overwrite)", file=sys.stderr)
         return 1
     value_cols = args.value_cols.split(",") if args.value_cols else None
-    batch = load_csv(args.input, args.time_col, value_cols, tick=args.tick)
+    batch = _read_csv(args, value_cols, args.tick)
     if args.aggregate > 1:
         batch = aggregate(batch, args.aggregate, args.agg_fn)
     start = time.perf_counter()
@@ -109,7 +119,7 @@ def cmd_insert(args) -> int:
     value_cols = args.value_cols.split(",") if args.value_cols else model.names
     # Rows go onto the model's grid, so a gap in the timestamps becomes
     # missing steps instead of closing up.
-    batch = load_csv(args.input, args.time_col, value_cols, tick=model.step)
+    batch = _read_csv(args, value_cols, model.step)
     if list(batch.names) != list(model.names):
         print(f"error: columns {batch.names} do not match model series "
               f"{model.names}", file=sys.stderr)
@@ -281,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--range", default=None, help="A:B inclusive")
     p.add_argument("--confidence", type=float, default=95.0)
-    p.add_argument("--interval", default="gaussian",
-                   choices=("gaussian", "chebyshev"))
+    p.add_argument("--interval", default="gaussian", choices=METHODS)
     p.add_argument("--no-uq", action="store_true",
                    help="skip variance estimation and intervals")
     p.add_argument("--format", default="table", choices=("csv", "table"))

@@ -26,8 +26,9 @@ from .estimator import fit_segment, pcr_coefficients
 from .ingestion import TimeSeriesBatch
 from .svd_engine import append_columns
 
-# Longest run of steps that insert_many adds in one bulk operation; keeps
-# its temporaries at O(N * BULK_STEPS) whatever the block size.
+# Longest run of steps that insert_many checks or adds in one bulk
+# operation; keeps its float temporaries at O(N * BULK_STEPS) whatever the
+# block size.
 BULK_STEPS = 1024
 
 # The largest magnitude an observed value may have.  Training sums x^2 over
@@ -198,10 +199,6 @@ class SubModel:
         self.fc_var_svd = None
         self.beta_mean: np.ndarray | None = None
         self.beta_var: np.ndarray | None = None
-        # Set by insert_many while a retrain later in the same call will
-        # rebuild everything an append writes; appends are held back until
-        # that retrain.  Never persisted, never set by insert.
-        self.superseded = False
 
     @property
     def trained(self) -> bool:
@@ -319,62 +316,62 @@ class PredictionModel:
     # --- insertion --------------------------------------------------------
 
     def insert(self, values: np.ndarray, observed: np.ndarray | None = None) -> None:
-        """Insert one time step of N values; NaN and inf entries count as
-        missing, and a finite entry above ``VALUE_MAX`` in magnitude raises
-        :class:`NonFiniteInput` before any state changes."""
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        """Insert one time step of N values: :meth:`insert_many` with a
+        one-column block, after checking the row's width."""
+        values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
         if len(values) != self.N:
             raise WidthMismatch(f"row has {len(values)} values, model has {self.N}")
         if observed is not None:
-            observed = np.asarray(observed, dtype=bool).reshape(-1)
-            if len(observed) != self.N:
-                raise WidthMismatch("mask width mismatch")
-        usable = _usable(values, observed)[:, None]
-        values = values[:, None]
-        self._check_magnitudes(values, usable, 0)
-        self._add_steps(values, usable)
-        self._train()
+            observed = np.asarray(observed, dtype=bool).reshape(-1, 1)
+        self.insert_many(values, observed)
 
     def insert_many(self, values: np.ndarray,
                     observed: np.ndarray | None = None) -> None:
         """Insert a block of time steps; column j of the N x T ``values`` is
-        the j-th new step.
+        the j-th new step.  NaN and inf entries count as missing, and a
+        finite entry above ``VALUE_MAX`` in magnitude raises
+        :class:`NonFiniteInput` before any state changes.
 
-        Validates like :meth:`insert` and leaves the model in the state that
-        inserting the columns one by one would, bit for bit.  Each event (a
-        new sub-model, a completed Page column, a retrain) costs one bulk
-        add of the steps up to and including it and one feed, the two calls
-        :meth:`insert` makes for its one step.
+        Leaves the model in the state that inserting the columns one call
+        at a time would, bit for bit.  Each event (a new sub-model, a
+        completed Page column, a retrain) costs one bulk add of the steps
+        up to and including it and one feed.
 
-        Appends that a full retrain later in the same block supersedes are
-        skipped: a trained sub-model whose next retrain falls inside the
-        block is marked ``superseded`` and folds no steps into its factors
-        until that retrain.  This is exact because a retrain reads none of
-        what an append writes: when it fires depends only on the step count
-        and the retrain history (:meth:`_next_retrain`), and it rebuilds
-        the factors (hence L and P) and beta from the raw window (whose
-        pruning reads only L).
+        Appends that a full retrain later in the same call supersedes are
+        skipped: a trained sub-model whose next retrain falls at or before
+        the call's last step folds no steps into its factors until that
+        retrain (:meth:`_retrains_by`).  This is exact because a retrain
+        reads none of what an append writes: when it fires depends only on
+        the step count and the retrain history (:meth:`_next_retrain`),
+        and it rebuilds the factors (hence L and P) and beta from the raw
+        window (whose pruning reads only L).
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != self.N:
             raise WidthMismatch(
                 f"block has shape {values.shape}, model has {self.N} series")
+        # Entries that count as observed: finite and flagged (all, without
+        # a mask).
+        usable = np.isfinite(values)
         if observed is not None:
             observed = np.asarray(observed, dtype=bool)
             if observed.shape != values.shape:
                 raise WidthMismatch(
                     f"mask shape {observed.shape} != values {values.shape}")
+            usable &= observed
         for pos in range(0, values.shape[1], BULK_STEPS):
-            vals = values[:, pos:pos + BULK_STEPS]
-            obs = None if observed is None else observed[:, pos:pos + BULK_STEPS]
-            self._check_magnitudes(vals, _usable(vals, obs), pos)
-        pos, end = 0, values.shape[1]
-        while pos < end:
-            stop = pos + self._steps_to_event(end - pos)
-            vals = values[:, pos:stop]
-            obs = None if observed is None else observed[:, pos:stop]
-            self._add_steps(vals, _usable(vals, obs))
-            self._train()
+            self._check_magnitudes(values[:, pos:pos + BULK_STEPS],
+                                   usable[:, pos:pos + BULK_STEPS], pos)
+        last = self.n_steps + values.shape[1] - 1
+        if values.shape[1] == 1:  # one step is one event: nothing to cut
+            self._add_steps(values, usable)
+            self._train(last)
+            return
+        pos = 0
+        while pos < values.shape[1]:
+            stop = pos + self._steps_to_event(last)
+            self._add_steps(values[:, pos:stop], usable[:, pos:stop])
+            self._train(last)
             pos = stop
 
     def _check_magnitudes(self, values: np.ndarray, usable: np.ndarray,
@@ -383,7 +380,7 @@ class PredictionModel:
         whose first column is ``offset`` steps past the data, exceeds
         ``VALUE_MAX`` in magnitude."""
         bad = usable & (np.abs(values) > VALUE_MAX)
-        if bad.any():
+        if np.count_nonzero(bad):
             n, j = np.argwhere(bad)[0]
             raise NonFiniteInput(
                 f"series {self.names[n]!r} at t={self.n_steps + offset + j + 1}: "
@@ -407,22 +404,27 @@ class PredictionModel:
         due = max(-(-thresholds[nxt] // self.N), L0 * -(-L0 // self.N))
         return due if due <= 2 * self.half_steps else None
 
-    def _steps_to_event(self, limit: int) -> int:
-        """How many of the next steps (at most ``limit`` and BULK_STEPS)
-        :meth:`insert_many` adds at once: up to and including the first that
-        opens a sub-model, completes a Page column of a trained sub-model not
-        superseded, or retrains one (an overdue one at the next step).  Marks
-        ``superseded`` every trained sub-model due within ``limit`` steps."""
+    def _retrains_by(self, sm: SubModel, due: int | None, last: int) -> bool:
+        """Whether ``sm``, next retrained at segment step count ``due``
+        (:meth:`_next_retrain`), retrains at or before global step ``last``,
+        which rebuilds whatever an append before it would write."""
+        return due is not None and sm.start_step + due <= last + 1
+
+    def _steps_to_event(self, last: int) -> int:
+        """How many of the next steps (up to global step ``last`` and at
+        most BULK_STEPS) :meth:`insert_many` adds at once: up to and
+        including the first that opens a sub-model, retrains one (an
+        overdue one at the next step), or completes a Page column of a
+        trained one that does not retrain by ``last``."""
         step = self.n_steps
-        n = min(limit, BULK_STEPS, len(self.submodels) * self.half_steps - step + 1)
+        n = min(last - step + 1, BULK_STEPS,
+                len(self.submodels) * self.half_steps - step + 1)
         for sm in self.segments_for_step(step):
             steps = self._seg_steps(sm)
             due = self._next_retrain(sm)
             if due is not None:
-                if sm.trained and due - steps <= limit:
-                    sm.superseded = True
                 n = min(n, max(due - steps, 1))
-            if sm.trained and not sm.superseded:
+            if sm.trained and not self._retrains_by(sm, due, last):
                 n = min(n, sm.L * (sm.P + 1) - steps)
         return n
 
@@ -439,9 +441,10 @@ class PredictionModel:
         self.raw.extend(np.where(observed, values, np.nan))
         self.n_steps += values.shape[1]
 
-    def _train(self) -> None:
+    def _train(self, last: int) -> None:
         """Open the sub-model that the last added step starts, if any, and
-        feed every sub-model whose segment holds that step."""
+        feed every sub-model whose segment holds that step; ``last`` is the
+        global step that ends the current :meth:`insert_many` call."""
         step = self.n_steps - 1
         newest = step // self.half_steps
         while len(self.submodels) <= newest:
@@ -453,16 +456,16 @@ class PredictionModel:
                 self.raw.prune_before(max(0, min(keep_from, self.n_steps - margin)))
 
         for sm in self.segments_for_step(step):
-            self._feed(sm)
+            self._feed(sm, last)
 
-    def _feed(self, sm: SubModel) -> None:
+    def _feed(self, sm: SubModel, last: int) -> None:
         steps = self._seg_steps(sm)
         due = self._next_retrain(sm)
         if due is not None and steps >= due:
             self._full_retrain(sm)
             self._coeff_cache = None
-        elif (sm.trained and not sm.superseded
-              and steps == sm.L * (sm.P + 1)):
+        elif (sm.trained and steps == sm.L * (sm.P + 1)
+              and not self._retrains_by(sm, due, last)):
             self._append_block(sm)
             self._coeff_cache = None
 
@@ -484,7 +487,6 @@ class PredictionModel:
         sm.fc_mean_svd, sm.fc_var_svd = fit.fc_mean_svd, fit.fc_var_svd
         sm.beta_mean, sm.beta_var = fit.beta_mean, fit.beta_var
         sm.retrain_history.append(self.total_obs)
-        sm.superseded = False
 
     def _append_block(self, sm: SubModel) -> None:
         """Fold the segment's last L steps into the factors as N new columns
@@ -534,14 +536,6 @@ class PredictionModel:
         return bm, bv
 
 
-def _usable(values: np.ndarray, observed: np.ndarray | None) -> np.ndarray:
-    """Entries that count as observed: flagged (all, without a mask) and
-    finite."""
-    if observed is None:
-        return np.isfinite(values)
-    return observed & np.isfinite(np.where(observed, values, 0.0))
-
-
 def zero_filled(raw: np.ndarray) -> np.ndarray:
     """Raw window values with the missing (NaN) entries set to 0.  Faster
     than ``np.nan_to_num`` on the small blocks appends and forecasts read."""
@@ -549,11 +543,8 @@ def zero_filled(raw: np.ndarray) -> np.ndarray:
 
 
 def create_model(batch: TimeSeriesBatch, hp: HyperParams | None = None) -> PredictionModel:
-    """Train a model on the whole batch with :meth:`PredictionModel.insert_many`.
-
-    Produces state identical to calling :meth:`PredictionModel.insert` for
-    every step in order.
-    """
+    """Train a model on the whole batch with one
+    :meth:`PredictionModel.insert_many` call."""
     model = PredictionModel(batch.names, hp, t0=batch.t0, step=batch.step)
     model.insert_many(batch.values, batch.observed)
     return model

@@ -154,9 +154,10 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
         for lineno, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
+            if len(row) < len(header):  # a short row's missing cells are empty
+                row += [""] * (len(header) - len(row))
             stamps.append(_parse_timestamp(row[t_idx], lineno))
-            rows.append([_parse_value(row[i], lineno, header[i]) if i < len(row)
-                         else math.nan for i in v_idx])
+            rows.append([_parse_value(row[i], lineno, header[i]) for i in v_idx])
 
     if not rows:
         raise EmptyFile(f"{path}: header only, no data rows")

@@ -21,9 +21,7 @@ import numpy as np
 from .errors import InvalidConfidence, OutOfRange, UnstableForecast
 from .incremental import PredictionModel, zero_filled
 from .kernels import ar_recurrence, reconstruct_points
-from .stats import chebyshev_halfwidth, gaussian_halfwidth
-
-METHODS = ("gaussian", "chebyshev")
+from .stats import chebyshev_halfwidth, check_interval, gaussian_halfwidth
 
 # Longest forecast horizon, in steps past the data.  ar_recurrence holds
 # len(beta) + h floats per path, so a forecast at the limit holds 16 MB for
@@ -57,8 +55,7 @@ class PredictionResult:
 def prediction_interval(mean: float, sigma: float, confidence: float,
                         method: str = "gaussian") -> tuple[float, float]:
     """Central interval around ``mean`` with standard deviation ``sigma``."""
-    if method not in METHODS:
-        raise InvalidConfidence(f"unknown interval method {method!r}")
+    check_interval(confidence, method)
     if sigma < 0:
         raise InvalidConfidence(f"sigma must be nonnegative, got {sigma}")
     if method == "gaussian":
@@ -84,14 +81,6 @@ def _check_horizon(model: PredictionModel, t: int) -> None:
         raise OutOfRange(
             f"t={t} lies {t - model.n_steps} steps past the data; forecasts "
             f"reach at most {MAX_HORIZON} steps ahead")
-
-
-def _check_interval_args(confidence: float, method: str) -> None:
-    if method not in METHODS:
-        raise InvalidConfidence(f"unknown interval method {method!r}")
-    if not 0.0 < confidence < 100.0:
-        raise InvalidConfidence(
-            f"confidence must lie in (0, 100), got {confidence}")
 
 
 def _forecast_trajectories(model: PredictionModel, n: int, horizon: int,
@@ -139,7 +128,7 @@ def predict_range(model: PredictionModel, series, t1: int, t2: int,
     if t1 < 1:
         raise OutOfRange(f"t must be >= 1, got {t1}")
     _check_horizon(model, t2)
-    _check_interval_args(confidence, method)
+    check_interval(confidence, method)
     n = model.series_index(series)
     g_mean = g_second = None
     if t2 > model.n_steps and not model.in_fallback:

@@ -4,6 +4,7 @@
 reproduced constant set below, relative error < 1.15e-9) followed by one
 Halley refinement step through ``math.erfc``, which pushes the error to a
 few ulp.  No external dependency is needed for the prediction intervals.
+``check_interval`` is the one check of an interval's confidence and method.
 """
 
 import math
@@ -84,19 +85,26 @@ def norm_ppf_array(p: "np.ndarray") -> "np.ndarray":
     return x
 
 
+METHODS = ("gaussian", "chebyshev")
+
+
+def check_interval(confidence: float, method: str) -> None:
+    """Raise :class:`InvalidConfidence` unless ``method`` is one of
+    ``METHODS`` and ``confidence`` lies strictly between 0 and 100."""
+    if method not in METHODS:
+        raise InvalidConfidence(f"unknown interval method {method!r}")
+    if not 0.0 < confidence < 100.0:
+        raise InvalidConfidence(
+            f"confidence must lie strictly between 0 and 100, got {confidence}")
+
+
 def gaussian_halfwidth(sigma: float, confidence: float) -> float:
     """Half-width of the central Gaussian interval at ``confidence`` percent."""
-    _check_confidence(confidence)
+    check_interval(confidence, "gaussian")
     return sigma * norm_ppf(0.5 + confidence / 200.0)
 
 
 def chebyshev_halfwidth(sigma: float, confidence: float) -> float:
     """Half-width of the Chebyshev interval at ``confidence`` percent."""
-    _check_confidence(confidence)
+    check_interval(confidence, "chebyshev")
     return sigma / math.sqrt(1.0 - confidence / 100.0)
-
-
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 < confidence < 100.0:
-        raise InvalidConfidence(
-            f"confidence must lie strictly between 0 and 100, got {confidence}")

@@ -42,6 +42,8 @@ class TestCreatePredict:
         assert code == 0
         assert model_dir.is_dir()
         assert "us/record" in err
+        read_line = err.splitlines()[0]
+        assert read_line.startswith(f"read 2 series x 400 steps from {data} in ")
 
         code, out, err = _run(capsys, [
             "predict", "--model", str(model_dir), "--series", "s0",
@@ -80,6 +82,16 @@ class TestCreatePredict:
             "create", "--input", str(data), "--model", str(tmp_path / "m")])
         assert code == 1
         assert "EmptyFile" in err
+
+    def test_create_row_without_time_cell_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("a,t\n5,1\n6\n7,3\n")
+        code, out, err = _run(capsys, [
+            "create", "--input", str(data), "--model", str(tmp_path / "m"),
+            "--time-col", "t"])
+        assert code == 1 and out == ""
+        assert "error: UnparseableTimestamp" in err and "line 3" in err
+        assert "Traceback" not in err
 
     def test_create_tick_keeps_on_grid_rows(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -144,8 +156,11 @@ class TestCreatePredict:
                              str(model_dir), "--T0", "80"])[0] == 0
         more = tmp_path / "more.csv"
         _write_series_csv(more, n_steps=50, seed=9, first_t=301)
-        assert _run(capsys, ["insert", "--input", str(more), "--model",
-                             str(model_dir)])[0] == 0
+        code, _, err = _run(capsys, ["insert", "--input", str(more), "--model",
+                                     str(model_dir)])
+        assert code == 0
+        read_line = err.splitlines()[0]
+        assert read_line.startswith(f"read 2 series x 50 steps from {more} in ")
         model = pc.load_model(model_dir)
         assert model.n_steps == 350
 

@@ -56,6 +56,21 @@ class TestLoadCsv:
         with pytest.raises(UnparseableTimestamp):
             pc.load_csv(_write(tmp_path, f"t,a\n{stamp},5\n2,6\n"), "t")
 
+    def test_row_without_time_cell(self, tmp_path):
+        path = _write(tmp_path, "a,t\n5,1\n6\n7,3\n")
+        with pytest.raises(UnparseableTimestamp, match="line 3"):
+            pc.load_csv(path, "t")
+
+    def test_time_column_not_first_and_value_cols_reordered(self, tmp_path):
+        # The last row is short: its missing "a" cell is empty.
+        path = _write(tmp_path, "b,t,a\n20,2,2.5\n10,1,1.5\n,3,3.5\n40,4\n")
+        batch = pc.load_csv(path, "t", ["a", "b"])
+        assert batch.names == ["a", "b"] and batch.t0 == 1.0
+        np.testing.assert_array_equal(batch.observed, [[True, True, True, False],
+                                                       [True, True, False, True]])
+        np.testing.assert_array_equal(batch.values[0, :3], [1.5, 2.5, 3.5])
+        np.testing.assert_array_equal(batch.values[1, [0, 1, 3]], [10, 20, 40])
+
     def test_rows_sorted_by_time(self, tmp_path):
         batch = pc.load_csv(_write(tmp_path, "t,a\n3,30\n1,10\n2,20\n"), "t")
         np.testing.assert_array_equal(batch.values[0], [10, 20, 30])
