@@ -30,20 +30,23 @@ def _hyper_params(args) -> HyperParams:
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--T0", type=int, default=100,
-                   help="minimum observations before training (default 100)")
-    p.add_argument("--Tprime", type=int, default=2_500_000,
-                   help="sub-model span in observations (default 2.5e6)")
-    p.add_argument("--gamma", type=float, default=0.5,
-                   help="retrain growth factor in (0,1] (default 0.5)")
+    hp = HyperParams()
+    p.add_argument("--T0", type=int, default=hp.T0,
+                   help=f"minimum observations before training (default {hp.T0})")
+    p.add_argument("--Tprime", type=int, default=hp.Tprime,
+                   help=f"sub-model span in observations (default {hp.Tprime:,})")
+    p.add_argument("--gamma", type=float, default=hp.gamma,
+                   help=f"retrain growth factor in (0,1] (default {hp.gamma})")
     p.add_argument("--L", type=int, default=None,
                    help="fixed Page-matrix window (default: data-driven)")
     p.add_argument("--k1", type=int, default=None,
                    help="fixed mean-model rank (default: data-driven)")
     p.add_argument("--k2", type=int, default=None,
                    help="fixed variance-model rank (default: data-driven)")
-    p.add_argument("--coeff-window", dest="coeff_window", type=int, default=10,
-                   help="sub-models averaged for forecasting (default 10)")
+    p.add_argument("--coeff-window", dest="coeff_window", type=int,
+                   default=hp.coeff_window,
+                   help="sub-models averaged for forecasting "
+                        f"(default {hp.coeff_window})")
 
 
 def _emit_table(rows: list[dict], fmt: str) -> None:
@@ -87,7 +90,7 @@ def cmd_create(args) -> int:
         return 1
     value_cols = args.value_cols.split(",") if args.value_cols else None
     batch = _read_csv(args, value_cols, args.tick)
-    if args.aggregate > 1:
+    if args.aggregate != 1:
         batch = aggregate(batch, args.aggregate, args.agg_fn)
     start = time.perf_counter()
     model = create_model(batch, _hyper_params(args))
@@ -190,7 +193,7 @@ def cmd_synth(args) -> int:
     if args.preset == "synth1":
         truth = gen_synthetic_I(args.n, args.m, args.T, args.r, args.seed,
                                 preset=args.variant)
-        if args.sigma > 0 or args.p_obs < 1.0:
+        if args.sigma != 0.0 or args.p_obs != 1.0:
             truth = corrupt(truth, args.sigma, args.p_obs, args.seed)
         _write_truth(truth, args.out, "synth1")
     elif args.preset == "synth2":

@@ -70,6 +70,9 @@ class HyperParams:
             raise InvalidParams("coeff_window must be >= 1")
         if self.L is not None and self.L < 2:
             raise InvalidParams("L override must be >= 2")
+        for name, rank in (("k1", self.k1), ("k2", self.k2)):
+            if rank is not None and rank < 1:
+                raise InvalidParams(f"{name} override must be >= 1, got {rank}")
 
 
 def q0_limit(hp: HyperParams) -> int:
@@ -106,11 +109,23 @@ class _RawWindow:
     so a save writes them and a load reads into them without a copy.
     Readers see N x T views (:meth:`slice_steps`, :meth:`tail`)."""
 
-    def __init__(self, n_series: int):
-        self._vals = np.empty((64, n_series))
+    def __init__(self, n_series: int, n_steps: int = 0, start_step: int = 0):
+        """A window of ``n_steps`` uninitialised steps from global step
+        ``start_step``, for a loader to fill through :meth:`rows`.  Its
+        capacity is the first regrowth above ``n_steps``, so the step after
+        a load does not copy the window."""
+        cap = self._capacity(0)
+        while cap <= n_steps:
+            cap = self._capacity(cap)
+        self._vals = np.empty((cap, n_series))
         self._lo = 0
-        self._hi = 0
-        self.start_step = 0
+        self._hi = n_steps
+        self.start_step = start_step
+
+    @staticmethod
+    def _capacity(n: int) -> int:
+        """Rows of the buffer a full window of ``n`` steps regrows into."""
+        return max(64, 2 * (n + 1))
 
     @property
     def n_cols(self) -> int:
@@ -131,7 +146,7 @@ class _RawWindow:
 
     def _regrow(self) -> None:
         n = self.n_cols
-        vals = np.empty((max(64, 2 * (n + 1)), self._vals.shape[1]))
+        vals = np.empty((self._capacity(n), self._vals.shape[1]))
         vals[:n] = self.rows()
         self._vals = vals
         self._lo, self._hi = 0, n
@@ -164,23 +179,6 @@ class _RawWindow:
         """The stored steps, one row per step: a C-contiguous T x N view
         into the buffer."""
         return self._vals[self._lo:self._hi]
-
-    @classmethod
-    def allocate(cls, n_series: int, n_steps: int,
-                 start_step: int) -> "_RawWindow":
-        """A window of ``n_steps`` steps from global step ``start_step``,
-        left uninitialised for the caller to fill through :meth:`rows`."""
-        # The capacity that feeding the steps one at a time to an empty
-        # window leaves (regrows to 64, 130, 262, ...), so the step after a
-        # load does not copy the whole window.
-        cap = 64
-        while cap <= n_steps:
-            cap = 2 * (cap + 1)
-        win = cls(n_series)
-        # The byte order of raw_values.f64, native on little-endian hosts.
-        win._vals = np.empty((cap, n_series), dtype="<f8")
-        win._hi, win.start_step = n_steps, start_step
-        return win
 
 
 class SubModel:

@@ -13,11 +13,12 @@ Layout of a saved model directory::
 
 Every ``.f64`` file is two little-endian uint64 dimensions (rows, cols)
 followed by rows*cols little-endian IEEE-754 float64 values in column-major
-order.  Exact float state (running sums, gamma) is stored in the manifest as
-hex floats, so a load reproduces predictions bit for bit.  Row N*j + n of
-a V file is Page column j of series n.  ``raw_values.f64`` is the raw
-window's time-major buffer as it is: a save writes it from the window and a
-load reads it into a new one, neither holding a copy.
+order, the C-order bytes of the array's transpose: so ``raw_values.f64`` is
+the raw window's time-major buffer as it is, written from the window and
+read into a new one.  One routine writes every file and one reads it.  Exact
+float state (running sums, gamma) is stored in the manifest as hex floats,
+so a load reproduces predictions bit for bit.  Row N*j + n of a V file is
+Page column j of series n.
 
 Nothing that load can derive is stored.  The series count is the raw file's
 header, the step count ``raw_start`` plus its steps, the sub-model count
@@ -99,38 +100,6 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def encode_f64(arr: np.ndarray) -> bytearray:
-    """The bytes of one ``.f64`` file, built in one buffer: the header and
-    the column-major payload are written straight into it."""
-    arr = np.asarray(arr, dtype="<f8")
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ValueError(f"only 1-D/2-D arrays supported, got {arr.ndim}-D")
-    data = bytearray(16 + 8 * arr.size)
-    np.frombuffer(data, dtype="<u8", count=2)[:] = arr.shape
-    np.frombuffer(data, dtype="<f8", offset=16).reshape(
-        arr.shape, order="F")[...] = arr
-    return data
-
-
-def decode_f64(data: bytes) -> np.ndarray:
-    if len(data) < 16:
-        raise CorruptManifest("array file shorter than its header")
-    rows, cols = np.frombuffer(data[:16], dtype="<u8")
-    rows, cols = int(rows), int(cols)
-    expect = 16 + rows * cols * 8
-    if len(data) != expect:
-        raise CorruptManifest(
-            f"array file has {len(data)} bytes, expected {expect}")
-    flat = np.frombuffer(data, dtype="<f8", offset=16)
-    return flat.reshape((rows, cols), order="F").copy()
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def save_model(model: PredictionModel, directory) -> dict:
     """Persist the model, replacing any previous version atomically.
 
@@ -172,17 +141,18 @@ def save_model(model: PredictionModel, directory) -> dict:
 
     checksums: dict[str, str] = {}
 
-    def emit(relpath: str, *chunks) -> None:
+    def emit(relpath: str, arr: np.ndarray) -> None:
+        """Write ``arr`` (a vector as one column) as ``relpath``; a payload
+        already laid out as the file's is written where it is."""
         full = os.path.join(staging, relpath)
         os.makedirs(os.path.dirname(full), exist_ok=True)
-        checksums[relpath] = _write_bytes(full, *chunks)
+        payload = np.ascontiguousarray(np.atleast_2d(arr.T), dtype="<f8")
+        checksums[relpath] = _write_bytes(
+            full, np.array(payload.shape[::-1], dtype="<u8"), payload)
 
-    # The window's T x N rows are the column-major payload of the N x T
-    # array the file stores: write them where they are.
-    rows = model.raw.rows()
+    # The window's T x N rows are the payload of the N x T array stored.
     manifest["raw_start"] = str(model.raw.start_step)
-    emit("raw_values.f64", np.array(rows.shape[::-1], dtype="<u8").tobytes(),
-         rows.astype("<f8", copy=False))
+    emit("raw_values.f64", model.raw.rows().T)
 
     for sm in model.submodels:
         manifest[f"sub{sm.index}.retrain_history"] = json.dumps(sm.retrain_history)
@@ -192,9 +162,9 @@ def save_model(model: PredictionModel, directory) -> dict:
         for attr, names in _SVD_FILES.items():
             svd = getattr(sm, attr)
             for fname, arr in zip(names, (svd.U, svd.s, svd.V)):
-                emit(f"{sub}/{fname}.f64", encode_f64(arr))
+                emit(f"{sub}/{fname}.f64", arr)
         for attr in _VEC_FILES:
-            emit(f"{sub}/{attr}.f64", encode_f64(getattr(sm, attr)))
+            emit(f"{sub}/{attr}.f64", getattr(sm, attr))
 
     for relpath, digest in checksums.items():
         manifest[f"checksum.{relpath}"] = digest
@@ -240,49 +210,29 @@ def _read_manifest(directory: str) -> dict[str, str]:
     return out
 
 
-def _verify(relpath: str, manifest: dict[str, str], digest: str) -> None:
-    """Raise :class:`ChecksumMismatch` unless ``digest`` is the manifest's
-    checksum of ``relpath``."""
-    expect = manifest.get(f"checksum.{relpath}")
-    if expect is None:
-        raise CorruptManifest(f"manifest lacks checksum for {relpath}")
-    if digest != expect:
-        raise ChecksumMismatch(f"checksum mismatch for {relpath}")
+def _load_array(directory: str, relpath: str, manifest: dict[str, str],
+                alloc=None) -> np.ndarray:
+    """The rows x cols array stored as ``relpath`` in ``directory``.
 
-
-def _load_array(directory: str, relpath: str, manifest: dict[str, str]) -> np.ndarray:
-    full = os.path.join(directory, relpath)
-    try:
-        with open(full, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ChecksumMismatch(f"cannot read {full}: {exc}") from exc
-    _verify(relpath, manifest, _sha256(data))
-    return decode_f64(data)
-
-
-def _load_raw(directory: str, manifest: dict[str, str]) -> _RawWindow:
-    """``raw_values.f64`` read straight into the rows of a new window (the
-    window's layout is the file's payload), then checked against the
-    manifest.  A file is refused as :func:`_load_array` refuses it:
-    ChecksumMismatch when it cannot be read or its checksum differs,
-    CorruptManifest when its length disagrees with its header."""
-    relpath = "raw_values.f64"
+    The payload is hashed as it is read into the C-order (cols, rows) float64
+    buffer that ``alloc((cols, rows))`` returns, a new array by default, and
+    only once the file's length bears out its header.  Returns the buffer's
+    transpose, as a C-order copy for the default.  Refuses a file that cannot
+    be read or whose checksum is not the manifest's (ChecksumMismatch), or
+    that the manifest does not list or whose length disagrees with its header
+    (CorruptManifest)."""
     full = os.path.join(directory, relpath)
     digest = hashlib.sha256()
-    win = None
+    buf = None
     try:
         with open(full, "rb") as fh:
             header = fh.read(16)
             digest.update(header)
             if len(header) == 16:
-                n_series, n_steps = (int(d) for d in np.frombuffer(header, "<u8"))
-                # Only a file as long as its header says sizes a window, so
-                # a damaged header allocates nothing.
-                if os.fstat(fh.fileno()).st_size == 16 + 8 * n_series * n_steps:
-                    win = _RawWindow.allocate(n_series, n_steps,
-                                              int(manifest["raw_start"]))
-                    payload = win.rows().reshape(-1).view(np.uint8)
+                rows, cols = (int(d) for d in np.frombuffer(header, "<u8"))
+                if os.fstat(fh.fileno()).st_size == 16 + 8 * rows * cols:
+                    buf = (alloc or np.empty)((cols, rows))
+                    payload = buf.reshape(-1).view(np.uint8)
                     got = fh.readinto(payload)
                     digest.update(payload[:got])
                     whole = got == len(payload)
@@ -290,10 +240,16 @@ def _load_raw(directory: str, manifest: dict[str, str]) -> _RawWindow:
             digest.update(rest)
     except OSError as exc:
         raise ChecksumMismatch(f"cannot read {full}: {exc}") from exc
-    _verify(relpath, manifest, digest.hexdigest())
-    if win is None or not whole or rest:
+    expect = manifest.get(f"checksum.{relpath}")
+    if expect is None:
+        raise CorruptManifest(f"manifest lacks checksum for {relpath}")
+    if digest.hexdigest() != expect:
+        raise ChecksumMismatch(f"checksum mismatch for {relpath}")
+    if buf is None or not whole or rest:
         raise CorruptManifest(f"{relpath}: length disagrees with its header")
-    return win
+    if not np.little_endian:  # the payload is little-endian
+        buf.byteswap(inplace=True)
+    return buf.T if alloc else np.ascontiguousarray(buf.T)
 
 
 def _load_from(directory: str) -> PredictionModel:
@@ -326,9 +282,13 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
     model.obs_sumsq = float.fromhex(manifest["obs_sumsq"])
     model.obs_cnt = int(manifest["obs_cnt"])
 
-    model.raw = _load_raw(directory, manifest)
-    if model.raw.rows().shape[1] != model.N:
-        raise CorruptManifest("names disagree with raw_values.f64's series")
+    def window(shape):  # rows of a new window: (steps, series)
+        if shape[1] != model.N:
+            raise CorruptManifest("names disagree with raw_values.f64's series")
+        model.raw = _RawWindow(model.N, shape[0], int(manifest["raw_start"]))
+        return model.raw.rows()
+
+    _load_array(directory, "raw_values.f64", manifest, window)
     model.n_steps = model.raw.start_step + model.raw.n_cols
 
     histories = [list(json.loads(manifest[f"sub{i}.retrain_history"]))

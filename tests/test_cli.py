@@ -250,6 +250,18 @@ class TestCreatePredict:
         assert code == 1 and "NonFiniteInput" in err and out == ""
         assert not model_dir.exists()
 
+    @pytest.mark.parametrize("interval", ["0", "-4"])
+    def test_create_refuses_aggregate_below_1(self, tmp_path, capsys,
+                                              interval):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data)
+        model_dir = tmp_path / "model"
+        code, out, err = _run(capsys, ["create", "--input", str(data),
+                                       "--model", str(model_dir),
+                                       "--aggregate", interval])
+        assert code == 1 and "error: InvalidInterval" in err and out == ""
+        assert not model_dir.exists()
+
     def test_insert_tick_must_match_model_step(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         _write_series_csv(data, n_steps=300, first_t=2, stride=2)
@@ -278,6 +290,17 @@ class TestSynthCli:
             assert (out_dir / f"synth1_{tag}.csv").is_file()
         batch = pc.load_csv(out_dir / "synth1_obs.csv", "t")
         assert batch.values.shape == (4, 200)
+
+    @pytest.mark.parametrize("flag, value", [("--p-obs", "1.5"),
+                                             ("--sigma", "-1")])
+    def test_synth1_refuses_bad_corruption(self, tmp_path, capsys, flag,
+                                           value):
+        out_dir = tmp_path / "synth"
+        code, _, err = _run(capsys, [
+            "synth", "--preset", "synth1", "--out", str(out_dir),
+            "--T", "200", "--n", "2", "--m", "2", flag, value])
+        assert code == 1 and "error: InvalidParams" in err
+        assert not out_dir.exists()
 
     def test_lrf_preset(self, tmp_path, capsys):
         out_dir = tmp_path / "lrf"

@@ -135,6 +135,9 @@ class TestScheduleFormulas:
             pc.HyperParams(gamma=0.0)
         with pytest.raises(InvalidParams):
             pc.HyperParams(gamma=1.5)
+        for ranks in ({"k1": 0}, {"k2": -3}, {"k1": 0, "k2": -3}):
+            with pytest.raises(InvalidParams):
+                pc.HyperParams(**ranks)
 
 
 class TestFallbackAndFirstTrain:

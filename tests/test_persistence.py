@@ -37,6 +37,24 @@ def _probe(model, n_steps):
     return out
 
 
+def _encode(arr):
+    """The bytes of a ``.f64`` file holding ``arr`` (a vector as one column),
+    written out with its copies: the shape as two little-endian uint64, then
+    the column-major little-endian float64 values."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    header = np.array(arr.shape, dtype="<u8").tobytes()
+    return header + np.asfortranarray(arr).astype("<f8").tobytes(order="F")
+
+
+def _put(store, manifest, relpath, arr):
+    """Write ``arr`` as ``relpath`` of ``store`` and record its checksum."""
+    data = _encode(arr)
+    (store / relpath).write_bytes(data)
+    manifest[f"checksum.{relpath}"] = hashlib.sha256(data).hexdigest()
+
+
 def _old_rows(sm):
     """Where store formats 1-4 kept each V row: they laid the R columns
     per series of the last retrain out series-major, column j < R of series
@@ -83,10 +101,7 @@ def _as_format(model, store, manifest, version):
             V = getattr(sm, attr).V
             old = np.empty_like(V)
             old[_old_rows(sm)] = V
-            relpath = f"sub_{sm.index}/{v_file}.f64"
-            data = persistence.encode_f64(old)
-            (store / relpath).write_bytes(data)
-            manifest[f"checksum.{relpath}"] = persistence._sha256(data)
+            _put(store, manifest, f"sub_{sm.index}/{v_file}.f64", old)
 
 
 def _write_manifest(store, manifest):
@@ -153,6 +168,20 @@ class TestRoundTrip:
         r = pc.predict_point(loaded, "a", 2)
         assert r.fallback and r.mean == pytest.approx(7.0 / 3.0)
 
+    def test_empty_model_roundtrip(self, tmp_path):
+        # no steps: the raw file is its header alone
+        model = pc.PredictionModel(["a", "b"])
+        pc.save_model(model, tmp_path / "m")
+        assert (tmp_path / "m" / "raw_values.f64").read_bytes() == \
+            _encode(np.empty((2, 0)))
+        loaded = pc.load_model(tmp_path / "m")
+        assert (loaded.names, loaded.n_steps, loaded.submodels) == \
+            (["a", "b"], 0, [])
+        block = np.cos(np.arange(300.0) / 9)[None, :] * np.ones((2, 1))
+        for m in (model, loaded):
+            m.insert_many(block)
+        assert _probe(loaded, 300) == _probe(model, 300)
+
     def test_insert_after_load_matches_uninterrupted(self, tmp_path):
         rng = np.random.default_rng(5)
         t = np.arange(1, 1501, dtype=float)
@@ -184,10 +213,9 @@ class TestRoundTrip:
         assert "half_steps" not in manifest
         assert not (tmp_path / "m" / "coeff_avg.f64").exists()
         _as_format(model, tmp_path / "m", manifest, 1)
-        coeff = persistence.encode_f64(np.vstack(model.averaged_coefficients()))
-        (tmp_path / "m" / "coeff_avg.f64").write_bytes(coeff)
+        _put(tmp_path / "m", manifest, "coeff_avg.f64",
+             np.vstack(model.averaged_coefficients()))
         manifest["half_steps"] = str(model.half_steps)
-        manifest["checksum.coeff_avg.f64"] = persistence._sha256(coeff)
         _write_manifest(tmp_path / "m", manifest)
         loaded = pc.load_model(tmp_path / "m")
         assert loaded.half_steps == model.half_steps
@@ -230,10 +258,7 @@ class TestRoundTrip:
             last[_old_rows(sm)] = last.copy()
             for name, arr in (("buf", buf), ("last_row_mean", last),
                               ("last_row_var", last * last)):
-                data = persistence.encode_f64(arr)
-                (tmp_path / "m" / f"sub_{sm.index}" / f"{name}.f64").write_bytes(data)
-                manifest[f"checksum.sub_{sm.index}/{name}.f64"] = \
-                    persistence._sha256(data)
+                _put(tmp_path / "m", manifest, f"sub_{sm.index}/{name}.f64", arr)
         assert rebuilt >= 2
         _write_manifest(tmp_path / "m", manifest)
         _assert_loads_like(model, tmp_path)
@@ -246,12 +271,10 @@ class TestRoundTrip:
         assert manifest["format_version"] == str(persistence.FORMAT_VERSION)
         assert not (tmp_path / "m" / "raw_mask.f64").exists()
         _as_format(model, tmp_path / "m", manifest, 3)
-        raw = persistence.decode_f64(
-            (tmp_path / "m" / "raw_values.f64").read_bytes())
+        raw = model.raw.rows().T
         assert not np.isfinite(raw).all()
-        data = persistence.encode_f64(np.isfinite(raw).astype(np.float64))
-        (tmp_path / "m" / "raw_mask.f64").write_bytes(data)
-        manifest["checksum.raw_mask.f64"] = persistence._sha256(data)
+        _put(tmp_path / "m", manifest, "raw_mask.f64",
+             np.isfinite(raw).astype(np.float64))
         _write_manifest(tmp_path / "m", manifest)
         _assert_loads_like(model, tmp_path)
 
@@ -444,26 +467,6 @@ class TestFormat5Store:
 
 
 class TestArrayEncoding:
-    @staticmethod
-    def _reference_encode(arr):
-        # the encoding of store formats 1-4, written out with its copies
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        header = np.array(arr.shape, dtype="<u8").tobytes()
-        return header + np.asfortranarray(arr).astype("<f8").tobytes(order="F")
-
-    def test_bytes_match_reference_and_round_trip(self):
-        base = np.random.default_rng(0).normal(size=(7, 12))
-        for arr in (base[0], base, np.asfortranarray(base), base[1::2, ::3],
-                    base.astype(np.float32), np.empty((4, 0))):
-            data = persistence.encode_f64(arr)
-            assert data == self._reference_encode(arr)
-            out = persistence.decode_f64(data)
-            assert out.flags.owndata and out.flags.writeable
-            expect = np.asarray(arr, dtype=np.float64)
-            np.testing.assert_array_equal(out, expect.reshape(len(expect), -1))
-
     def test_saved_files_match_reference(self, tmp_path):
         # Every file of a multi-segment store holds the reference encoding
         # of the array it stores, and the manifest its sha256.
@@ -482,7 +485,7 @@ class TestArrayEncoding:
                  for p in (tmp_path / "m").rglob("*.f64")}
         assert files == set(expect)
         for relpath, arr in expect.items():
-            want = self._reference_encode(arr)
+            want = _encode(arr)
             assert (tmp_path / "m" / relpath).read_bytes() == want, relpath
             assert manifest[f"checksum.{relpath}"] == \
                 hashlib.sha256(want).hexdigest()
@@ -552,11 +555,14 @@ class TestValidation:
             pos = 16 + (len(data) - 16) // 2
             victim.write_bytes(data[:pos] + bytes([data[pos] ^ 1])
                                + data[pos + 1:])
-        else:  # "length_vs_header": a short file whose checksum is recorded
-            data = data[:-8]
+        else:  # a file that disagrees with its header, its checksum recorded
+            if how == "huge_header":  # claims 2**40 rows
+                data = np.array([2**40], dtype="<u8").tobytes() + data[8:]
+            else:  # "length_vs_header": one value short
+                data = data[:-8]
             victim.write_bytes(data)
             manifest = store / "manifest.txt"
-            lines = [f"checksum.{relpath}={persistence._sha256(data)}"
+            lines = [f"checksum.{relpath}={hashlib.sha256(data).hexdigest()}"
                      if line.startswith(f"checksum.{relpath}=") else line
                      for line in manifest.read_text().splitlines()]
             manifest.write_text("\n".join(lines) + "\n")
@@ -564,17 +570,25 @@ class TestValidation:
     @pytest.mark.parametrize("how, error", [
         ("truncated", ChecksumMismatch), ("one_byte_long", ChecksumMismatch),
         ("flipped", ChecksumMismatch), ("missing", ChecksumMismatch),
-        ("length_vs_header", CorruptManifest)])
+        ("length_vs_header", CorruptManifest),
+        ("huge_header", CorruptManifest)])
     @pytest.mark.parametrize("relpath", ["sub_0/U.f64", "raw_values.f64"],
                              ids=["U", "raw"])
     def test_damaged_array_file(self, tmp_path, relpath, how, error):
-        # The raw window's own read path refuses a damaged file with the
-        # error every other array file gets.
+        # The raw window is refused as every other array file is, and a
+        # header's claim is not allocated before the file's length bears
+        # it out.
         model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
         pc.save_model(model, tmp_path / "m")
         self._damage(tmp_path / "m", relpath, how)
-        with pytest.raises(error):
-            pc.load_model(tmp_path / "m")
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                pc.load_model(tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_future_version_rejected(self, tmp_path):
         model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
