@@ -88,12 +88,13 @@ def cmd_create(args) -> int:
     if os.path.exists(args.model) and not args.overwrite:
         print(f"error: {args.model} exists (use --overwrite)", file=sys.stderr)
         return 1
+    hp = _hyper_params(args)  # refuse bad flags before reading the input
     value_cols = args.value_cols.split(",") if args.value_cols else None
     batch = _read_csv(args, value_cols, args.tick)
     if args.aggregate != 1:
         batch = aggregate(batch, args.aggregate, args.agg_fn)
     start = time.perf_counter()
-    model = create_model(batch, _hyper_params(args))
+    model = create_model(batch, hp)
     save_model(model, args.model)
     elapsed = time.perf_counter() - start
     total = batch.n_series * batch.n_steps

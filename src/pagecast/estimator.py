@@ -1,4 +1,4 @@
-"""One segment fit (:func:`fit_segment`), for batches and every retrain.
+"""One segment fit (:class:`SegmentFit`), for batches and every sub-model.
 
 Mean imputation: zero-fill missing entries of the stacked Page matrix,
 hard-threshold the SVD to rank k, and read estimates back off the
@@ -7,41 +7,113 @@ de-noised remainder through the truncated factors (principal component
 regression, i.e. the minimum-norm least-squares solution on the retained
 subspace), then apply the coefficients to the most recent raw window.
 Variance estimation runs the same machinery on the squared observations and
-subtracts the squared mean estimate, clamped at zero.
+subtracts the squared mean estimate, clamped at zero.  :meth:`SegmentFit.fit`
+is the one full fit and :meth:`SegmentFit.extend` the one (Zha-Simon) update.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import svd_engine
 from .errors import InvalidL, LengthMismatch
 from .ingestion import TimeSeriesBatch
-from .svd_engine import (
-    REL_FLOOR,
-    TruncatedSVD,
-    svd_with_spectrum,
-)
+from .svd_engine import REL_FLOOR, TruncatedSVD, svd_with_spectrum
 
 
-@dataclass
+@dataclass(eq=False)
 class SegmentFit:
-    """Every factor set and coefficient vector of one segment.
+    """Every factor set and coefficient vector of one segment (None unfitted).
 
     ``mean_svd`` and ``var_svd`` factor the L x (N*P) stacked Page matrix of
     the raw and of the squared observations (column N*j + n is Page column
-    j of series n); ``fc_mean_svd`` and
-    ``fc_var_svd`` factor their first L-1 rows, and ``beta_mean`` and
-    ``beta_var`` regress the last row on them.  ``degenerate`` flags all-zero
-    first L-1 rows, where both betas are 0.
+    j of series n); ``fc_mean_svd`` and ``fc_var_svd`` factor their first
+    L-1 rows, and ``beta_mean`` and ``beta_var`` regress the last row on
+    them.  L and the ranks k1 and k2 are read off the factors.
     """
 
-    mean_svd: TruncatedSVD
-    var_svd: TruncatedSVD
-    fc_mean_svd: TruncatedSVD
-    fc_var_svd: TruncatedSVD
-    beta_mean: np.ndarray
-    beta_var: np.ndarray
-    degenerate: bool
+    mean_svd: TruncatedSVD | None = None
+    var_svd: TruncatedSVD | None = None
+    fc_mean_svd: TruncatedSVD | None = None
+    fc_var_svd: TruncatedSVD | None = None
+    beta_mean: np.ndarray | None = None
+    beta_var: np.ndarray | None = None
+
+    @property
+    def trained(self) -> bool:
+        return self.mean_svd is not None
+
+    @property
+    def L(self) -> int | None:
+        return self.mean_svd.U.shape[0] if self.trained else None
+
+    @property
+    def k1(self) -> int:
+        return self.mean_svd.rank if self.trained else 0
+
+    @property
+    def k2(self) -> int:
+        return self.var_svd.rank if self.trained else 0
+
+    @property
+    def degenerate(self) -> bool:
+        """All-zero first L-1 Page rows, so both betas are 0; False unfitted."""
+        return self.trained and _degenerate(self.fc_mean_svd)
+
+    def fit(self, raw: np.ndarray, L: int, k1: int | None = None,
+            k2: int | None = None) -> "SegmentFit":
+        """Refit from the segment's N x T raw steps (NaN where missing).
+
+        The first L * floor(T/L) steps of each series form the stacked Page
+        matrix, zero-filled, in the window's own order: column N*j + n holds
+        steps j*L .. (j+1)*L - 1 of series n, and the trailing T mod L steps
+        are left out.  k1 ranks the mean factors and k2 the second-moment
+        factors (data-driven when None); a forecast rank is its full matrix's
+        rank capped at L-1.  One working copy: the Page matrix fits the mean
+        sets and is then squared in place for the variance sets.  Returns
+        ``self``; raises :class:`InvalidL` unless 2 <= L <= T.
+        """
+        t = raw.shape[1]
+        if not 2 <= L <= t:
+            raise InvalidL(f"L={L} invalid for T={t}: need 2 <= L <= T")
+        n, P = raw.shape[0], t // L
+        # One strided copy; Fortran order keeps each column's L steps together.
+        data = np.empty((L, n * P), order="F")
+        data.T.reshape(P, n, L)[...] = (raw[:, :L * P].reshape(n, P, L)
+                                        .transpose(1, 0, 2))
+        np.copyto(data, 0.0, where=~np.isfinite(data))
+
+        self.mean_svd, _ = svd_with_spectrum(data, k1)
+        self.fc_mean_svd, _ = svd_with_spectrum(data[:-1], min(self.k1, L - 1))
+        self.beta_mean, _ = pcr_coefficients(self.fc_mean_svd, data[-1])
+
+        np.multiply(data, data, out=data)
+        self.var_svd, _ = svd_with_spectrum(data, k2)
+        self.fc_var_svd, _ = svd_with_spectrum(data[:-1], min(self.k2, L - 1))
+        self.beta_var, _ = pcr_coefficients(self.fc_var_svd, data[-1])
+        return self
+
+    def extend(self, raw: np.ndarray) -> None:
+        """Fold one new Page column per series into the fitted factors and
+        refit both betas against the new last Page row.
+
+        ``raw`` holds the segment's N x L*(P+1) raw steps (NaN where
+        missing), for the P Page columns per series already fitted; its last
+        L steps become columns N*P + n, at the fitted ranks.
+        """
+        L = self.L
+        B = np.ascontiguousarray(zero_filled(raw[:, -L:]).T)
+        B_sq = B * B
+        # The last Page row, in V's row order (column N*j + n).
+        last_row = zero_filled(raw[:, L - 1::L]).ravel(order="F")
+        # Called through svd_engine, where perfbench's tracer counts appends.
+        append = svd_engine.append_columns
+        self.mean_svd = append(self.mean_svd, B, self.k1)
+        self.var_svd = append(self.var_svd, B_sq, self.k2)
+        self.fc_mean_svd = append(self.fc_mean_svd, B[:-1], self.fc_mean_svd.rank)
+        self.fc_var_svd = append(self.fc_var_svd, B_sq[:-1], self.fc_var_svd.rank)
+        self.beta_mean, _ = pcr_coefficients(self.fc_mean_svd, last_row)
+        self.beta_var, _ = pcr_coefficients(self.fc_var_svd, last_row * last_row)
 
 
 @dataclass
@@ -88,49 +160,30 @@ def pcr_coefficients(svd_tilde: TruncatedSVD, last_row: np.ndarray) -> tuple[np.
     (zero directions contribute nothing).  Returns (beta, degenerate).
     """
     s = svd_tilde.s
-    rows = svd_tilde.U.shape[0]
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros(rows), True
+    if _degenerate(svd_tilde):
+        return np.zeros(svd_tilde.U.shape[0]), True
     keep = s > REL_FLOOR * s[0]
     z = svd_tilde.V[:, keep].T @ last_row
     beta = svd_tilde.U[:, keep] @ (z / s[keep])
     return beta, False
 
 
+def _degenerate(svd_tilde: TruncatedSVD) -> bool:
+    """No direction to regress on: no singular value, or a zero largest."""
+    return svd_tilde.s.size == 0 or bool(svd_tilde.s[0] <= 0.0)
+
+
+def zero_filled(raw: np.ndarray) -> np.ndarray:
+    """Raw window values with the missing (NaN) entries set to 0.  Faster
+    than ``np.nan_to_num`` on the small blocks appends and forecasts read."""
+    return np.where(np.isfinite(raw), raw, 0.0)
+
+
 def fit_segment(raw: np.ndarray, L: int, k1: int | None = None,
                 k2: int | None = None) -> SegmentFit:
-    """Fit one segment from its N x T raw steps (NaN where missing).
-
-    The first L * floor(T/L) steps of each series form the stacked Page
-    matrix, zero-filled, in the window's own order: column N*j + n holds
-    steps j*L .. (j+1)*L - 1 of series n, and the trailing T mod L steps
-    are left out.  k1 ranks the mean factors and k2 the second-moment
-    factors (data-driven when None); a forecast rank is its full matrix's
-    rank capped at L-1.  One working copy: the Page matrix fits the mean
-    sets and is then squared in place for the variance sets.  Raises
-    :class:`InvalidL` unless 2 <= L <= T.
-    """
-    t = raw.shape[1]
-    if not 2 <= L <= t:
-        raise InvalidL(f"L={L} invalid for T={t}: need 2 <= L <= T")
-    n, P = raw.shape[0], t // L
-    # One strided copy; Fortran order keeps each column's L steps together.
-    data = np.empty((L, n * P), order="F")
-    data.T.reshape(P, n, L)[...] = (raw[:, :L * P].reshape(n, P, L)
-                                    .transpose(1, 0, 2))
-    np.copyto(data, 0.0, where=~np.isfinite(data))
-
-    mean_svd, _ = svd_with_spectrum(data, k1)
-    fc_mean_svd, _ = svd_with_spectrum(data[:-1, :], min(mean_svd.rank, L - 1))
-    beta_mean, degenerate = pcr_coefficients(fc_mean_svd, data[-1])
-
-    np.multiply(data, data, out=data)
-    var_svd, _ = svd_with_spectrum(data, k2)
-    fc_var_svd, _ = svd_with_spectrum(data[:-1, :], min(var_svd.rank, L - 1))
-    beta_var, _ = pcr_coefficients(fc_var_svd, data[-1])
-
-    return SegmentFit(mean_svd, var_svd, fc_mean_svd, fc_var_svd,
-                      beta_mean, beta_var, degenerate)
+    """A new :class:`SegmentFit` of the N x T raw steps (:meth:`SegmentFit.fit`).
+    Raises :class:`InvalidL` unless 2 <= L <= T."""
+    return SegmentFit().fit(raw, L, k1, k2)
 
 
 def _result(page: np.ndarray, values: np.ndarray) -> ImputeResult:

@@ -7,11 +7,12 @@ the first step count that crosses floor(T0 * (1+gamma)^l) observations, for
 l up to a cap (a larger cap for the first segment, which grows from T0 all
 the way to Tprime), and has a Page window: L0 * ceil(L0 / N) steps or more,
 with L0 the L override or 2.  :func:`retrain_thresholds` and
-:meth:`PredictionModel._next_retrain` are the whole schedule.  Between
-retrains, completed Page-matrix columns are appended to its SVDs
-incrementally, in the column order of full retrains.  Until the first
-retrain the model answers with the running mean of everything seen
-(fallback mode).
+:meth:`PredictionModel._next_retrain` are the whole schedule.  A sub-model
+is a :class:`~pagecast.estimator.SegmentFit`: a retrain refits it from the
+raw steps (``fit``), and between retrains each completed Page column is
+appended to its SVDs (``extend``), in the column order of full retrains.
+Until the first retrain the model answers with the running mean of
+everything seen (fallback mode).
 """
 
 import bisect
@@ -22,9 +23,8 @@ import numpy as np
 
 from .errors import (InvalidParams, NonFiniteInput, UnknownSeries, UntrainedModel,
                      WidthMismatch)
-from .estimator import fit_segment, pcr_coefficients
+from .estimator import SegmentFit, zero_filled  # noqa: F401 (re-exported)
 from .ingestion import TimeSeriesBatch
-from .svd_engine import append_columns
 
 # Longest run of steps that insert_many checks or adds in one bulk
 # operation; keeps its float temporaries at O(N * BULK_STEPS) whatever the
@@ -181,42 +181,21 @@ class _RawWindow:
         return self._vals[self._lo:self._hi]
 
 
-class SubModel:
-    """One trained segment: imputation/forecast factors for mean and variance
-    of its L x (N*P) stacked Page matrix, whose column N*j + n is Page column
-    j of series n.  L, P and the ranks k1 and k2 are read off the factors."""
+class SubModel(SegmentFit):
+    """The fit of one segment of the stream, which starts at global step
+    ``start_step``: factors of its L x (N*P) stacked Page matrix, whose
+    column N*j + n is Page column j of series n.  P is read off them."""
 
     def __init__(self, index: int, start_step: int, n_series: int):
+        super().__init__()
         self.index = index
         self.start_step = start_step
         self.N = n_series
         self.retrain_history: list[int] = []
-        self.mean_svd = None
-        self.var_svd = None
-        self.fc_mean_svd = None
-        self.fc_var_svd = None
-        self.beta_mean: np.ndarray | None = None
-        self.beta_var: np.ndarray | None = None
-
-    @property
-    def trained(self) -> bool:
-        return self.mean_svd is not None
-
-    @property
-    def L(self) -> int | None:
-        return self.mean_svd.U.shape[0] if self.trained else None
 
     @property
     def P(self) -> int:
         return self.mean_svd.V.shape[0] // self.N if self.trained else 0
-
-    @property
-    def k1(self) -> int:
-        return self.mean_svd.rank if self.trained else 0
-
-    @property
-    def k2(self) -> int:
-        return self.var_svd.rank if self.trained else 0
 
     @property
     def start_obs(self) -> int:
@@ -464,7 +443,7 @@ class PredictionModel:
             self._coeff_cache = None
         elif (sm.trained and steps == sm.L * (sm.P + 1)
               and not self._retrains_by(sm, due, last)):
-            self._append_block(sm)
+            sm.extend(self.raw.slice_steps(sm.start_step, self.n_steps))
             self._coeff_cache = None
 
     def _window_for(self, t_seg: int) -> int:
@@ -479,30 +458,8 @@ class PredictionModel:
     def _full_retrain(self, sm: SubModel) -> None:
         """Refit every factor set and beta from the segment's raw steps."""
         raw = self.raw.slice_steps(sm.start_step, self.n_steps)
-        fit = fit_segment(raw, self._window_for(raw.shape[1]),
-                          self.hp.k1, self.hp.k2)
-        sm.mean_svd, sm.var_svd = fit.mean_svd, fit.var_svd
-        sm.fc_mean_svd, sm.fc_var_svd = fit.fc_mean_svd, fit.fc_var_svd
-        sm.beta_mean, sm.beta_var = fit.beta_mean, fit.beta_var
+        sm.fit(raw, self._window_for(raw.shape[1]), self.hp.k1, self.hp.k2)
         sm.retrain_history.append(self.total_obs)
-
-    def _append_block(self, sm: SubModel) -> None:
-        """Fold the segment's last L steps into the factors as N new columns
-        and refit beta against the new last Page row."""
-        L = sm.L
-        vals = self.raw.slice_steps(sm.start_step, self.n_steps)
-        B = np.ascontiguousarray(zero_filled(vals[:, -L:]).T)
-        B_sq = B * B
-        # The last Page row, in V's row order (column N*j + n).
-        last_row = zero_filled(vals[:, L - 1::L]).ravel(order="F")
-        sm.mean_svd = append_columns(sm.mean_svd, B, sm.k1)
-        sm.var_svd = append_columns(sm.var_svd, B_sq, sm.k2)
-        sm.fc_mean_svd = append_columns(sm.fc_mean_svd, B[:-1, :],
-                                        sm.fc_mean_svd.rank)
-        sm.fc_var_svd = append_columns(sm.fc_var_svd, B_sq[:-1, :],
-                                       sm.fc_var_svd.rank)
-        sm.beta_mean, _ = pcr_coefficients(sm.fc_mean_svd, last_row)
-        sm.beta_var, _ = pcr_coefficients(sm.fc_var_svd, last_row * last_row)
 
     # --- coefficients -----------------------------------------------------
 
@@ -532,12 +489,6 @@ class PredictionModel:
         bv /= len(last)
         self._coeff_cache = (m, (bm, bv))
         return bm, bv
-
-
-def zero_filled(raw: np.ndarray) -> np.ndarray:
-    """Raw window values with the missing (NaN) entries set to 0.  Faster
-    than ``np.nan_to_num`` on the small blocks appends and forecasts read."""
-    return np.where(np.isfinite(raw), raw, 0.0)
 
 
 def create_model(batch: TimeSeriesBatch, hp: HyperParams | None = None) -> PredictionModel:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfidence, OutOfRange, UnstableForecast
-from .incremental import PredictionModel, zero_filled
+from .estimator import zero_filled
+from .incremental import PredictionModel
 from .kernels import ar_recurrence, reconstruct_points
 from .stats import chebyshev_halfwidth, check_interval, gaussian_halfwidth
 

@@ -26,6 +26,19 @@ _P_LOW = 0.02425
 _P_HIGH = 1.0 - _P_LOW
 
 
+def _central(q):
+    """Acklam's central-region rational function of q = p - 0.5."""
+    r = q * q
+    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
+            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+
+
+def _tail(q):
+    """Acklam's lower-tail rational function of q = sqrt(-2 ln p)."""
+    return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
+            / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+
+
 def norm_ppf(p: float) -> float:
     """Inverse CDF of the standard normal distribution on (0, 1)."""
     if not 0.0 < p < 1.0:
@@ -36,18 +49,11 @@ def norm_ppf(p: float) -> float:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
     if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+        x = _tail(math.sqrt(-2.0 * math.log(p)))
     elif p <= _P_HIGH:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+        x = _central(p - 0.5)
     else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+        x = -_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
 
     # One Halley step: e = Phi(x) - p, with Phi via erfc for tail accuracy.
     e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
@@ -70,18 +76,9 @@ def norm_ppf_array(p: "np.ndarray") -> "np.ndarray":
     high = p > _P_HIGH
     mid = ~(low | high)
 
-    q = np.sqrt(-2.0 * np.log(p[low]))
-    x[low] = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-
-    q = p[mid] - 0.5
-    r = q * q
-    x[mid] = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-              / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-    q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-    x[high] = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+    x[low] = _tail(np.sqrt(-2.0 * np.log(p[low])))
+    x[mid] = _central(p[mid] - 0.5)
+    x[high] = -_tail(np.sqrt(-2.0 * np.log(1.0 - p[high])))
     return x
 
 

@@ -53,10 +53,6 @@ class TruncatedSVD:
     def rank(self) -> int:
         return len(self.s)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.U.shape[0], self.V.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.s) @ self.V.T
 

@@ -262,6 +262,72 @@ class TestCreatePredict:
         assert code == 1 and "error: InvalidInterval" in err and out == ""
         assert not model_dir.exists()
 
+    def test_create_checks_flags_before_reading(self, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        code, out, err = _run(capsys, [
+            "create", "--input", str(tmp_path / "absent.csv"),
+            "--model", str(model_dir), "--k1", "0"])
+        assert code == 1 and out == ""
+        assert "error: InvalidParams" in err and "absent.csv" not in err
+        assert "read " not in err
+        assert not model_dir.exists()
+
+    def test_create_below_T0_warns_of_fallback(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=50)
+        model_dir = tmp_path / "model"
+        code, _, err = _run(capsys, ["create", "--input", str(data), "--model",
+                                     str(model_dir), "--T0", "500"])
+        assert code == 0
+        assert "warning: fewer observations than --T0" in err
+        assert "fallback mode" in err
+        assert pc.load_model(model_dir).in_fallback
+
+    def test_predict_table_is_the_default_format(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"])[0] == 0
+        code, out, _ = _run(capsys, ["predict", "--model", str(model_dir),
+                                     "--series", "s0", "--range", "10:12"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split() == ["t", "series", "mean", "variance", "lo",
+                                    "hi", "kind"]
+        assert set(lines[1].replace(" ", "")) == {"-"}
+        assert [line.split()[0] for line in lines[2:]] == ["10", "11", "12"]
+        assert all(line.split()[-1] == "imputed" for line in lines[2:])
+        # each column starts where its header starts
+        starts = [lines[0].index(h) for h in ("series", "mean", "kind")]
+        for line in lines[2:]:
+            assert all(line[i - 2:i] == "  " and line[i] != " " for i in starts)
+
+    def test_predict_bad_range_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=200)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "50"])[0] == 0
+        code, out, err = _run(capsys, ["predict", "--model", str(model_dir),
+                                       "--series", "s0", "--range", "5-9"])
+        assert code == 1 and out == ""
+        assert "error: bad range '5-9', expected A:B" in err
+
+    def test_insert_refuses_other_columns(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"])[0] == 0
+        more = tmp_path / "more.csv"
+        _write_series_csv(more, n_steps=50, seed=9, first_t=301)
+        code, _, err = _run(capsys, ["insert", "--input", str(more), "--model",
+                                     str(model_dir), "--value-cols", "s1,s0"])
+        assert code == 1
+        assert "do not match model series ['s0', 's1']" in err
+        assert pc.load_model(model_dir).n_steps == 300
+
     def test_insert_tick_must_match_model_step(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         _write_series_csv(data, n_steps=300, first_t=2, stride=2)

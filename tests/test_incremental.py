@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pagecast as pc
 import pagecast.incremental as inc
+import pagecast.svd_engine as svd_engine
 from pagecast.errors import InvalidParams, NonFiniteInput, WidthMismatch
 from pagecast.incremental import q0_limit, q_limit, retrain_thresholds
 from pagecast.svd_engine import GRAM_PATH_MIN_ROWS
@@ -392,13 +393,13 @@ def _superseding_cuts(n_series):
 
 def _count_appends(monkeypatch):
     calls = []
-    real = inc.append_columns
+    real = svd_engine.append_columns
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(inc, "append_columns", counting)
+    monkeypatch.setattr(svd_engine, "append_columns", counting)
     return calls
 
 
@@ -567,8 +568,8 @@ class TestOverflowingSquares:
 
     def test_create_model_raises_before_training(self, monkeypatch):
         calls = []
-        real = inc.fit_segment
-        monkeypatch.setattr(inc, "fit_segment",
+        real = inc.SubModel.fit
+        monkeypatch.setattr(inc.SubModel, "fit",
                             lambda *a: calls.append(1) or real(*a))
         batch = _stream(300, n_series=2, seed=5)
         batch.values[1, 200] = 1e200
@@ -713,6 +714,37 @@ class TestSupersededAppends:
             sm.P - (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
             for sm in model.submodels)
         assert len(calls) == 4 * kept == 4
+
+
+class TestDegenerate:
+    """A sub-model reports whether its PCR fit is degenerate (all-zero first
+    L-1 Page rows) the same way fresh, after appends and after a load."""
+
+    HP = pc.HyperParams(T0=20, Tprime=1000)
+
+    @pytest.mark.parametrize("zero", [True, False])
+    def test_fresh_appended_and_loaded_agree(self, tmp_path, monkeypatch, zero):
+        batch = _stream(500, n_series=2, seed=7)
+        if zero:
+            batch.values[:] = 0.0
+        model = pc.create_model(
+            pc.TimeSeriesBatch(batch.names, batch.values[:, :400],
+                               batch.observed[:, :400]), self.HP)
+
+        def reports():
+            flags = [sm.degenerate for sm in model.trained_submodels()]
+            assert flags and all(type(f) is bool for f in flags)
+            return set(flags)
+
+        assert reports() == {zero}
+        calls = _count_appends(monkeypatch)
+        model.insert_many(batch.values[:, 400:])
+        assert calls
+        assert reports() == {zero}
+        pc.save_model(model, tmp_path / "m")
+        model = pc.load_model(tmp_path / "m")
+        assert reports() == {zero}
+        assert not inc.SubModel(0, 0, 2).degenerate
 
 
 class TestGoldenAnswers:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pagecast as pc
+import pagecast.svd_engine as svd_engine
 from pagecast.errors import EmptySpectrum, NonFiniteInput, RankOutOfRange, ShapeMismatch
 from pagecast.svd_engine import _sign_fix, svd_with_spectrum
 
@@ -174,6 +175,22 @@ class TestAppendColumns:
             svd = pc.append_columns(svd, col, 3)
         assert svd.orthogonality_error() < 1e-10
         assert svd.V.shape == (1008, 3)
+
+    def test_drifted_factors_are_reorthogonalized(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        svd = pc.truncated_svd(rng.normal(size=(20, 60)), 8)
+        drifted = pc.TruncatedSVD(svd.U + 1e-6 * rng.normal(size=svd.U.shape),
+                                  svd.s,
+                                  svd.V + 1e-6 * rng.normal(size=svd.V.shape))
+        assert 1e-6 < drifted.orthogonality_error() < 1e-4
+        calls = []
+        real = svd_engine._reorthogonalize
+        monkeypatch.setattr(svd_engine, "_reorthogonalize",
+                            lambda Q: calls.append(Q.shape) or real(Q))
+        out = pc.append_columns(drifted, rng.normal(size=(20, 5)), 8)
+        assert calls == [(20, 8), (65, 8)]  # U, then V
+        assert out.orthogonality_error() <= 1e-12
+        assert out.V.shape == (65, 8)
 
     def test_growing_noisy_stream_tracks_batch_values(self):
         rng = np.random.default_rng(13)
