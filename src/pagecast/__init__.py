@@ -7,9 +7,7 @@ with Gaussian or Chebyshev prediction intervals; persist models to disk.
 
 from .errors import PagecastError
 from .estimator import (
-    ForecastModel,
     ImputeResult,
-    VarianceForecaster,
     fit_forecaster,
     fit_variance_forecaster,
     forecast_mean,
@@ -50,7 +48,7 @@ __all__ = [
     "TimeSeriesBatch", "load_csv", "write_csv", "aggregate",
     "StackedPageMatrix", "build_stacked_page", "coords_of", "drop_last_row",
     "TruncatedSVD", "truncated_svd", "select_rank", "append_columns",
-    "ForecastModel", "ImputeResult", "VarianceForecaster",
+    "ImputeResult",
     "impute_mean", "impute_variance", "fit_forecaster", "forecast_mean",
     "fit_variance_forecaster", "forecast_variance",
     "HyperParams", "PredictionModel", "SubModel",

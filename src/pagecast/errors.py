@@ -15,6 +15,10 @@ class MissingColumn(PagecastError):
     """A requested column is absent from the CSV header."""
 
 
+class DuplicateColumn(PagecastError):
+    """A requested column is named twice, in the CSV header or the request."""
+
+
 class UnparseableTimestamp(PagecastError):
     """A timestamp cell is neither numeric nor ISO-8601."""
 

@@ -8,14 +8,15 @@ regression, i.e. the minimum-norm least-squares solution on the retained
 subspace), then apply the coefficients to the most recent raw window.
 Variance estimation runs the same machinery on the squared observations and
 subtracts the squared mean estimate, clamped at zero.  :meth:`SegmentFit.fit`
-is the one full fit and :meth:`SegmentFit.extend` the one (Zha-Simon) update.
+is the one full fit and :meth:`SegmentFit.extend` the one (Zha-Simon) update;
+:func:`forecast` is every forecast, batch and served.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import svd_engine
+from . import kernels, svd_engine
 from .errors import InvalidL, LengthMismatch
 from .ingestion import TimeSeriesBatch
 from .svd_engine import REL_FLOOR, TruncatedSVD, svd_with_spectrum
@@ -85,12 +86,12 @@ class SegmentFit:
 
         self.mean_svd, _ = svd_with_spectrum(data, k1)
         self.fc_mean_svd, _ = svd_with_spectrum(data[:-1], min(self.k1, L - 1))
-        self.beta_mean, _ = pcr_coefficients(self.fc_mean_svd, data[-1])
+        self.beta_mean = pcr_coefficients(self.fc_mean_svd, data[-1])
 
         np.multiply(data, data, out=data)
         self.var_svd, _ = svd_with_spectrum(data, k2)
         self.fc_var_svd, _ = svd_with_spectrum(data[:-1], min(self.k2, L - 1))
-        self.beta_var, _ = pcr_coefficients(self.fc_var_svd, data[-1])
+        self.beta_var = pcr_coefficients(self.fc_var_svd, data[-1])
         return self
 
     def extend(self, raw: np.ndarray) -> None:
@@ -112,8 +113,8 @@ class SegmentFit:
         self.var_svd = append(self.var_svd, B_sq, self.k2)
         self.fc_mean_svd = append(self.fc_mean_svd, B[:-1], self.fc_mean_svd.rank)
         self.fc_var_svd = append(self.fc_var_svd, B_sq[:-1], self.fc_var_svd.rank)
-        self.beta_mean, _ = pcr_coefficients(self.fc_mean_svd, last_row)
-        self.beta_var, _ = pcr_coefficients(self.fc_var_svd, last_row * last_row)
+        self.beta_mean = pcr_coefficients(self.fc_mean_svd, last_row)
+        self.beta_var = pcr_coefficients(self.fc_var_svd, last_row * last_row)
 
 
 @dataclass
@@ -129,43 +130,19 @@ class ImputeResult:
     in_model: np.ndarray
 
 
-@dataclass
-class ForecastModel:
-    """Linear forecaster: coefficients over the previous L-1 values.
-
-    ``beta[j]`` multiplies the value at lag L-1-j, i.e. ``beta`` pairs
-    elementwise with a chronological history window (oldest first).
-    ``degenerate`` flags an all-zero training matrix, where beta is 0.
-    """
-
-    beta: np.ndarray
-    svd_tilde: TruncatedSVD
-    L: int
-    degenerate: bool = False
-
-
-@dataclass
-class VarianceForecaster:
-    """Pair of forecasters tracking the mean and the second moment."""
-
-    mean_model: ForecastModel
-    second_moment_model: ForecastModel
-
-
-def pcr_coefficients(svd_tilde: TruncatedSVD, last_row: np.ndarray) -> tuple[np.ndarray, bool]:
+def pcr_coefficients(svd_tilde: TruncatedSVD, last_row: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares for last_row ~ reconstruction^T @ beta.
 
     Solved through the truncated factors: beta = U diag(1/s) V^T last_row,
     excluding singular values below REL_FLOOR relative to the largest
-    (zero directions contribute nothing).  Returns (beta, degenerate).
+    (zero directions contribute nothing); 0 when :func:`_degenerate`.
     """
     s = svd_tilde.s
     if _degenerate(svd_tilde):
-        return np.zeros(svd_tilde.U.shape[0]), True
+        return np.zeros(svd_tilde.U.shape[0])
     keep = s > REL_FLOOR * s[0]
     z = svd_tilde.V[:, keep].T @ last_row
-    beta = svd_tilde.U[:, keep] @ (z / s[keep])
-    return beta, False
+    return svd_tilde.U[:, keep] @ (z / s[keep])
 
 
 def _degenerate(svd_tilde: TruncatedSVD) -> bool:
@@ -205,29 +182,36 @@ def impute_mean(batch: TimeSeriesBatch, L: int, k: int | None = None) -> ImputeR
 
 
 def fit_forecaster(batch: TimeSeriesBatch, L: int,
-                   k: int | None = None) -> ForecastModel:
-    """Fit the linear forecaster for one segment.
-
-    The stacked Page matrix loses its last row, the remainder is de-noised
-    to the full matrix's rank (k, or data-driven when None) capped at L-1,
-    and the raw last row is regressed on it.  Raises :class:`InvalidL`
-    unless 2 <= L <= T.
-    """
-    return fit_variance_forecaster(batch, L, k).mean_model
+                   k: int | None = None) -> SegmentFit:
+    """The segment fit, whose ``beta_mean`` regresses the last Page row on
+    the others de-noised to the full matrix's rank (k, or data-driven when
+    None) capped at L-1.  Raises :class:`InvalidL` unless 2 <= L <= T."""
+    return fit_segment(batch.values, L, k)
 
 
-def forecast_mean(fm: ForecastModel, history: np.ndarray) -> float:
-    """One-step forecast: dot product of the chronological history with beta.
-
-    ``history`` holds the most recent L-1 values, oldest first; missing
-    entries (NaN) are replaced by zero.
-    """
+def forecast(history: np.ndarray, beta_mean: np.ndarray,
+             beta_var: np.ndarray | None,
+             steps: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ``steps`` values after ``history`` (its len(beta_mean) latest
+    raw values, oldest first, NaN as 0) by the recurrence of ``beta_mean``,
+    and the second moments by that of ``beta_var`` on the squared history
+    (None without ``beta_var``).  Raises :class:`LengthMismatch` unless
+    ``history`` is 1-D of len(beta_mean)."""
     history = np.asarray(history, dtype=np.float64)
-    if history.ndim != 1 or len(history) != len(fm.beta):
+    if history.ndim != 1 or len(history) != len(beta_mean):
         raise LengthMismatch(
-            f"history length {history.shape} != {len(fm.beta)}")
-    history = np.where(np.isfinite(history), history, 0.0)
-    return float(history @ fm.beta)
+            f"history length {history.shape} != {len(beta_mean)}")
+    seed = zero_filled(history)
+    # Called through kernels, where perfbench's tracer counts the steps.
+    mean = kernels.ar_recurrence(seed, beta_mean, steps)
+    second = (None if beta_var is None
+              else kernels.ar_recurrence(seed * seed, beta_var, steps))
+    return mean, second
+
+
+def forecast_mean(fit: SegmentFit, history: np.ndarray) -> float:
+    """One-step :func:`forecast` from the latest L-1 values, oldest first."""
+    return float(forecast(history, fit.beta_mean, None, 1)[0][0])
 
 
 def impute_variance(batch: TimeSeriesBatch, L: int, k1: int | None = None,
@@ -247,19 +231,14 @@ def impute_variance(batch: TimeSeriesBatch, L: int, k1: int | None = None,
 
 def fit_variance_forecaster(batch: TimeSeriesBatch, L: int,
                             k1: int | None = None,
-                            k2: int | None = None) -> VarianceForecaster:
-    """Fit the forecaster pair (raw series and squared series).  Raises
-    :class:`InvalidL` unless 2 <= L <= T."""
-    fit = fit_segment(batch.values, L, k1, k2)
-    return VarianceForecaster(
-        ForecastModel(fit.beta_mean, fit.fc_mean_svd, L, fit.degenerate),
-        ForecastModel(fit.beta_var, fit.fc_var_svd, L, fit.degenerate))
+                            k2: int | None = None) -> SegmentFit:
+    """The segment fit whose ``beta_mean`` and ``beta_var`` forecast the raw
+    and the squared series.  Raises :class:`InvalidL` unless 2 <= L <= T."""
+    return fit_segment(batch.values, L, k1, k2)
 
 
-def forecast_variance(vf: VarianceForecaster, history: np.ndarray) -> float:
-    """One-step variance forecast from the raw (unsquared) history window."""
-    history = np.asarray(history, dtype=np.float64)
-    history = np.where(np.isfinite(history), history, 0.0)
-    mean = forecast_mean(vf.mean_model, history)
-    second = forecast_mean(vf.second_moment_model, history**2)
-    return max(0.0, second - mean * mean)
+def forecast_variance(fit: SegmentFit, history: np.ndarray) -> float:
+    """One-step variance forecast from the raw (unsquared) history window:
+    the second moment less the squared mean, clamped at zero."""
+    mean, second = forecast(history, fit.beta_mean, fit.beta_var, 1)
+    return max(0.0, float(second[0] - mean[0] * mean[0]))

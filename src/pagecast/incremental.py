@@ -223,6 +223,8 @@ class PredictionModel:
                  t0: float = 0.0, step: float = 1.0):
         if len(names) < 1:
             raise InvalidParams("need at least one series")
+        if len(set(names)) < len(names):
+            raise InvalidParams(f"series names repeat: {list(names)}")
         self.names = list(names)
         self.N = len(names)
         self.hp = hp if hp is not None else HyperParams()

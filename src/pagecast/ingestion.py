@@ -9,13 +9,15 @@ values only, with NaN as the one missing marker.
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
+    DuplicateColumn,
     DuplicateTimestamp,
     EmptyFile,
     InvalidInterval,
@@ -86,7 +88,8 @@ class TimeSeriesBatch:
 
 def _parse_timestamp(text: str, lineno: int) -> int | Fraction:
     """Seconds since the epoch, exactly as written (an int or a Fraction):
-    as floats, epoch-sized stamps lose their sub-second digits."""
+    as floats, epoch-sized stamps lose their sub-second digits.  An ISO-8601
+    stamp without a UTC offset is read as UTC, whatever the host's zone."""
     text = text.strip()
     try:
         return int(text)
@@ -102,6 +105,8 @@ def _parse_timestamp(text: str, lineno: int) -> int | Fraction:
     except ValueError:
         raise UnparseableTimestamp(
             f"line {lineno}: cannot parse timestamp {text!r}") from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
     # timestamp() of a whole second is an exact integer float
     return (int(dt.replace(microsecond=0).timestamp())
             + Fraction(dt.microsecond, 1_000_000))
@@ -130,7 +135,8 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
     1e-9 * tick below a grid point counts as on it, so rounding cannot move
     an on-grid row one index early.  Two rows on the same index raise
     :class:`DuplicateTimestamp`.  ``value_cols=None`` selects every column
-    except ``time_col``.
+    except ``time_col``; a selected name that the header or ``value_cols``
+    repeats raises :class:`DuplicateColumn`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -146,6 +152,10 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
         for col in value_cols:
             if col not in header:
                 raise MissingColumn(f"{path}: missing value column {col!r}")
+        in_header, selected = Counter(header), Counter(value_cols)
+        for col in (time_col, *value_cols):
+            if in_header[col] > 1 or selected[col] > 1:
+                raise DuplicateColumn(f"{path}: column {col!r} named twice")
         t_idx = header.index(time_col)
         v_idx = [header.index(c) for c in value_cols]
 

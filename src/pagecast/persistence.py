@@ -28,9 +28,10 @@ retrained, L, P, k1 and k2 are its factor shapes, and its next retrain
 follows from its history and :func:`retrain_thresholds`.  The averaged
 coefficients, each sub-model's unfinished Page column and last Page row, and
 the observation mask (the finite raw entries) are recomputed.  Load refuses
-names that disagree with the raw file, histories that disagree with the
-factor files listed and factors whose L or P disagree with the history and
-step count (CorruptManifest).  Formats 1-5 stored the counts and ``pending``
+names that disagree with the raw file, hyper-parameters or names that a new
+model would refuse, histories that disagree with the factor files listed and
+factors whose L or P disagree with the history and step count
+(CorruptManifest).  Formats 1-5 stored the counts and ``pending``
 thresholds, formats 1-4 the sub-model shapes with the last retrain's columns
 series-major (undone by :func:`_reorder_columns`), formats 1-3 the mask
 (``raw_mask.f64``), formats 1 and 2 each sub-model's step count, column and
@@ -52,7 +53,8 @@ import shutil
 
 import numpy as np
 
-from .errors import ChecksumMismatch, CorruptManifest, VersionUnsupported
+from .errors import (ChecksumMismatch, CorruptManifest, InvalidParams,
+                     VersionUnsupported)
 from .incremental import HyperParams, PredictionModel, SubModel, _RawWindow
 from .svd_engine import TruncatedSVD
 
@@ -256,7 +258,8 @@ def _load_from(directory: str) -> PredictionModel:
     manifest = _read_manifest(directory)
     try:
         return _rebuild(directory, manifest)
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, json.JSONDecodeError,
+            InvalidParams) as exc:
         raise CorruptManifest(f"{directory}: malformed manifest: {exc}") from exc
 
 

@@ -2,8 +2,8 @@
 
 Time indices are 1-based: t in [1, T] is an imputation (reconstructed from
 the stored sub-model factors covering t, averaged when t lies in the overlap
-of two segments), t > T is a forecast (the averaged coefficients are applied
-sequentially from T+1 up to t, tracking the mean and the second moment).
+of two segments), t > T is a forecast (:func:`estimator.forecast` runs the
+averaged coefficients from T+1 up to t, for the mean and second moment).
 
 One routine answers every query: a point is a one-step range.  A range is
 answered QUERY_CHUNK steps at a time.  Per chunk, each trained sub-model
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfidence, OutOfRange, UnstableForecast
-from .estimator import zero_filled
+from .estimator import forecast
 from .incremental import PredictionModel
-from .kernels import ar_recurrence, reconstruct_points
+from .kernels import reconstruct_points
 from .stats import chebyshev_halfwidth, check_interval, gaussian_halfwidth
 
-# Longest forecast horizon, in steps past the data.  ar_recurrence holds
+# Longest forecast horizon, in steps past the data.  forecast holds
 # len(beta) + h floats per path, so a forecast at the limit holds 16 MB for
 # its mean and second-moment paths and takes about 1.3 s per path (12 ms per
 # 1e4 steps); without a bound one query could ask for any amount of memory.
@@ -93,11 +93,10 @@ def _forecast_trajectories(model: PredictionModel, n: int, horizon: int,
     nan with an interval clamped to zero width.
     """
     beta_mean, beta_var = model.averaged_coefficients()
-    seed = zero_filled(model.raw.tail(len(beta_mean), n))
+    history = model.raw.tail(len(beta_mean), n)
     with np.errstate(over="ignore", invalid="ignore"):
-        g_mean = ar_recurrence(seed, beta_mean, horizon)
-        g_second = (ar_recurrence(seed * seed, beta_var, horizon)
-                    if with_uq else None)
+        g_mean, g_second = forecast(history, beta_mean,
+                                    beta_var if with_uq else None, horizon)
     # A non-finite value stays in the recurrence's window and makes every
     # later value non-finite, so a path is finite when its last value is.
     for name, path in (("mean", g_mean), ("second moment", g_second)):

@@ -179,7 +179,6 @@ def _normalize_01(x: np.ndarray) -> np.ndarray:
 
 
 DYNAMICS = ("har", "har_trend", "har_ar_trend")
-NOISE_MODELS = ("gaussian", "bernoulli", "poisson")
 
 
 def gen_synthetic_II(seed: int = 0, T: int = 15000,

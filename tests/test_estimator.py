@@ -3,7 +3,7 @@ import pytest
 
 import pagecast as pc
 from pagecast.errors import LengthMismatch
-from pagecast.estimator import pcr_coefficients
+from pagecast.estimator import _degenerate, pcr_coefficients
 
 
 def _batch(values, observed=None):
@@ -86,7 +86,7 @@ class TestFitForecaster:
         c = 2.5
         batch = _batch(np.full(60, c))
         fm = pc.fit_forecaster(batch, L=3, k=1)
-        np.testing.assert_allclose(fm.beta, [0.5, 0.5], atol=1e-10)
+        np.testing.assert_allclose(fm.beta_mean, [0.5, 0.5], atol=1e-10)
         assert pc.forecast_mean(fm, np.array([c, c])) == pytest.approx(c)
 
     def test_alternating_series(self):
@@ -100,7 +100,7 @@ class TestFitForecaster:
     def test_zero_matrix_degenerate(self):
         fm = pc.fit_forecaster(_batch(np.zeros(30)), L=3)
         assert fm.degenerate
-        np.testing.assert_array_equal(fm.beta, 0.0)
+        np.testing.assert_array_equal(fm.beta_mean, 0.0)
 
     def test_linear_trend_forecast(self):
         t = np.arange(1, 401, dtype=float)
@@ -115,8 +115,8 @@ class TestFitForecaster:
         right = rng.normal(size=(3, 40))
         z = left @ right  # 9 x 40, exact rank 3
         svd = pc.truncated_svd(z[:-1], 3)
-        beta, degenerate = pcr_coefficients(svd, z[-1])
-        assert not degenerate
+        beta = pcr_coefficients(svd, z[-1])
+        assert not _degenerate(svd)
         resid = np.linalg.norm(z[-1] - svd.reconstruct().T @ beta)
         assert resid < 1e-8
 
@@ -130,9 +130,14 @@ class TestFitForecaster:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_history_length_checked(self):
-        fm = pc.fit_forecaster(_batch(np.arange(40.0)), L=4, k=2)
+        batch = _batch(np.arange(40.0))
+        fm = pc.fit_forecaster(batch, L=4, k=2)
+        vf = pc.fit_variance_forecaster(batch, L=4, k1=2)
         with pytest.raises(LengthMismatch):
             pc.forecast_mean(fm, np.zeros(7))
+        for width in (1, 7):
+            with pytest.raises(LengthMismatch):
+                pc.forecast_variance(vf, np.zeros(width))
 
 
 class TestVariance:
@@ -187,9 +192,14 @@ class TestVariance:
         x = f + np.sqrt(sigma2) * rng.normal(size=len(t))
         train = x[:-100]
         vf = pc.fit_variance_forecaster(_batch(train), L=34)
-        w = len(vf.mean_model.beta)
+        w = len(vf.beta_mean)
         preds = []
         for i in range(100):
             hist = x[len(train) + i - w:len(train) + i]
             preds.append(pc.forecast_variance(vf, hist))
         assert abs(np.mean(preds) - sigma2) < 0.1
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in pc.__all__ if not hasattr(pc, name)]
+    assert missing == []

@@ -22,8 +22,9 @@ def test_batch_functions_refuse_L_below_2():
 
 def test_served_model_equals_batch():
     """One sub-model that fully retrains once, at the last step, holds the
-    batch fit bit for bit and answers as the batch functions do; its variance
-    meets criterion 4's bound with L fixed as the criterion fixes it."""
+    batch fit bit for bit and answers as the batch functions do, one-step
+    forecasts included; its variance meets criterion 4's bound with L fixed
+    as the criterion fixes it."""
     data = pc.gen_synthetic_II(seed=0, T=3000)[("gaussian", "har")]
     batch = data.observations
     n_series, t_len = batch.values.shape
@@ -56,6 +57,15 @@ def test_served_model_equals_batch():
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(served_var, var.values[:, span],
                                rtol=0, atol=1e-12)
+
+    # The one-step forecast is the batch forecast of the last L-1 raw values.
+    fm = pc.fit_forecaster(batch, L=L)
+    vf = pc.fit_variance_forecaster(batch, L=L)
+    for n in range(n_series):
+        ahead = pc.predict_point(model, n, t_len + 1)
+        history = batch.values[n, t_len - (L - 1):]
+        assert ahead.mean == pc.forecast_mean(fm, history)
+        assert ahead.variance == pc.forecast_variance(vf, history)
 
     x = batch.zero_filled()
     truth = data.latent_var[:, span]

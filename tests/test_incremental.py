@@ -140,6 +140,15 @@ class TestScheduleFormulas:
             with pytest.raises(InvalidParams):
                 pc.HyperParams(**ranks)
 
+    def test_repeated_series_names_refused(self):
+        # a query by name could reach only the first of two series "a"
+        with pytest.raises(InvalidParams):
+            pc.PredictionModel(["a", "b", "a"])
+        batch = pc.TimeSeriesBatch(["a", "a"], np.ones((2, 10)),
+                                   np.ones((2, 10), bool))
+        with pytest.raises(InvalidParams):
+            pc.create_model(batch)
+
 
 class TestFallbackAndFirstTrain:
     def test_below_t0_uses_running_mean(self):

@@ -1,10 +1,12 @@
-from datetime import datetime, timedelta
+import time
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 import pagecast as pc
 from pagecast.errors import (
+    DuplicateColumn,
     DuplicateTimestamp,
     EmptyFile,
     InvalidInterval,
@@ -17,6 +19,16 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def new_york(monkeypatch):
+    """The host's local zone is New York's for the test."""
+    monkeypatch.setenv("TZ", "America/New_York")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
 
 
 class TestLoadCsv:
@@ -102,8 +114,35 @@ class TestLoadCsv:
             f"{(base + timedelta(milliseconds=100 * k)).isoformat()},{k}\n"
             for k in range(300))
         batch = pc.load_csv(_write(tmp_path, text), "t", tick=0.1)
-        assert batch.n_steps == 300 and batch.t0 == base.timestamp()
+        utc = base.replace(tzinfo=timezone.utc).timestamp()
+        assert batch.n_steps == 300 and batch.t0 == utc
         np.testing.assert_array_equal(batch.values[0], np.arange(300))
+
+    @pytest.mark.parametrize("day", ["2024-03-10", "2024-11-03"])
+    def test_iso_stamps_without_offset_are_utc(self, tmp_path, new_york, day):
+        # New York's clocks jump forward (March) and back (November) at
+        # 02:00 on these days; read as local time, the hourly rows would
+        # share a bucket or leave one empty
+        text = "t,a\n" + "".join(f"{day}T{h:02d}:00:00,{h}\n"
+                                 for h in range(1, 5))
+        batch = pc.load_csv(_write(tmp_path, text), "t", tick=3600)
+        assert batch.n_steps == 4
+        np.testing.assert_array_equal(batch.values[0], [1, 2, 3, 4])
+        first = datetime.fromisoformat(f"{day}T01:00:00+00:00")
+        assert batch.t0 == first.timestamp()
+
+    @pytest.mark.parametrize("header, value_cols", [
+        ("t,a,a", None), ("t,a,a", ["a"]), ("t,t,a", None),
+        ("t,a,b", ["a", "a"])])
+    def test_repeated_column_refused(self, tmp_path, header, value_cols):
+        # header.index would read the first "a" (or "t") for both
+        text = header + "\n1,1.0,10.0\n2,2.0,20.0\n3,3.0,30.0\n"
+        with pytest.raises(DuplicateColumn):
+            pc.load_csv(_write(tmp_path, text), "t", value_cols)
+
+    def test_repeated_unselected_column_is_ignored(self, tmp_path):
+        batch = pc.load_csv(_write(tmp_path, "t,a,b,b\n1,5,6,7\n"), "t", ["a"])
+        assert batch.names == ["a"] and batch.values[0, 0] == 5
 
     def test_roundtrip_through_write_csv(self, tmp_path):
         values = np.array([[1.5, np.nan, 3.25], [0.0, -2.0, np.nan]])

@@ -249,8 +249,8 @@ class TestRoundTrip:
                 for n in range(model.N):
                     for j in range(sm.P):
                         last[sm.col_position(n, j)] = zf[n, (j + 1) * sm.L - 1]
-                fitted = (pcr_coefficients(sm.fc_mean_svd, last)[0],
-                          pcr_coefficients(sm.fc_var_svd, last * last)[0])
+                fitted = (pcr_coefficients(sm.fc_mean_svd, last),
+                          pcr_coefficients(sm.fc_var_svd, last * last))
                 assert fitted[0].tobytes() == sm.beta_mean.tobytes()
                 assert fitted[1].tobytes() == sm.beta_var.tobytes()
                 rebuilt += 1
@@ -606,6 +606,20 @@ class TestValidation:
     def test_wrongly_typed_value(self, tmp_path, key, value):
         model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
         manifest = pc.save_model(model, tmp_path / "m")
+        manifest[key] = value
+        _write_manifest(tmp_path / "m", manifest)
+        with pytest.raises(CorruptManifest):
+            pc.load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("key, value", [
+        ("hp.T0", "0"), ("hp.gamma", "0x1.0000000000000p+1"),
+        ("hp.coeff_window", "0"), ("names", "[]"), ("names", '["s0", "s0"]')])
+    def test_refused_parameters_are_corrupt(self, tmp_path, key, value):
+        # values a new model refuses make the store corrupt; the readable
+        # primary is refused, not replaced by its backup
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        manifest = pc.save_model(model, tmp_path / "m")
+        shutil.copytree(tmp_path / "m", tmp_path / "m.bak")
         manifest[key] = value
         _write_manifest(tmp_path / "m", manifest)
         with pytest.raises(CorruptManifest):
