@@ -23,7 +23,7 @@ from .incremental import (
 )
 from .ingestion import TimeSeriesBatch, aggregate, load_csv, write_csv
 from .metrics import ExperimentGrid, nrmse, nrmse_pooled, r_squared, wbc
-from .page_matrix import StackedPageMatrix, build_stacked_page, coords_of, drop_last_row
+from .page_matrix import build_stacked_page, cells, unstack
 from .persistence import load_model, save_model
 from .query import (
     PredictionResult,
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PagecastError",
     "TimeSeriesBatch", "load_csv", "write_csv", "aggregate",
-    "StackedPageMatrix", "build_stacked_page", "coords_of", "drop_last_row",
+    "build_stacked_page", "cells", "unstack",
     "TruncatedSVD", "truncated_svd", "select_rank", "append_columns",
     "ImputeResult",
     "impute_mean", "impute_variance", "fit_forecaster", "forecast_mean",

@@ -42,15 +42,11 @@ class InvalidInterval(PagecastError):
 # --- page matrix / svd --------------------------------------------------------
 
 class InvalidL(PagecastError):
-    """Page-matrix row count outside [1, N*floor(T/L)]."""
+    """Page-matrix window L outside [1, T] (a fit needs 2 <= L)."""
 
 
 class OutOfRange(PagecastError):
-    """(t, n) coordinates outside the matrix segment."""
-
-
-class TooFewRows(PagecastError):
-    """Operation requires at least two matrix rows."""
+    """A query time index or range outside what the model answers."""
 
 
 class NonFiniteInput(PagecastError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, svd_engine
+from . import kernels, page_matrix, svd_engine
 from .errors import InvalidL, LengthMismatch
 from .ingestion import TimeSeriesBatch
 from .svd_engine import REL_FLOOR, TruncatedSVD, svd_with_spectrum
@@ -27,8 +27,8 @@ class SegmentFit:
     """Every factor set and coefficient vector of one segment (None unfitted).
 
     ``mean_svd`` and ``var_svd`` factor the L x (N*P) stacked Page matrix of
-    the raw and of the squared observations (column N*j + n is Page column
-    j of series n); ``fc_mean_svd`` and ``fc_var_svd`` factor their first
+    the raw and of the squared observations (in :mod:`~pagecast.page_matrix`'s
+    layout); ``fc_mean_svd`` and ``fc_var_svd`` factor their first
     L-1 rows, and ``beta_mean`` and ``beta_var`` regress the last row on
     them.  L and the ranks k1 and k2 are read off the factors.
     """
@@ -65,24 +65,18 @@ class SegmentFit:
             k2: int | None = None) -> "SegmentFit":
         """Refit from the segment's N x T raw steps (NaN where missing).
 
-        The first L * floor(T/L) steps of each series form the stacked Page
-        matrix, zero-filled, in the window's own order: column N*j + n holds
-        steps j*L .. (j+1)*L - 1 of series n, and the trailing T mod L steps
-        are left out.  k1 ranks the mean factors and k2 the second-moment
-        factors (data-driven when None); a forecast rank is its full matrix's
-        rank capped at L-1.  One working copy: the Page matrix fits the mean
-        sets and is then squared in place for the variance sets.  Returns
-        ``self``; raises :class:`InvalidL` unless 2 <= L <= T.
+        The steps form the segment's stacked Page matrix
+        (:func:`~pagecast.page_matrix.build_stacked_page`).  k1 ranks the
+        mean factors and k2 the second-moment factors (data-driven when
+        None); a forecast rank is its full matrix's rank capped at L-1.
+        One working copy: the Page matrix fits the mean sets and is then
+        squared in place for the variance sets.  Returns ``self``; raises
+        :class:`InvalidL` unless 2 <= L <= T.
         """
         t = raw.shape[1]
         if not 2 <= L <= t:
             raise InvalidL(f"L={L} invalid for T={t}: need 2 <= L <= T")
-        n, P = raw.shape[0], t // L
-        # One strided copy; Fortran order keeps each column's L steps together.
-        data = np.empty((L, n * P), order="F")
-        data.T.reshape(P, n, L)[...] = (raw[:, :L * P].reshape(n, P, L)
-                                        .transpose(1, 0, 2))
-        np.copyto(data, 0.0, where=~np.isfinite(data))
+        data = page_matrix.build_stacked_page(raw, L)
 
         self.mean_svd, _ = svd_with_spectrum(data, k1)
         self.fc_mean_svd, _ = svd_with_spectrum(data[:-1], min(self.k1, L - 1))
@@ -100,13 +94,15 @@ class SegmentFit:
 
         ``raw`` holds the segment's N x L*(P+1) raw steps (NaN where
         missing), for the P Page columns per series already fitted; its last
-        L steps become columns N*P + n, at the fitted ranks.
+        L steps become the matrix's next N columns, at the fitted ranks.
         """
         L = self.L
-        B = np.ascontiguousarray(zero_filled(raw[:, -L:]).T)
+        # Called through page_matrix, where perfbench's tracer counts builds.
+        B = page_matrix.build_stacked_page(raw[:, -L:], L)
         B_sq = B * B
-        # The last Page row, in V's row order (column N*j + n).
-        last_row = zero_filled(raw[:, L - 1::L]).ravel(order="F")
+        # The last Page row: every L-th step's Page matrix at window 1 is
+        # that row, already in V's row order.
+        last_row = page_matrix.build_stacked_page(raw[:, L - 1::L], 1)[0]
         # Called through svd_engine, where perfbench's tracer counts appends.
         append = svd_engine.append_columns
         self.mean_svd = append(self.mean_svd, B, self.k1)
@@ -152,7 +148,7 @@ def _degenerate(svd_tilde: TruncatedSVD) -> bool:
 
 def zero_filled(raw: np.ndarray) -> np.ndarray:
     """Raw window values with the missing (NaN) entries set to 0.  Faster
-    than ``np.nan_to_num`` on the small blocks appends and forecasts read."""
+    than ``np.nan_to_num`` on the short histories forecasts read."""
     return np.where(np.isfinite(raw), raw, 0.0)
 
 
@@ -165,10 +161,10 @@ def fit_segment(raw: np.ndarray, L: int, k1: int | None = None,
 
 def _result(page: np.ndarray, values: np.ndarray) -> ImputeResult:
     """``values`` (N x T) with each series' first L * P steps overwritten by
-    the L x (N*P) ``page`` laid back out in time order."""
-    n, (L, cols) = values.shape[0], page.shape
-    span = L * (cols // n)
-    values[:, :span] = page.reshape(L, -1, n).transpose(2, 1, 0).reshape(n, span)
+    the stacked Page matrix ``page`` laid back out in time order."""
+    steps = page_matrix.unstack(page, values.shape[0])
+    span = steps.shape[1]
+    values[:, :span] = steps
     in_model = np.zeros(values.shape, dtype=bool)
     in_model[:, :span] = True
     return ImputeResult(values, in_model)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (InvalidParams, NonFiniteInput, UnknownSeries, UntrainedModel,
                      WidthMismatch)
-from .estimator import SegmentFit, zero_filled  # noqa: F401 (re-exported)
+from .estimator import SegmentFit
 from .ingestion import TimeSeriesBatch
 
 # Longest run of steps that insert_many checks or adds in one bulk
@@ -183,8 +183,8 @@ class _RawWindow:
 
 class SubModel(SegmentFit):
     """The fit of one segment of the stream, which starts at global step
-    ``start_step``: factors of its L x (N*P) stacked Page matrix, whose
-    column N*j + n is Page column j of series n.  P is read off them."""
+    ``start_step``: factors of its L x (N*P) stacked Page matrix
+    (:mod:`~pagecast.page_matrix`).  P is read off them."""
 
     def __init__(self, index: int, start_step: int, n_series: int):
         super().__init__()
@@ -200,10 +200,6 @@ class SubModel(SegmentFit):
     @property
     def start_obs(self) -> int:
         return self.start_step * self.N
-
-    def col_position(self, n, j):
-        """Rows of V for per-series columns j of series n (ints or arrays)."""
-        return self.N * j + n
 
     def covered_steps(self) -> tuple[int, int]:
         """Global steps [a, b) whose Page cells the factors reconstruct: the

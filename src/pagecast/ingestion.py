@@ -136,8 +136,11 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
     an on-grid row one index early.  Two rows on the same index raise
     :class:`DuplicateTimestamp`.  ``value_cols=None`` selects every column
     except ``time_col``; a selected name that the header or ``value_cols``
-    repeats raises :class:`DuplicateColumn`.
+    repeats, or that is ``time_col``, raises :class:`DuplicateColumn`.  A
+    ``tick`` that is not finite and positive raises :class:`InvalidInterval`.
     """
+    if tick is not None and not (math.isfinite(tick) and tick > 0):
+        raise InvalidInterval(f"tick must be finite and positive, got {tick}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -152,6 +155,9 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
         for col in value_cols:
             if col not in header:
                 raise MissingColumn(f"{path}: missing value column {col!r}")
+            if col == time_col:
+                raise DuplicateColumn(
+                    f"{path}: time column {col!r} selected as a series")
         in_header, selected = Counter(header), Counter(value_cols)
         for col in (time_col, *value_cols):
             if in_header[col] > 1 or selected[col] > 1:
@@ -178,8 +184,6 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
     grid = np.asarray(rows, dtype=np.float64)[order]
 
     if tick is not None:
-        if tick <= 0:
-            raise InvalidInterval(f"tick must be positive, got {tick}")
         idx = np.floor(offsets / tick + 1e-9).astype(np.int64)
         step = float(tick)
     else:
@@ -204,7 +208,12 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
 
 
 def write_csv(batch: TimeSeriesBatch, path, time_col: str = "t") -> None:
-    """Write a batch back to CSV; missing entries become empty cells."""
+    """Write a batch back to CSV; missing entries become empty cells.
+    Raises :class:`DuplicateColumn`, before opening the file, for a series
+    named ``time_col``, since :func:`load_csv` refuses such a header."""
+    if time_col in batch.names:
+        raise DuplicateColumn(f"series {time_col!r} is named like the time "
+                              "column")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([time_col] + list(batch.names))

@@ -1,68 +1,46 @@
-"""Stacked Page matrix construction and coordinate mapping.
+"""The stacked Page matrix, and the one place that knows its layout.
 
-A length-T series reshapes into an L x P matrix (P = floor(T/L)) whose
-column j holds observations (j-1)L+1 .. jL; the per-series matrices are
-then concatenated column-wise, so series n occupies columns
-(n-1)P+1 .. nP of the stacked L x NP matrix.  Missing entries are filled
-with zero.  This is the paper's layout, the reference; the estimator
-orders the same columns time-major (column N*j + n), which only permutes
-V's rows.
+A segment's N x T raw steps (NaN where missing) form a zero-filled
+L x (N*P) matrix, P = floor(T/L): column N*j + n holds steps
+j*L .. (j+1)*L - 1 of series n, and the trailing T mod L steps are left
+out.  The paper concatenates the per-series matrices instead (column
+n*P + j); the time-major order only permutes V's rows, so the singular
+values and U are the same, and it lets an append add the N columns of one
+Page column per series at the end.  :func:`build_stacked_page` builds every
+such matrix, :func:`cells` maps steps to their cells and :func:`unstack`
+lays a matrix back out in time order.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidL, OutOfRange, TooFewRows
-from .ingestion import TimeSeriesBatch
+from .errors import InvalidL
 
 
-@dataclass
-class StackedPageMatrix:
-    """L x (N*P) stacked Page matrix, zero where an entry is missing.
-
-    ``P`` is the per-series column count, so the stacked width is N*P.
-    """
-
-    data: np.ndarray
-    L: int
-    P: int
-    N: int
-
-
-def build_stacked_page(batch: TimeSeriesBatch, L: int) -> StackedPageMatrix:
-    """Reshape a batch into its stacked Page matrix.
-
-    Uses the first L*floor(T/L) observations of each series; the trailing
-    T mod L observations are excluded (callers that forecast keep the raw
-    tail separately).  Missing entries become 0.
-    """
-    n, t = batch.values.shape
-    p = t // L if L >= 1 else 0
-    if L < 1 or p < 1:
+def build_stacked_page(raw: np.ndarray, L: int) -> np.ndarray:
+    """The zero-filled L x (N*P) stacked Page matrix of the N x T raw steps
+    (NaN where missing), in Fortran order.  Raises :class:`InvalidL` unless
+    1 <= L <= T."""
+    n, t = raw.shape
+    if not 1 <= L <= t:
         raise InvalidL(f"L={L} invalid for T={t}: need 1 <= L <= T")
-    data = np.concatenate([row[:L * p].reshape(p, L).T
-                           for row in batch.zero_filled()], axis=1)
-    return StackedPageMatrix(data, L, p, n)
+    P = t // L
+    # One strided copy; Fortran order keeps each column's L steps together.
+    data = np.empty((L, n * P), order="F")
+    data.T.reshape(P, n, L)[...] = (raw[:, :L * P].reshape(n, P, L)
+                                    .transpose(1, 0, 2))
+    np.copyto(data, 0.0, where=~np.isfinite(data))
+    return data
 
 
-def coords_of(t: int, n: int, L: int, P: int) -> tuple[int, int]:
-    """Map 1-based (time t, series n) to 1-based (row, column).
-
-    Inverse of the layout used by :func:`build_stacked_page`:
-    row = ((t-1) mod L) + 1, col = floor((t-1)/L) + 1 + P*(n-1).
-    """
-    if not 1 <= t <= L * P:
-        raise OutOfRange(f"t={t} outside [1, {L * P}]")
-    if n < 1:
-        raise OutOfRange(f"series index n={n} must be >= 1")
-    row = (t - 1) % L + 1
-    col = (t - 1) // L + 1 + P * (n - 1)
-    return row, col
+def cells(local, n: int, L: int, N: int):
+    """The (rows, cols) of the cells that hold the segment-local steps
+    ``local`` (an int or an int array) of series n, for N series at
+    window L."""
+    return local % L, N * (local // L) + n
 
 
-def drop_last_row(m: StackedPageMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Split the matrix into its first L-1 rows and its last row."""
-    if m.L < 2:
-        raise TooFewRows("need at least 2 rows to drop one")
-    return m.data[:-1, :], m.data[-1, :]
+def unstack(page: np.ndarray, N: int) -> np.ndarray:
+    """The N x (L*P) steps of an L x (N*P) stacked Page matrix, in time
+    order (the inverse of :func:`build_stacked_page` on its span)."""
+    L, cols = page.shape
+    return page.reshape(L, -1, N).transpose(2, 1, 0).reshape(N, L * (cols // N))

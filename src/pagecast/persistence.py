@@ -17,8 +17,8 @@ order, the C-order bytes of the array's transpose: so ``raw_values.f64`` is
 the raw window's time-major buffer as it is, written from the window and
 read into a new one.  One routine writes every file and one reads it.  Exact
 float state (running sums, gamma) is stored in the manifest as hex floats,
-so a load reproduces predictions bit for bit.  Row N*j + n of a V file is
-Page column j of series n.
+so a load reproduces predictions bit for bit.  The rows of a V file are in
+:mod:`~pagecast.page_matrix`'s column order.
 
 Nothing that load can derive is stored.  The series count is the raw file's
 header, the step count ``raw_start`` plus its steps, the sub-model count

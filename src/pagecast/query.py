@@ -22,6 +22,7 @@ from .errors import InvalidConfidence, OutOfRange, UnstableForecast
 from .estimator import forecast
 from .incremental import PredictionModel
 from .kernels import reconstruct_points
+from .page_matrix import cells
 from .stats import chebyshev_halfwidth, check_interval, gaussian_halfwidth
 
 # Longest forecast horizon, in steps past the data.  forecast holds
@@ -160,8 +161,7 @@ def _answer_chunk(model, n, t1, t2, g_mean, g_second, confidence, method,
         if a >= b:
             continue
         local = np.arange(a - sm.start_step, b - sm.start_step)
-        rows = local % sm.L
-        cols = sm.col_position(n, local // sm.L)
+        rows, cols = cells(local, n, sm.L, sm.N)
         part = range(a - t1 + 1, b - t1 + 1)
         factor_sets = ((sm.mean_svd, sums), (sm.var_svd, second_sums))
         for svd, acc in factor_sets[:2 if with_uq else 1]:

@@ -37,8 +37,8 @@ def test_criterion_1_rank_bound():
         R_max = int(rng.integers(1, 5))
         N = int(rng.integers(1, 11))
         truth = pc.gen_lrf(K, R_max, N, T=700, seed=1000 + case)
-        page = pc.build_stacked_page(truth.observations, L=20)
-        s = np.linalg.svd(page.data, compute_uv=False)
+        page = pc.build_stacked_page(truth.observations.values, L=20)
+        s = np.linalg.svd(page, compute_uv=False)
         rank = int(np.count_nonzero(s > 1e-8 * s[0]))
         if rank > K * R_max:
             failures.append((case, K, R_max, N, rank))

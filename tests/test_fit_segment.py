@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pagecast as pc
+from pagecast import estimator, svd_engine
 from pagecast.errors import InvalidL
 from pagecast.estimator import fit_segment
 
@@ -72,3 +73,38 @@ def test_served_model_equals_batch():
     per = [np.mean((served_var[n] - truth[n]) ** 2) / x[n, span].std() ** 2
            for n in range(n_series)]
     assert np.sqrt(np.mean(per)) <= 2 * 0.076
+
+
+def test_extend_reads_the_stacked_page(monkeypatch):
+    """An append's new block is the last N columns of the stacked Page
+    matrix of the segment's steps so far, and the betas are refitted
+    against its last row (squared for the variance sets)."""
+    rng = np.random.default_rng(5)
+    n_series, L, P = 3, 5, 6
+    raw = np.cos(np.arange(L * (P + 1)) / 4.0) + 0.1 * rng.normal(
+        size=(n_series, L * (P + 1)))
+    raw[rng.random(raw.shape) < 0.2] = np.nan
+    fit = fit_segment(raw[:, :L * P], L, 2, 2)
+
+    blocks, last_rows = [], []
+    append, pcr = svd_engine.append_columns, estimator.pcr_coefficients
+
+    def record_append(svd, B, k):
+        blocks.append(B.copy())
+        return append(svd, B, k)
+
+    def record_pcr(svd, last_row):
+        last_rows.append(last_row.copy())
+        return pcr(svd, last_row)
+
+    monkeypatch.setattr(svd_engine, "append_columns", record_append)
+    monkeypatch.setattr(estimator, "pcr_coefficients", record_pcr)
+    fit.extend(raw)
+
+    page = pc.build_stacked_page(raw, L)
+    block = page[:, -n_series:]
+    for got, want in zip(blocks, (block, block**2, block[:-1], block[:-1]**2)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(last_rows[0], page[-1])
+    np.testing.assert_array_equal(last_rows[1], page[-1] ** 2)
+    assert len(blocks) == 4 and len(last_rows) == 2

@@ -133,12 +133,20 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("header, value_cols", [
         ("t,a,a", None), ("t,a,a", ["a"]), ("t,t,a", None),
-        ("t,a,b", ["a", "a"])])
+        ("t,a,b", ["a", "a"]), ("t,a,b", ["t", "a"])])
     def test_repeated_column_refused(self, tmp_path, header, value_cols):
-        # header.index would read the first "a" (or "t") for both
+        # header.index would read the first "a" (or "t") for both; a
+        # selected "t" would load the timestamps as a series
         text = header + "\n1,1.0,10.0\n2,2.0,20.0\n3,3.0,30.0\n"
         with pytest.raises(DuplicateColumn):
             pc.load_csv(_write(tmp_path, text), "t", value_cols)
+
+    @pytest.mark.parametrize("tick", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_tick_not_finite_and_positive_refused(self, tmp_path, tick, rows):
+        text = "t,a\n" + "".join(f"{i},{i}\n" for i in range(rows))
+        with pytest.raises(InvalidInterval):
+            pc.load_csv(_write(tmp_path, text), "t", tick=tick)
 
     def test_repeated_unselected_column_is_ignored(self, tmp_path):
         batch = pc.load_csv(_write(tmp_path, "t,a,b,b\n1,5,6,7\n"), "t", ["a"])
@@ -154,6 +162,16 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.observed, batch.observed)
         np.testing.assert_array_equal(back.values[back.observed],
                                       batch.values[batch.observed])
+
+    def test_write_csv_refuses_series_named_like_time_col(self, tmp_path):
+        # its "t,t" header is one load_csv refuses
+        batch = pc.TimeSeriesBatch(["t"], np.ones((1, 2)), np.ones((1, 2), bool))
+        path = tmp_path / "out.csv"
+        with pytest.raises(DuplicateColumn):
+            pc.write_csv(batch, path)
+        assert not path.exists()
+        pc.write_csv(batch, path, time_col="time")
+        assert pc.load_csv(path, "time").names == ["t"]
 
 
 class TestBatchValues:

@@ -248,7 +248,7 @@ class TestRoundTrip:
                 buf[:, :buf_len] = zf[:, sm.L * sm.P:]
                 for n in range(model.N):
                     for j in range(sm.P):
-                        last[sm.col_position(n, j)] = zf[n, (j + 1) * sm.L - 1]
+                        last[model.N * j + n] = zf[n, (j + 1) * sm.L - 1]
                 fitted = (pcr_coefficients(sm.fc_mean_svd, last),
                           pcr_coefficients(sm.fc_var_svd, last * last))
                 assert fitted[0].tobytes() == sm.beta_mean.tobytes()

@@ -9,7 +9,7 @@ import pagecast as pc
 from pagecast import query
 from pagecast.errors import (InvalidConfidence, OutOfRange, UnknownSeries,
                              UnstableForecast)
-from pagecast.incremental import zero_filled
+from pagecast.estimator import zero_filled
 from pagecast.kernels import ar_recurrence, reconstruct_points
 from pagecast.query import MAX_HORIZON, QUERY_CHUNK
 
@@ -65,7 +65,7 @@ class TestImputationQueries:
         t = 500
         local = (t - 1) - sm.start_step
         row, col_j = local % sm.L, local // sm.L
-        pos = sm.col_position(0, col_j)
+        pos = model.N * col_j  # series 0
         expected = float((sm.mean_svd.U[row] * sm.mean_svd.s)
                          @ sm.mean_svd.V[pos])
         r = pc.predict_point(model, "s0", t)
@@ -83,7 +83,7 @@ class TestImputationQueries:
         expected = []
         for sm in segs:
             local = step - sm.start_step
-            pos = sm.col_position(0, local // sm.L)
+            pos = model.N * (local // sm.L)  # series 0
             expected.append(float((sm.mean_svd.U[local % sm.L] * sm.mean_svd.s)
                                   @ sm.mean_svd.V[pos]))
         r = pc.predict_point(model, "s0", t)
@@ -313,7 +313,7 @@ def _reference_range(model, n, t1, t2, confidence, method, with_uq):
                 if t - 1 not in range(*sm.covered_steps()):
                     continue
                 row = np.array([local % sm.L], dtype=np.int64)
-                col = np.array([sm.col_position(n, local // sm.L)],
+                col = np.array([model.N * (local // sm.L) + n],
                                dtype=np.int64)
                 factor_sets = ((sm.mean_svd, means), (sm.var_svd, seconds))
                 for svd, acc in factor_sets[:2 if with_uq else 1]:

@@ -161,8 +161,8 @@ class TestGenLrf:
         for seed, (K, R_max, N) in enumerate([(1, 2, 1), (2, 2, 3), (3, 1, 2),
                                               (1, 4, 1), (4, 4, 10)]):
             truth = pc.gen_lrf(K, R_max, N, 900, seed=seed)
-            page = pc.build_stacked_page(truth.observations, L=25)
-            s = np.linalg.svd(page.data, compute_uv=False)
+            page = pc.build_stacked_page(truth.observations.values, L=25)
+            s = np.linalg.svd(page, compute_uv=False)
             rank = int(np.count_nonzero(s > 1e-8 * s[0]))
             assert rank <= K * R_max
 
