@@ -1,7 +1,9 @@
 """Command-line interface: create, insert, predict, synth, eval.
 
 Data goes to stdout, diagnostics and errors to stderr; the exit status is 0
-exactly when the command succeeded.
+exactly when the command succeeded.  The hyper-parameter flags of ``create``
+(one per field of :class:`~pagecast.incremental.HyperParams`, ``_`` spelled
+``-``) are read off that class's fields, type, default and help included.
 """
 
 import argparse
@@ -10,12 +12,14 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import GridMismatch, PagecastError
 from .incremental import HyperParams, create_model
-from .ingestion import TimeSeriesBatch, aggregate, load_csv, write_csv
+from .ingestion import (AGG_FUNCTIONS, TimeSeriesBatch, aggregate, load_csv,
+                        write_csv)
 from .metrics import ExperimentGrid, nrmse_pooled, wbc
 from .persistence import load_model, save_model
 from .query import predict_point, predict_range
@@ -23,30 +27,14 @@ from .stats import METHODS
 from .synth import corrupt, gen_lrf, gen_synthetic_I, gen_synthetic_II, gen_synthetic_III
 
 
-def _hyper_params(args) -> HyperParams:
-    return HyperParams(
-        T0=args.T0, Tprime=args.Tprime, gamma=args.gamma,
-        L=args.L, k1=args.k1, k2=args.k2, coeff_window=args.coeff_window)
-
-
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    hp = HyperParams()
-    p.add_argument("--T0", type=int, default=hp.T0,
-                   help=f"minimum observations before training (default {hp.T0})")
-    p.add_argument("--Tprime", type=int, default=hp.Tprime,
-                   help=f"sub-model span in observations (default {hp.Tprime:,})")
-    p.add_argument("--gamma", type=float, default=hp.gamma,
-                   help=f"retrain growth factor in (0,1] (default {hp.gamma})")
-    p.add_argument("--L", type=int, default=None,
-                   help="fixed Page-matrix window (default: data-driven)")
-    p.add_argument("--k1", type=int, default=None,
-                   help="fixed mean-model rank (default: data-driven)")
-    p.add_argument("--k2", type=int, default=None,
-                   help="fixed variance-model rank (default: data-driven)")
-    p.add_argument("--coeff-window", dest="coeff_window", type=int,
-                   default=hp.coeff_window,
-                   help="sub-models averaged for forecasting "
-                        f"(default {hp.coeff_window})")
+    """One flag per field of HyperParams: ``--T0``, ``--coeff-window``..."""
+    for f in fields(HyperParams):
+        shown = "data-driven" if f.default is None else f"{f.default:,}"
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=float if f.type is float else int,
+                       default=f.default,
+                       help=f"{f.metadata['help']} (default {shown})")
 
 
 def _emit_table(rows: list[dict], fmt: str) -> None:
@@ -88,7 +76,9 @@ def cmd_create(args) -> int:
     if os.path.exists(args.model) and not args.overwrite:
         print(f"error: {args.model} exists (use --overwrite)", file=sys.stderr)
         return 1
-    hp = _hyper_params(args)  # refuse bad flags before reading the input
+    # refuse bad flags before reading the input
+    hp = HyperParams(**{f.name: getattr(args, f.name)
+                        for f in fields(HyperParams)})
     value_cols = args.value_cols.split(",") if args.value_cols else None
     batch = _read_csv(args, value_cols, args.tick)
     if args.aggregate != 1:
@@ -116,7 +106,9 @@ def cmd_create(args) -> int:
 
 def cmd_insert(args) -> int:
     model = load_model(args.model)
-    if args.tick is not None and abs(args.tick - model.step) > 1e-9 * model.step:
+    # "not <=", so that a NaN tick fails the check
+    if (args.tick is not None
+            and not abs(args.tick - model.step) <= 1e-9 * model.step):
         raise GridMismatch(
             f"--tick {args.tick:.17g} differs from the model's step "
             f"{model.step:.17g}")
@@ -273,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bucket irregular timestamps onto this grid spacing")
     p.add_argument("--aggregate", type=int, default=1,
                    help="aggregate this many ticks per output step")
-    p.add_argument("--agg-fn", default="mean",
-                   choices=("mean", "min", "max", "sum", "last"))
+    p.add_argument("--agg-fn", default="mean", choices=AGG_FUNCTIONS)
     p.add_argument("--overwrite", action="store_true")
     _add_hyper_flags(p)
     p.set_defaults(fn=cmd_create)

@@ -17,7 +17,9 @@ everything seen (fallback mode).
 
 import bisect
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import get_args
 
 import numpy as np
 
@@ -38,27 +40,41 @@ BULK_STEPS = 1024
 VALUE_MAX = 2.0 ** 240
 
 
+def is_integer(value) -> bool:
+    """True for an integral number that is not a bool; numpy ints count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _knob(default, text: str):
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass
 class HyperParams:
-    """Knobs of the incremental scheme.
+    """Knobs of the incremental scheme, declared once: the flags of ``pagecast
+    create`` and a store's ``hp.*`` keys are read off these fields.  An int
+    field takes an integral value that is not a bool (numpy ints count, kept
+    as int), an ``int | None`` field None too, ``gamma`` a real value that is
+    not a bool (kept as float); the range checks follow."""
 
-    T0: minimum observation count before anything is trained.
-    Tprime: sub-model span, in observations (N per time step).
-    gamma: retrain growth factor in (0, 1].
-    L / k1 / k2: optional fixed overrides for the Page-matrix window and
-        the mean/variance model ranks (otherwise data-driven).
-    coeff_window: how many recent sub-models to average coefficients over.
-    """
-
-    T0: int = 100
-    Tprime: int = 2_500_000
-    gamma: float = 0.5
-    L: int | None = None
-    k1: int | None = None
-    k2: int | None = None
-    coeff_window: int = 10
+    T0: int = _knob(100, "minimum observations before training")
+    Tprime: int = _knob(2_500_000, "sub-model span in observations")
+    gamma: float = _knob(0.5, "retrain growth factor in (0,1]")
+    L: int | None = _knob(None, "fixed Page-matrix window")
+    k1: int | None = _knob(None, "fixed mean-model rank")
+    k2: int | None = _knob(None, "fixed variance-model rank")
+    coeff_window: int = _knob(10, "sub-models averaged for forecasting")
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kinds = getattr(self, f.name), get_args(f.type) or (f.type,)
+            if value is None and type(None) in kinds:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if kinds[0] is int else numbers.Real):
+                want = getattr(f.type, "__name__", f.type)
+                raise InvalidParams(f"{f.name} must be {want}, got {value!r}")
+            setattr(self, f.name, kinds[0](value))
         if self.T0 < 1:
             raise InvalidParams(f"T0 must be >= 1, got {self.T0}")
         if self.Tprime < 2 * self.T0:
@@ -264,15 +280,16 @@ class PredictionModel:
         return not self.trained_submodels()
 
     def series_index(self, series) -> int:
+        """The row of ``series``: a name, or an index (:func:`is_integer`)."""
         if isinstance(series, str):
             try:
                 return self.names.index(series)
             except ValueError:
                 raise UnknownSeries(f"no series named {series!r}") from None
-        idx = int(series)
-        if not 0 <= idx < self.N:
-            raise UnknownSeries(f"series index {idx} outside [0, {self.N})")
-        return idx
+        if not is_integer(series) or not 0 <= series < self.N:
+            raise UnknownSeries(f"series {series!r} is neither a name nor an "
+                                f"index in [0, {self.N})")
+        return int(series)
 
     def segments_for_step(self, step: int) -> list[SubModel]:
         """Sub-models whose segment contains the global step (newest last)."""

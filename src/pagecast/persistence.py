@@ -17,7 +17,10 @@ order, the C-order bytes of the array's transpose: so ``raw_values.f64`` is
 the raw window's time-major buffer as it is, written from the window and
 read into a new one.  One routine writes every file and one reads it.  Exact
 float state (running sums, gamma) is stored in the manifest as hex floats,
-so a load reproduces predictions bit for bit.  The rows of a V file are in
+so a load reproduces predictions bit for bit.  Each field of
+:class:`HyperParams` is the key ``hp.<name>``, a hex float for a float field
+and JSON otherwise (formats 1-6 alike); load decodes it by the same rule and
+lets HyperParams refuse a wrong type.  The rows of a V file are in
 :mod:`~pagecast.page_matrix`'s column order.
 
 Nothing that load can derive is stored.  The series count is the raw file's
@@ -29,9 +32,9 @@ follows from its history and :func:`retrain_thresholds`.  The averaged
 coefficients, each sub-model's unfinished Page column and last Page row, and
 the observation mask (the finite raw entries) are recomputed.  Load refuses
 names that disagree with the raw file, hyper-parameters or names that a new
-model would refuse, histories that disagree with the factor files listed and
-factors whose L or P disagree with the history and step count
-(CorruptManifest).  Formats 1-5 stored the counts and ``pending``
+model would refuse (a wrong type too), histories that disagree with the
+factor files listed and factors whose L or P disagree with the history and
+step count (CorruptManifest).  Formats 1-5 stored the counts and ``pending``
 thresholds, formats 1-4 the sub-model shapes with the last retrain's columns
 series-major (undone by :func:`_reorder_columns`), formats 1-3 the mask
 (``raw_mask.f64``), formats 1 and 2 each sub-model's step count, column and
@@ -50,6 +53,7 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 
@@ -132,14 +136,11 @@ def save_model(model: PredictionModel, directory) -> dict:
         "obs_sum": float(model.obs_sum).hex(),
         "obs_sumsq": float(model.obs_sumsq).hex(),
         "obs_cnt": str(model.obs_cnt),
-        "hp.T0": str(model.hp.T0),
-        "hp.Tprime": str(model.hp.Tprime),
-        "hp.gamma": float(model.hp.gamma).hex(),
-        "hp.L": json.dumps(model.hp.L),
-        "hp.k1": json.dumps(model.hp.k1),
-        "hp.k2": json.dumps(model.hp.k2),
-        "hp.coeff_window": str(model.hp.coeff_window),
     }
+    for f in fields(HyperParams):
+        value = getattr(model.hp, f.name)
+        manifest[f"hp.{f.name}"] = (float(value).hex() if f.type is float
+                                    else json.dumps(value))
 
     checksums: dict[str, str] = {}
 
@@ -269,15 +270,9 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
         raise VersionUnsupported(
             f"store format {version} newer than supported {FORMAT_VERSION}")
 
-    hp = HyperParams(
-        T0=int(manifest["hp.T0"]),
-        Tprime=int(manifest["hp.Tprime"]),
-        gamma=float.fromhex(manifest["hp.gamma"]),
-        L=json.loads(manifest["hp.L"]),
-        k1=json.loads(manifest["hp.k1"]),
-        k2=json.loads(manifest["hp.k2"]),
-        coeff_window=int(manifest["hp.coeff_window"]),
-    )
+    hp = HyperParams(**{
+        f.name: (float.fromhex if f.type is float else json.loads)(
+            manifest[f"hp.{f.name}"]) for f in fields(HyperParams)})
     model = PredictionModel(json.loads(manifest["names"]), hp,
                             t0=float.fromhex(manifest["t0"]),
                             step=float.fromhex(manifest["step"]))

@@ -1,6 +1,6 @@
 """Point and range predictions with variance and prediction intervals.
 
-Time indices are 1-based: t in [1, T] is an imputation (reconstructed from
+Times are 1-based integers: t in [1, T] is an imputation (reconstructed from
 the stored sub-model factors covering t, averaged when t lies in the overlap
 of two segments), t > T is a forecast (:func:`estimator.forecast` runs the
 averaged coefficients from T+1 up to t, for the mean and second moment).
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidConfidence, OutOfRange, UnstableForecast
 from .estimator import forecast
-from .incremental import PredictionModel
+from .incremental import PredictionModel, is_integer
 from .kernels import reconstruct_points
 from .page_matrix import cells
 from .stats import chebyshev_halfwidth, check_interval, gaussian_halfwidth
@@ -124,6 +124,9 @@ def predict_range(model: PredictionModel, series, t1: int, t2: int,
     The forecast suffix shares one sequential trajectory; the steps are
     answered QUERY_CHUNK at a time.
     """
+    if not (is_integer(t1) and is_integer(t2)):
+        raise OutOfRange(f"times must be integers, got {t1!r} and {t2!r}")
+    t1, t2 = int(t1), int(t2)
     if t1 > t2:
         raise OutOfRange(f"range start {t1} exceeds end {t2}")
     if t1 < 1:

@@ -14,7 +14,7 @@ constants below), so every parameter draw is reproducible independently of
 how many values other draws consumed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class SyntheticTruth:
     observations: TimeSeriesBatch
     latent_mean: np.ndarray
     latent_var: np.ndarray
-    kind: str
-    seed: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.latent_mean.shape != self.observations.values.shape:
@@ -166,9 +163,7 @@ def gen_synthetic_I(n: int = 20, m: int = 20, T: int = 15000, r: int = 4,
     values = _cp_field(seed, n, m, g)
     # The batch keeps the array it is given, so it gets its own copy.
     return SyntheticTruth(_batch(values.copy(), "s"), values,
-                          np.zeros(values.shape),
-                          "synthetic_I", seed,
-                          {"n": n, "m": m, "T": T, "r": r, "preset": preset})
+                          np.zeros(values.shape))
 
 
 def _normalize_01(x: np.ndarray) -> np.ndarray:
@@ -228,18 +223,15 @@ def gen_synthetic_II(seed: int = 0, T: int = 15000,
         z = PhiloxStream(seed, STREAM_OBS_GAUSS + 100 * qi).normals(fq.size).reshape(shape)
         x_gauss = mean_gauss + np.sqrt(fq) * z
         out[("gaussian", dyn)] = SyntheticTruth(
-            _batch(x_gauss, "s"), mean_gauss.copy(), fq.copy(),
-            "synthetic_II_gaussian", seed, {"dynamics": dyn, "T": T})
+            _batch(x_gauss, "s"), mean_gauss.copy(), fq.copy())
 
         x_bern = PhiloxStream(seed, STREAM_OBS_BERN + 100 * qi).bernoulli(fq)
         out[("bernoulli", dyn)] = SyntheticTruth(
-            _batch(x_bern, "s"), fq.copy(), (fq * (1.0 - fq)).copy(),
-            "synthetic_II_bernoulli", seed, {"dynamics": dyn, "T": T})
+            _batch(x_bern, "s"), fq.copy(), (fq * (1.0 - fq)).copy())
 
         x_pois = PhiloxStream(seed, STREAM_OBS_POIS + 100 * qi).poisson(fq)
         out[("poisson", dyn)] = SyntheticTruth(
-            _batch(x_pois, "s"), fq.copy(), fq.copy(),
-            "synthetic_II_poisson", seed, {"dynamics": dyn, "T": T})
+            _batch(x_pois, "s"), fq.copy(), fq.copy())
     return out
 
 
@@ -254,18 +246,14 @@ def gen_synthetic_III(T: int = 100000, seed: int = 0,
     f = _normalize_01(f)[None, :]
 
     z = PhiloxStream(seed, STREAM_OBS_GAUSS).normals(T).reshape(1, T)
-    gauss = SyntheticTruth(
-        _batch(f + sigma * z, "s"), f.copy(),
-        np.full_like(f, sigma * sigma), "synthetic_III_gaussian", seed,
-        {"T": T, "sigma": sigma})
+    gauss = SyntheticTruth(_batch(f + sigma * z, "s"), f.copy(),
+                           np.full_like(f, sigma * sigma))
 
     xb = PhiloxStream(seed, STREAM_OBS_BERN).bernoulli(f)
-    bern = SyntheticTruth(_batch(xb, "s"), f.copy(), f * (1.0 - f),
-                          "synthetic_III_bernoulli", seed, {"T": T})
+    bern = SyntheticTruth(_batch(xb, "s"), f.copy(), f * (1.0 - f))
 
     xp = PhiloxStream(seed, STREAM_OBS_POIS).poisson(f)
-    pois = SyntheticTruth(_batch(xp, "s"), f.copy(), f.copy(),
-                          "synthetic_III_poisson", seed, {"T": T})
+    pois = SyntheticTruth(_batch(xp, "s"), f.copy(), f.copy())
     return {"gaussian": gauss, "bernoulli": bern, "poisson": pois}
 
 
@@ -307,8 +295,7 @@ def gen_lrf(K: int, R_max: int, N: int, T: int, seed: int = 0,
             raise InvalidParams(f"theta must have shape ({N}, {K})")
     values = theta @ comps
     zero = np.zeros_like(values)
-    return SyntheticTruth(_batch(values, "s"), values.copy(), zero,
-                          "lrf", seed, {"K": K, "R_max": R_max, "N": N, "T": T})
+    return SyntheticTruth(_batch(values, "s"), values.copy(), zero)
 
 
 def corrupt(truth: SyntheticTruth, sigma: float = 0.0, p_obs: float = 1.0,
@@ -323,8 +310,8 @@ def corrupt(truth: SyntheticTruth, sigma: float = 0.0, p_obs: float = 1.0,
     """
     if not 0.0 < p_obs <= 1.0:
         raise InvalidParams("p_obs must lie in (0, 1]")
-    if sigma < 0.0:
-        raise InvalidParams("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise InvalidParams(f"sigma must be finite and >= 0, got {sigma}")
     base = truth.observations
     values = np.ascontiguousarray(base.zero_filled())
     obs = base.observed.copy()
@@ -341,6 +328,4 @@ def corrupt(truth: SyntheticTruth, sigma: float = 0.0, p_obs: float = 1.0,
         flat_vals[a:b][~flat_obs[a:b]] = np.nan
     batch = TimeSeriesBatch(list(base.names), values, obs, base.t0, base.step)
     return SyntheticTruth(batch, truth.latent_mean,
-                          truth.latent_var + sigma * sigma,
-                          truth.kind + "+corrupt", seed,
-                          dict(truth.params, sigma=sigma, p_obs=p_obs))
+                          truth.latent_var + sigma * sigma)

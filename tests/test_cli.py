@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import os
+from dataclasses import fields
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import pagecast as pc
 from pagecast.cli import build_parser, main
+from pagecast.ingestion import AGG_FUNCTIONS
 from pagecast.query import MAX_HORIZON
 
 
@@ -344,6 +346,19 @@ class TestCreatePredict:
                              str(model_dir), "--tick", "2"])[0] == 0
         assert pc.load_model(model_dir).n_steps == 350
 
+    def test_insert_refuses_nan_tick(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"])[0] == 0
+        more = tmp_path / "more.csv"
+        _write_series_csv(more, n_steps=50, seed=9, first_t=301)
+        code, _, err = _run(capsys, ["insert", "--input", str(more), "--model",
+                                     str(model_dir), "--tick", "nan"])
+        assert code == 1 and "GridMismatch" in err
+        assert pc.load_model(model_dir).n_steps == 300
+
 
 class TestSynthCli:
     def test_synth1_writes_files(self, tmp_path, capsys):
@@ -358,7 +373,9 @@ class TestSynthCli:
         assert batch.values.shape == (4, 200)
 
     @pytest.mark.parametrize("flag, value", [("--p-obs", "1.5"),
-                                             ("--sigma", "-1")])
+                                             ("--sigma", "-1"),
+                                             ("--sigma", "nan"),
+                                             ("--sigma", "inf")])
     def test_synth1_refuses_bad_corruption(self, tmp_path, capsys, flag,
                                            value):
         out_dir = tmp_path / "synth"
@@ -389,6 +406,32 @@ class TestParser:
             main(["bench", "--sizes", "1e4"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_create_hyper_flags_are_the_hyperparams_fields(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices["create"]._actions}
+        knobs = fields(pc.HyperParams)
+        assert set(actions) == {f.name for f in knobs} | {
+            "help", "input", "model", "time_col", "value_cols", "tick",
+            "aggregate", "agg_fn", "overwrite"}
+        for f in knobs:
+            action = actions[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.type is (float if f.name == "gamma" else int)
+            assert action.default == f.default
+        assert actions["agg_fn"].choices == AGG_FUNCTIONS
+
+    def test_create_flags_set_every_knob(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, [
+            "create", "--input", str(data), "--model", str(model_dir),
+            "--T0", "60", "--Tprime", "1000", "--gamma", "0.3", "--L", "5",
+            "--k1", "2", "--k2", "3", "--coeff-window", "4"])[0] == 0
+        assert pc.load_model(model_dir).hp == pc.HyperParams(
+            T0=60, Tprime=1000, gamma=0.3, L=5, k1=2, k2=3, coeff_window=4)
 
 
 class TestEvalCli:

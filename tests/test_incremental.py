@@ -140,6 +140,31 @@ class TestScheduleFormulas:
             with pytest.raises(InvalidParams):
                 pc.HyperParams(**ranks)
 
+    @pytest.mark.parametrize("value", [True, 3.0, 2.5, "3"])
+    @pytest.mark.parametrize("name", ["T0", "Tprime", "L", "k1", "k2",
+                                      "coeff_window"])
+    def test_int_knob_refuses_other_types(self, name, value):
+        # 3.0 and 2.5 passed the range checks and failed at the first
+        # retrain; True trained and saved a store that load refused
+        with pytest.raises(InvalidParams):
+            pc.HyperParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_gamma_refuses_other_types(self, value):
+        with pytest.raises(InvalidParams):
+            pc.HyperParams(gamma=value)
+
+    def test_numpy_numbers_become_python_numbers(self):
+        hp = pc.HyperParams(T0=np.int64(3), Tprime=np.int32(300),
+                            gamma=np.float32(0.5), L=np.int64(3),
+                            k1=np.uint8(3), k2=np.int64(3),
+                            coeff_window=np.int16(3))
+        assert hp == pc.HyperParams(T0=3, Tprime=300, gamma=0.5, L=3, k1=3,
+                                    k2=3, coeff_window=3)
+        assert type(hp.gamma) is float
+        assert all(type(getattr(hp, name)) is int
+                   for name in ("T0", "Tprime", "L", "k1", "k2", "coeff_window"))
+
     def test_repeated_series_names_refused(self):
         # a query by name could reach only the first of two series "a"
         with pytest.raises(InvalidParams):

@@ -602,7 +602,8 @@ class TestValidation:
             pc.load_model(tmp_path / "m")
 
     @pytest.mark.parametrize("key, value", [
-        ("hp.L", '"x"'), ("names", "5"), ("sub0.retrain_history", "3")])
+        ("hp.L", '"x"'), ("hp.L", "3.0"), ("hp.k1", "true"), ("hp.T0", "60.0"),
+        ("names", "5"), ("sub0.retrain_history", "3")])
     def test_wrongly_typed_value(self, tmp_path, key, value):
         model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
         manifest = pc.save_model(model, tmp_path / "m")
@@ -636,6 +637,28 @@ class TestValidation:
                                         "n_series=oops\nn_steps=3\n")
         with pytest.raises(CorruptManifest):
             pc.load_model(d)
+
+
+class TestHyperParamKeys:
+    def test_every_knob_set_is_stored_as_text(self, tmp_path):
+        hp = pc.HyperParams(T0=60, Tprime=1000, gamma=0.3, L=5, k1=2, k2=3,
+                            coeff_window=4)
+        pc.save_model(_model(n_steps=300, hp=hp), tmp_path / "m")
+        lines = (tmp_path / "m" / "manifest.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("hp.")] == [
+            "hp.T0=60", "hp.Tprime=1000", "hp.gamma=0x1.3333333333333p-2",
+            "hp.L=5", "hp.k1=2", "hp.k2=3", "hp.coeff_window=4"]
+        assert pc.load_model(tmp_path / "m").hp == hp
+
+    def test_numpy_int_knobs_save_and_load(self, tmp_path):
+        # json.dumps refused the np.int64 rank the model trained with
+        hp = pc.HyperParams(T0=np.int64(60), Tprime=np.int64(400),
+                            k2=np.int64(3))
+        model = _model(n_steps=300, hp=hp)
+        pc.save_model(model, tmp_path / "m")
+        loaded = pc.load_model(tmp_path / "m")
+        assert loaded.hp == pc.HyperParams(T0=60, Tprime=400, k2=3)
+        assert _probe(loaded, 300) == _probe(model, 300)
 
 
 class TestCrashSafety:

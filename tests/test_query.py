@@ -114,6 +114,32 @@ class TestImputationQueries:
         with pytest.raises(UnknownSeries):
             pc.predict_point(model, 5, 10)
 
+    @pytest.mark.parametrize("series", [1.7, 0.2, True, np.bool_(False),
+                                        None])
+    def test_series_neither_name_nor_index_refused(self, series):
+        # int() made 1.7 and True series 1 and 0.2 series 0
+        model, _, _ = _model(n_series=2)
+        with pytest.raises(UnknownSeries):
+            pc.predict_point(model, series, 10)
+        with pytest.raises(UnknownSeries):
+            pc.predict_range(model, series, 10, 20)
+
+    def test_numpy_ints_are_indices_and_times(self):
+        model, _, _ = _model(n_series=2)
+        got = pc.predict_point(model, np.int64(1), np.int32(10))
+        assert got == pc.predict_point(model, "s1", 10)
+        assert type(got.t) is int
+
+    @pytest.mark.parametrize("t1, t2", [(100.0, 100.0), (10, 20.0),
+                                        (10.0, 20), (True, True), ("5", "5")])
+    def test_times_must_be_integers(self, t1, t2):
+        model, _, _ = _model()
+        with pytest.raises(OutOfRange):
+            pc.predict_range(model, "s0", t1, t2)
+        if t1 == t2:
+            with pytest.raises(OutOfRange):
+                pc.predict_point(model, "s0", t1)
+
     def test_invalid_args(self):
         model, _, _ = _model()
         with pytest.raises(OutOfRange):

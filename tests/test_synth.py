@@ -178,6 +178,13 @@ class TestGenLrf:
 
 
 class TestCorrupt:
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        # a NaN sigma added no noise and gave a NaN latent variance
+        truth = pc.gen_synthetic_I(n=2, m=2, T=100, seed=3)
+        with pytest.raises(InvalidParams):
+            pc.corrupt(truth, sigma=sigma)
+
     def test_masking_fraction(self):
         truth = pc.gen_synthetic_I(n=4, m=4, T=2000, seed=3)
         out = pc.corrupt(truth, p_obs=0.6, seed=1)
