@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (InvalidParams, NonFiniteInput, UnknownSeries, UntrainedModel,
                      WidthMismatch)
 from .estimator import SegmentFit
-from .ingestion import TimeSeriesBatch
+from .ingestion import TimeSeriesBatch, is_integer
 
 # Longest run of steps that insert_many checks or adds in one bulk
 # operation; keeps its float temporaries at O(N * BULK_STEPS) whatever the
@@ -38,11 +38,6 @@ BULK_STEPS = 1024
 # columns of the second-moment matrix; with |x| <= 2^240 both stay below
 # 2^1023 for up to 2^63 terms, so no retrain meets an overflow.
 VALUE_MAX = 2.0 ** 240
-
-
-def is_integer(value) -> bool:
-    """True for an integral number that is not a bool; numpy ints count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _knob(default, text: str):
@@ -325,18 +320,9 @@ class PredictionModel:
         :class:`NonFiniteInput` before any state changes.
 
         Leaves the model in the state that inserting the columns one call
-        at a time would, bit for bit.  Each event (a new sub-model, a
-        completed Page column, a retrain) costs one bulk add of the steps
-        up to and including it and one feed.
-
-        Appends that a full retrain later in the same call supersedes are
-        skipped: a trained sub-model whose next retrain falls at or before
-        the call's last step folds no steps into its factors until that
-        retrain (:meth:`_retrains_by`).  This is exact because a retrain
-        reads none of what an append writes: when it fires depends only on
-        the step count and the retrain history (:meth:`_next_retrain`),
-        and it rebuilds the factors (hence L and P) and beta from the raw
-        window (whose pruning reads only L).
+        at a time would, bit for bit.  Each event (a new sub-model, or a
+        sub-model's :meth:`_next_event`) costs one bulk add of the steps up
+        to and including it and one feed.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != self.N:
@@ -396,28 +382,34 @@ class PredictionModel:
         due = max(-(-thresholds[nxt] // self.N), L0 * -(-L0 // self.N))
         return due if due <= 2 * self.half_steps else None
 
-    def _retrains_by(self, sm: SubModel, due: int | None, last: int) -> bool:
-        """Whether ``sm``, next retrained at segment step count ``due``
-        (:meth:`_next_retrain`), retrains at or before global step ``last``,
-        which rebuilds whatever an append before it would write."""
-        return due is not None and sm.start_step + due <= last + 1
+    def _next_event(self, sm: SubModel, last: int) -> tuple[int, bool] | None:
+        """Segment step count of ``sm``'s next event in an :meth:`insert_many`
+        call ending at global step ``last``, and whether it is a retrain (else
+        an append); None if there is none.  A trained sub-model that does not
+        retrain by ``last`` appends its next Page column once complete; any
+        other's event is :meth:`_next_retrain` (perhaps overdue), and appends
+        before it are skipped.  That is exact, so a bulk insert equals
+        step-wise inserts: a retrain reads none of what an append writes, as
+        when it fires depends only on the step count and the retrain history,
+        and it rebuilds the factors (hence L and P) and beta from the raw
+        window (whose pruning reads only L)."""
+        due = self._next_retrain(sm)
+        if sm.trained and (due is None or sm.start_step + due > last + 1):
+            return sm.L * (sm.P + 1), False
+        return None if due is None else (due, True)
 
     def _steps_to_event(self, last: int) -> int:
         """How many of the next steps (up to global step ``last`` and at
         most BULK_STEPS) :meth:`insert_many` adds at once: up to and
-        including the first that opens a sub-model, retrains one (an
-        overdue one at the next step), or completes a Page column of a
-        trained one that does not retrain by ``last``."""
+        including the first that opens a sub-model or reaches one's
+        :meth:`_next_event` (an overdue retrain at the next step)."""
         step = self.n_steps
         n = min(last - step + 1, BULK_STEPS,
                 len(self.submodels) * self.half_steps - step + 1)
         for sm in self.segments_for_step(step):
-            steps = self._seg_steps(sm)
-            due = self._next_retrain(sm)
-            if due is not None:
-                n = min(n, max(due - steps, 1))
-            if sm.trained and not self._retrains_by(sm, due, last):
-                n = min(n, sm.L * (sm.P + 1) - steps)
+            event = self._next_event(sm, last)
+            if event is not None:
+                n = min(n, max(event[0] - self._seg_steps(sm), 1))
         return n
 
     def _add_steps(self, values: np.ndarray, observed: np.ndarray) -> None:
@@ -451,15 +443,15 @@ class PredictionModel:
             self._feed(sm, last)
 
     def _feed(self, sm: SubModel, last: int) -> None:
-        steps = self._seg_steps(sm)
-        due = self._next_retrain(sm)
-        if due is not None and steps >= due:
+        """Retrain or append ``sm`` if it has reached its :meth:`_next_event`."""
+        event = self._next_event(sm, last)
+        if event is None or self._seg_steps(sm) < event[0]:
+            return
+        if event[1]:
             self._full_retrain(sm)
-            self._coeff_cache = None
-        elif (sm.trained and steps == sm.L * (sm.P + 1)
-              and not self._retrains_by(sm, due, last)):
+        else:
             sm.extend(self.raw.slice_steps(sm.start_step, self.n_steps))
-            self._coeff_cache = None
+        self._coeff_cache = None
 
     def _window_for(self, t_seg: int) -> int:
         """Page window for a segment of ``t_seg`` steps: the L override, or

@@ -9,6 +9,7 @@ values only, with NaN as the one missing marker.
 
 import csv
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -28,6 +29,11 @@ from .errors import (
 )
 
 AGG_FUNCTIONS = ("mean", "min", "max", "sum", "last")
+
+
+def is_integer(value) -> bool:
+    """True for an integral number that is not a bool; numpy ints count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -231,10 +237,12 @@ def aggregate(batch: TimeSeriesBatch, interval: int, fn: str = "mean") -> TimeSe
     """Downsample by grouping ``interval`` consecutive ticks into one bucket.
 
     Only observed entries contribute; a bucket with no observed entries is
-    missing.  Output length is ceil(T / interval).
+    missing.  Output length is ceil(T / interval).  An interval that is not
+    an integer >= 1 (:func:`is_integer`) raises :class:`InvalidInterval`.
     """
-    if interval < 1:
-        raise InvalidInterval(f"interval must be >= 1, got {interval}")
+    if not is_integer(interval) or interval < 1:
+        raise InvalidInterval(
+            f"interval must be an integer >= 1, got {interval!r}")
     if fn not in AGG_FUNCTIONS:
         raise InvalidInterval(f"unknown aggregation fn {fn!r}; "
                               f"expected one of {AGG_FUNCTIONS}")

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import InvalidConfidence, OutOfRange, UnstableForecast
 from .estimator import forecast
-from .incremental import PredictionModel, is_integer
+from .incremental import PredictionModel
+from .ingestion import is_integer
 from .kernels import reconstruct_points
 from .page_matrix import cells
 from .stats import chebyshev_halfwidth, check_interval, gaussian_halfwidth
@@ -56,9 +57,10 @@ class PredictionResult:
 
 def prediction_interval(mean: float, sigma: float, confidence: float,
                         method: str = "gaussian") -> tuple[float, float]:
-    """Central interval around ``mean`` with standard deviation ``sigma``."""
+    """Central interval around ``mean`` with standard deviation ``sigma``,
+    which must be >= 0 (inf allowed, NaN refused)."""
     check_interval(confidence, method)
-    if sigma < 0:
+    if not sigma >= 0:
         raise InvalidConfidence(f"sigma must be nonnegative, got {sigma}")
     if method == "gaussian":
         half = gaussian_halfwidth(sigma, confidence)

@@ -112,6 +112,11 @@ class SyntheticTruth:
             raise InvalidParams("latent variance must be nonnegative")
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma < np.inf:
+        raise InvalidParams(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def _batch(values: np.ndarray, prefix: str) -> TimeSeriesBatch:
     names = [f"{prefix}{i}" for i in range(values.shape[0])]
     return TimeSeriesBatch(names, values, np.ones(values.shape, dtype=bool))
@@ -240,8 +245,10 @@ def gen_synthetic_III(T: int = 100000, seed: int = 0,
     """One latent harmonic sum in [0, 1], observed under three noise laws.
 
     Gaussian (additive noise with standard deviation ``sigma``), Bernoulli,
-    and Poisson observations all share the identical latent mean.
+    and Poisson observations all share the identical latent mean.  A sigma
+    that is not finite and >= 0 raises :class:`InvalidParams`.
     """
+    _check_sigma(sigma)
     f = _harmonic_mixtures(seed, T, 1, 4, (-1.5, 1.5), (1.0, 100.0))[0]
     f = _normalize_01(f)[None, :]
 
@@ -310,8 +317,7 @@ def corrupt(truth: SyntheticTruth, sigma: float = 0.0, p_obs: float = 1.0,
     """
     if not 0.0 < p_obs <= 1.0:
         raise InvalidParams("p_obs must lie in (0, 1]")
-    if not 0.0 <= sigma < np.inf:
-        raise InvalidParams(f"sigma must be finite and >= 0, got {sigma}")
+    _check_sigma(sigma)
     base = truth.observations
     values = np.ascontiguousarray(base.zero_filled())
     obs = base.observed.copy()

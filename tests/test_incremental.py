@@ -749,6 +749,35 @@ class TestSupersededAppends:
             for sm in model.submodels)
         assert len(calls) == 4 * kept == 4
 
+    def test_block_ending_on_retrain_appends_nothing(self, monkeypatch):
+        # N=3 in one sub-model: it retrains at 171 steps (L=7, P=24) and next
+        # at 256, and completes Page columns at 175, 182, ..., 252 between
+        hp = pc.HyperParams(T0=30, Tprime=3000)
+        vals = _stream(256, 3, seed=4).values
+        calls = _count_appends(monkeypatch)
+        for end, event, shape in ((256, (256, True), (8, 32, 9)),
+                                  (255, (175, False), (7, 36, 8))):
+            model = pc.PredictionModel(["a", "b", "c"], hp)
+            model.insert_many(vals[:, :171])
+            sm = model.submodels[0]
+            assert (sm.L, sm.P, model._next_retrain(sm)) == (7, 24, 256)
+            assert model._next_event(sm, end - 1) == event
+            del calls[:]
+            model.insert_many(vals[:, 171:end])
+            assert len(model.submodels) == 1
+            assert (sm.L, sm.P, len(sm.retrain_history)) == shape
+            # four factor sets per appended column, or none when superseded
+            assert len(calls) == (0 if event[1] else 4 * (36 - 24))
+
+    def test_untrained_short_segment_has_no_event(self):
+        # L=60 at N=3 needs 60 * 20 = 1200 steps, more than a segment's 1000
+        hp = pc.HyperParams(T0=30, Tprime=3000, L=60)
+        model = pc.PredictionModel(["a", "b", "c"], hp)
+        model.insert_many(_stream(600, 3, seed=4).values)
+        assert len(model.submodels) == 2 and model.in_fallback
+        for sm in model.submodels:
+            assert model._next_event(sm, 10_000) is None
+
 
 class TestDegenerate:
     """A sub-model reports whether its PCR fit is degenerate (all-zero first

@@ -250,6 +250,17 @@ class TestAggregate:
         with pytest.raises(InvalidInterval):
             pc.aggregate(self._batch([1, 2]), 0, "mean")
 
+    @pytest.mark.parametrize("interval", [2.5, 2.0, True, "2", None])
+    def test_interval_must_be_an_integer(self, interval):
+        # 2.5 raised a bare TypeError from numpy, and True was taken as 1
+        with pytest.raises(InvalidInterval):
+            pc.aggregate(self._batch([1, 2, 3]), interval, "mean")
+
+    def test_numpy_int_interval(self):
+        batch = self._batch([1, 3, 5, 7])
+        out = pc.aggregate(batch, np.int64(2), "mean")
+        np.testing.assert_array_equal(out.values, pc.aggregate(batch, 2).values)
+
     def test_never_unobserves(self):
         rng = np.random.default_rng(7)
         values = rng.normal(size=40)

@@ -57,6 +57,16 @@ class TestPredictionInterval:
         with pytest.raises(InvalidConfidence):
             pc.prediction_interval(0.0, 1.0, 100.0)
 
+    @pytest.mark.parametrize("method", ["gaussian", "chebyshev"])
+    def test_sigma_nan_or_negative_refused(self, method):
+        # a NaN sigma gave the silent interval (nan, nan)
+        with pytest.raises(InvalidConfidence):
+            pc.prediction_interval(0.0, math.nan, 95.0, method)
+        with pytest.raises(InvalidConfidence):
+            pc.prediction_interval(0.0, -1.0, 95.0, method)
+        assert pc.prediction_interval(0.0, math.inf, 95.0, method) == (
+            -math.inf, math.inf)
+
 
 class TestImputationQueries:
     def test_single_submodel_exact_reconstruction(self):

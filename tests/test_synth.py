@@ -147,6 +147,12 @@ class TestSyntheticIII:
         assert band.sum() > 500
         assert abs(x[band].mean() - f[band].mean()) < 0.02
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        # nan raised a misleading UnparseableValue; -1.0 gave variance 1.0
+        with pytest.raises(InvalidParams):
+            pc.gen_synthetic_III(T=200, sigma=sigma)
+
     def test_sample_moments_match_latent_variance(self, synth3_data):
         for arm in ("gaussian", "bernoulli", "poisson"):
             st = synth3_data[arm]
