@@ -320,9 +320,11 @@ class PredictionModel:
         :class:`NonFiniteInput` before any state changes.
 
         Leaves the model in the state that inserting the columns one call
-        at a time would, bit for bit.  Each event (a new sub-model, or a
-        sub-model's :meth:`_next_event`) costs one bulk add of the steps up
-        to and including it and one feed.
+        at a time would, bit for bit.  The block is added in pieces of at
+        most ``BULK_STEPS`` steps, a step that opens a sub-model being a
+        piece of its own (the raw window is pruned there); after each piece
+        every sub-model whose segment holds it fires the events its steps
+        have reached (:meth:`_catch_up`).
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != self.N:
@@ -341,15 +343,21 @@ class PredictionModel:
             self._check_magnitudes(values[:, pos:pos + BULK_STEPS],
                                    usable[:, pos:pos + BULK_STEPS], pos)
         last = self.n_steps + values.shape[1] - 1
-        if values.shape[1] == 1:  # one step is one event: nothing to cut
-            self._add_steps(values, usable)
-            self._train(last)
-            return
         pos = 0
         while pos < values.shape[1]:
-            stop = pos + self._steps_to_event(last)
+            step = self.n_steps
+            opening = len(self.submodels) * self.half_steps
+            stop = pos + (1 if step == opening else
+                          min(values.shape[1] - pos, BULK_STEPS, opening - step))
             self._add_steps(values[:, pos:stop], usable[:, pos:stop])
-            self._train(last)
+            if step == opening:
+                self.submodels.append(SubModel(len(self.submodels), step, self.N))
+                if len(self.submodels) >= 2:
+                    margin = max((sm.L or 2) for sm in self.submodels) + 2
+                    self.raw.prune_before(max(0, min(self.submodels[-2].start_step,
+                                                     step + 1 - margin)))
+            for sm in self.segments_for_step(step):
+                self._catch_up(sm, step, last)
             pos = stop
 
     def _check_magnitudes(self, values: np.ndarray, usable: np.ndarray,
@@ -388,29 +396,17 @@ class PredictionModel:
         an append); None if there is none.  A trained sub-model that does not
         retrain by ``last`` appends its next Page column once complete; any
         other's event is :meth:`_next_retrain` (perhaps overdue), and appends
-        before it are skipped.  That is exact, so a bulk insert equals
-        step-wise inserts: a retrain reads none of what an append writes, as
-        when it fires depends only on the step count and the retrain history,
-        and it rebuilds the factors (hence L and P) and beta from the raw
-        window (whose pruning reads only L)."""
+        before it are skipped, as a retrain reads none of what an append
+        writes: when it fires depends only on the step count and the retrain
+        history, and it rebuilds the factors (hence L and P) and beta from the
+        raw steps.  So a bulk insert equals step-wise inserts: a sub-model's
+        events read only its own state and its segment's raw steps up to the
+        event's count, and pruning happens only at an opening step, after
+        every earlier event has fired."""
         due = self._next_retrain(sm)
         if sm.trained and (due is None or sm.start_step + due > last + 1):
             return sm.L * (sm.P + 1), False
         return None if due is None else (due, True)
-
-    def _steps_to_event(self, last: int) -> int:
-        """How many of the next steps (up to global step ``last`` and at
-        most BULK_STEPS) :meth:`insert_many` adds at once: up to and
-        including the first that opens a sub-model or reaches one's
-        :meth:`_next_event` (an overdue retrain at the next step)."""
-        step = self.n_steps
-        n = min(last - step + 1, BULK_STEPS,
-                len(self.submodels) * self.half_steps - step + 1)
-        for sm in self.segments_for_step(step):
-            event = self._next_event(sm, last)
-            if event is not None:
-                n = min(n, max(event[0] - self._seg_steps(sm), 1))
-        return n
 
     def _add_steps(self, values: np.ndarray, observed: np.ndarray) -> None:
         """Add an N x n block to the moments and the raw window.  Row sums of
@@ -425,33 +421,21 @@ class PredictionModel:
         self.raw.extend(np.where(observed, values, np.nan))
         self.n_steps += values.shape[1]
 
-    def _train(self, last: int) -> None:
-        """Open the sub-model that the last added step starts, if any, and
-        feed every sub-model whose segment holds that step; ``last`` is the
-        global step that ends the current :meth:`insert_many` call."""
-        step = self.n_steps - 1
-        newest = step // self.half_steps
-        while len(self.submodels) <= newest:
-            j = len(self.submodels)
-            self.submodels.append(SubModel(j, j * self.half_steps, self.N))
-            if len(self.submodels) >= 2:
-                keep_from = self.submodels[-2].start_step
-                margin = max((sm.L or 2) for sm in self.submodels) + 2
-                self.raw.prune_before(max(0, min(keep_from, self.n_steps - margin)))
-
-        for sm in self.segments_for_step(step):
-            self._feed(sm, last)
-
-    def _feed(self, sm: SubModel, last: int) -> None:
-        """Retrain or append ``sm`` if it has reached its :meth:`_next_event`."""
-        event = self._next_event(sm, last)
-        if event is None or self._seg_steps(sm) < event[0]:
-            return
-        if event[1]:
-            self._full_retrain(sm)
-        else:
-            sm.extend(self.raw.slice_steps(sm.start_step, self.n_steps))
-        self._coeff_cache = None
+    def _catch_up(self, sm: SubModel, first: int, last: int) -> None:
+        """Fire every :meth:`_next_event` of ``sm`` that its steps have
+        reached, each on the segment's raw steps up to the event's count; an
+        overdue retrain fires at the count after global step ``first``, the
+        first of the steps just added."""
+        while ((event := self._next_event(sm, last)) is not None
+               and event[0] <= self._seg_steps(sm)):
+            count = max(event[0], first + 1 - sm.start_step)
+            raw = self.raw.slice_steps(sm.start_step, sm.start_step + count)
+            if event[1]:
+                sm.fit(raw, self._window_for(count), self.hp.k1, self.hp.k2)
+                sm.retrain_history.append((sm.start_step + count) * self.N)
+            else:
+                sm.extend(raw)
+            self._coeff_cache = None
 
     def _window_for(self, t_seg: int) -> int:
         """Page window for a segment of ``t_seg`` steps: the L override, or
@@ -461,12 +445,6 @@ class PredictionModel:
         if self.hp.L is not None:
             return self.hp.L
         return max(2, min(int(math.floor(math.sqrt(self.N * t_seg / 10.0))), t_seg))
-
-    def _full_retrain(self, sm: SubModel) -> None:
-        """Refit every factor set and beta from the segment's raw steps."""
-        raw = self.raw.slice_steps(sm.start_step, self.n_steps)
-        sm.fit(raw, self._window_for(raw.shape[1]), self.hp.k1, self.hp.k2)
-        sm.retrain_history.append(self.total_obs)
 
     # --- coefficients -----------------------------------------------------
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfidence, OutOfRange, UnstableForecast
+from .errors import InvalidConfidence, NonFiniteInput, OutOfRange, UnstableForecast
 from .estimator import forecast
 from .incremental import PredictionModel
 from .ingestion import is_integer
@@ -57,9 +57,11 @@ class PredictionResult:
 
 def prediction_interval(mean: float, sigma: float, confidence: float,
                         method: str = "gaussian") -> tuple[float, float]:
-    """Central interval around ``mean`` with standard deviation ``sigma``,
-    which must be >= 0 (inf allowed, NaN refused)."""
+    """Central interval around the finite ``mean`` with standard deviation
+    ``sigma``, which must be >= 0 (inf allowed, NaN refused)."""
     check_interval(confidence, method)
+    if not math.isfinite(mean):
+        raise NonFiniteInput(f"mean must be finite, got {mean}")
     if not sigma >= 0:
         raise InvalidConfidence(f"sigma must be nonnegative, got {sigma}")
     if method == "gaussian":

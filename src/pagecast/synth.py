@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .ingestion import TimeSeriesBatch
+from .ingestion import TimeSeriesBatch, is_integer
 from .stats import norm_ppf_array
 
 # Stream ids: one per random purpose, shared across generators.
@@ -112,6 +112,12 @@ class SyntheticTruth:
             raise InvalidParams("latent variance must be nonnegative")
 
 
+def _check_counts(**counts) -> None:
+    for name, value in counts.items():
+        if not is_integer(value) or value < 1:
+            raise InvalidParams(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_sigma(sigma: float) -> None:
     if not 0.0 <= sigma < np.inf:
         raise InvalidParams(f"sigma must be finite and >= 0, got {sigma}")
@@ -156,8 +162,7 @@ def gen_synthetic_I(n: int = 20, m: int = 20, T: int = 15000, r: int = 4,
     [-1.5, 1.5] x [1, 100] variant.  Observations equal the latent mean
     (zero noise); corrupt with :func:`corrupt` for noisy/missing experiments.
     """
-    if n < 1 or m < 1 or T < 1 or r < 1:
-        raise InvalidParams("n, m, T, r must all be >= 1")
+    _check_counts(n=n, m=m, T=T, r=r)
     if preset == "default":
         alpha_range, omega_range = (-1.0, 10.0), (1.0, 1000.0)
     elif preset == "scaling":
@@ -190,8 +195,10 @@ def gen_synthetic_II(seed: int = 0, T: int = 15000,
     [0, 1].  Each is observed under Gaussian (mean = the harmonics-only
     tensor, variance = the arm's own tensor), Bernoulli, and Poisson laws.
     The AR component burns in for 100 steps; its coefficients are rescaled
-    to sum below 0.95 when a draw would be nonstationary.
+    to sum below 0.95 when a draw would be nonstationary.  T and grid must
+    be integers >= 1 (:class:`InvalidParams`).
     """
+    _check_counts(T=T, grid=grid)
     r = 4
     har = _harmonic_mixtures(seed, T, r, 4, (-1.0, 10.0), (1.0, 1000.0))
 
@@ -245,9 +252,11 @@ def gen_synthetic_III(T: int = 100000, seed: int = 0,
     """One latent harmonic sum in [0, 1], observed under three noise laws.
 
     Gaussian (additive noise with standard deviation ``sigma``), Bernoulli,
-    and Poisson observations all share the identical latent mean.  A sigma
-    that is not finite and >= 0 raises :class:`InvalidParams`.
+    and Poisson observations all share the identical latent mean.  A T that
+    is not an integer >= 1, or a sigma that is not finite and >= 0, raises
+    :class:`InvalidParams`.
     """
+    _check_counts(T=T)
     _check_sigma(sigma)
     f = _harmonic_mixtures(seed, T, 1, 4, (-1.5, 1.5), (1.0, 100.0))[0]
     f = _normalize_01(f)[None, :]

@@ -385,6 +385,29 @@ class TestSynthCli:
         assert code == 1 and "error: InvalidParams" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("preset, tag, shape", [
+        ("synth2", "synth2_poisson_har_ar_trend", (400, 30)),
+        ("synth3", "synth3_gaussian", (1, 30))])
+    def test_synth2_and_synth3_write_files(self, tmp_path, capsys, preset,
+                                           tag, shape):
+        out_dir = tmp_path / "synth"
+        code, _, _ = _run(capsys, [
+            "synth", "--preset", preset, "--out", str(out_dir), "--T", "30"])
+        assert code == 0
+        for part in ("obs", "mean", "var"):
+            assert (out_dir / f"{tag}_{part}.csv").is_file()
+        batch = pc.load_csv(out_dir / f"{tag}_obs.csv", "t")
+        assert batch.values.shape == shape
+
+    @pytest.mark.parametrize("preset", ["synth2", "synth3"])
+    def test_synth2_and_synth3_refuse_zero_steps(self, tmp_path, capsys,
+                                                 preset):
+        out_dir = tmp_path / "synth"
+        code, _, err = _run(capsys, [
+            "synth", "--preset", preset, "--out", str(out_dir), "--T", "0"])
+        assert code == 1 and "error: InvalidParams" in err
+        assert not out_dir.exists()
+
     def test_lrf_preset(self, tmp_path, capsys):
         out_dir = tmp_path / "lrf"
         code, _, _ = _run(capsys, [

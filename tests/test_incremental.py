@@ -531,6 +531,30 @@ class TestInsertMany:
             models.append(model)
         _assert_same_state(*models)
 
+    def test_add_steps_once_per_piece(self, monkeypatch):
+        # Later sub-models freeze at L=2 and append every other step; the
+        # block is still added in pieces cut only at BULK_STEPS and at the
+        # step that opens each sub-model, that step a piece of its own.
+        hp = pc.HyperParams(T0=50, gamma=0.3, Tprime=6000)
+        vals = _stream(20_000, 3, seed=4).values
+        ref = pc.PredictionModel(["a", "b", "c"], hp)
+        for j in range(vals.shape[1]):
+            ref.insert(vals[:, j])
+        calls = []
+        real = inc.PredictionModel._add_steps
+
+        def counting(model, *args):
+            calls.append(1)
+            return real(model, *args)
+
+        monkeypatch.setattr(inc.PredictionModel, "_add_steps", counting)
+        model = pc.PredictionModel(ref.names, hp)
+        model.insert_many(vals)
+        opened = len(model.submodels)
+        assert opened == 20 and {sm.L for sm in model.submodels[1:]} == {2}
+        assert len(calls) <= -(-vals.shape[1] // inc.BULK_STEPS) + 2 * opened
+        _assert_same_state(model, ref)
+
     def test_reference_spans_several_segments(self):
         ref, events = _reference(1)[:2]
         assert len(ref.submodels) == 4 and len(events) > 100

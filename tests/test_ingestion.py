@@ -11,7 +11,9 @@ from pagecast.errors import (
     EmptyFile,
     InvalidInterval,
     MissingColumn,
+    ShapeMismatch,
     UnparseableTimestamp,
+    UnparseableValue,
 )
 
 
@@ -58,6 +60,19 @@ class TestLoadCsv:
     def test_duplicate_timestamp(self, tmp_path):
         with pytest.raises(DuplicateTimestamp):
             pc.load_csv(_write(tmp_path, "t,a\n1,5\n1,6\n"), "t")
+
+    def test_two_rows_in_one_tick_bucket(self, tmp_path):
+        path = _write(tmp_path, "t,a\n0,5\n1,6\n1.5,7\n")
+        with pytest.raises(DuplicateTimestamp, match="tick bucket"):
+            pc.load_csv(path, "t", tick=1.0)
+
+    def test_unparseable_value(self, tmp_path):
+        with pytest.raises(UnparseableValue, match="line 3, column 'b'"):
+            pc.load_csv(_write(tmp_path, "t,a,b\n1,5,6\n2,7,x\n"), "t")
+
+    def test_file_without_header_is_empty(self, tmp_path):
+        with pytest.raises(EmptyFile, match="no header"):
+            pc.load_csv(_write(tmp_path, ""), "t")
 
     def test_bad_timestamp(self, tmp_path):
         with pytest.raises(UnparseableTimestamp):
@@ -208,6 +223,25 @@ class TestBatchValues:
         assert np.isnan(batch.values[~mask]).all()
         np.testing.assert_array_equal(batch.values[mask], vals[mask])
 
+    @pytest.mark.parametrize("names, values, observed", [
+        (["a"], np.zeros(3), np.ones(3, dtype=bool)),
+        (["a"], np.zeros((1, 3)), np.ones((1, 2), dtype=bool)),
+        (["a", "b"], np.zeros((1, 3)), np.ones((1, 3), dtype=bool)),
+        (["a"], np.zeros((1, 0)), np.ones((1, 0), dtype=bool)),
+        ([], np.zeros((0, 3)), np.ones((0, 3), dtype=bool))],
+        ids=["one_dim", "mask_shape", "names", "no_steps", "no_series"])
+    def test_shape_mismatch(self, names, values, observed):
+        with pytest.raises(ShapeMismatch):
+            pc.TimeSeriesBatch(names, values, observed)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_non_finite_observed_entry_refused(self, bad):
+        vals, mask = self._grid()
+        vals[~mask] = np.nan
+        vals[0, 1] = bad
+        with pytest.raises(UnparseableValue):
+            pc.TimeSeriesBatch(["a", "b", "c"], vals, mask)
+
 
 class TestAggregate:
     def _batch(self, values, observed=None):
@@ -249,6 +283,10 @@ class TestAggregate:
     def test_invalid_interval(self):
         with pytest.raises(InvalidInterval):
             pc.aggregate(self._batch([1, 2]), 0, "mean")
+
+    def test_unknown_fn(self):
+        with pytest.raises(InvalidInterval, match="unknown aggregation fn"):
+            pc.aggregate(self._batch([1, 2]), 2, "median")
 
     @pytest.mark.parametrize("interval", [2.5, 2.0, True, "2", None])
     def test_interval_must_be_an_integer(self, interval):

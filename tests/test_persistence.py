@@ -626,6 +626,36 @@ class TestValidation:
         with pytest.raises(CorruptManifest):
             pc.load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("damage", ["line_without_equals",
+                                        "no_format_version"])
+    def test_unreadable_manifest_falls_back_to_backup(self, tmp_path, damage):
+        hp = pc.HyperParams(T0=60, Tprime=400)
+        pc.save_model(_model(n_steps=300, hp=hp), tmp_path / "old")
+        manifest = pc.save_model(_model(n_steps=350, hp=hp), tmp_path / "m")
+        shutil.copytree(tmp_path / "old", tmp_path / "m.bak")
+        if damage == "no_format_version":
+            del manifest["format_version"]
+            _write_manifest(tmp_path / "m", manifest)
+        else:
+            with open(tmp_path / "m" / "manifest.txt", "a") as fh:
+                fh.write("no separator here\n")
+        assert pc.load_model(tmp_path / "m").n_steps == 300
+        shutil.rmtree(tmp_path / "m.bak")
+        with pytest.raises(CorruptManifest, match="no loadable model"):
+            pc.load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("relpath", ["sub_0/U.f64", "raw_values.f64"])
+    def test_unlisted_array_file(self, tmp_path, relpath):
+        # the file is there and intact, but the manifest has no checksum
+        # for it; a readable primary is refused, not replaced by its backup
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        manifest = pc.save_model(model, tmp_path / "m")
+        shutil.copytree(tmp_path / "m", tmp_path / "m.bak")
+        del manifest[f"checksum.{relpath}"]
+        _write_manifest(tmp_path / "m", manifest)
+        with pytest.raises(CorruptManifest, match=f"lacks checksum for {relpath}"):
+            pc.load_model(tmp_path / "m")
+
     def test_missing_dir(self, tmp_path):
         with pytest.raises(CorruptManifest):
             pc.load_model(tmp_path / "nope")

@@ -7,8 +7,8 @@ import pytest
 
 import pagecast as pc
 from pagecast import query
-from pagecast.errors import (InvalidConfidence, OutOfRange, UnknownSeries,
-                             UnstableForecast)
+from pagecast.errors import (InvalidConfidence, NonFiniteInput, OutOfRange,
+                             UnknownSeries, UnstableForecast)
 from pagecast.estimator import zero_filled
 from pagecast.kernels import ar_recurrence, reconstruct_points
 from pagecast.query import MAX_HORIZON, QUERY_CHUNK
@@ -66,6 +66,13 @@ class TestPredictionInterval:
             pc.prediction_interval(0.0, -1.0, 95.0, method)
         assert pc.prediction_interval(0.0, math.inf, 95.0, method) == (
             -math.inf, math.inf)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("method", ["gaussian", "chebyshev"])
+    def test_non_finite_mean_refused(self, mean, method):
+        # a NaN mean gave the silent interval (nan, nan)
+        with pytest.raises(NonFiniteInput):
+            pc.prediction_interval(mean, 1.0, 95.0, method)
 
 
 class TestImputationQueries:

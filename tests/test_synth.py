@@ -123,6 +123,19 @@ class TestSyntheticII:
         trend_mean = synth2_data[("gaussian", "har_trend")].latent_mean
         np.testing.assert_array_equal(har_mean, trend_mean)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"T": 0}, {"T": -5}, {"T": 2.5}, {"T": True}, {"grid": 0},
+        {"grid": 2.0}], ids=["T0", "T_negative", "T_float", "T_bool", "grid0",
+                             "grid_float"])
+    def test_counts_must_be_integers_of_at_least_one(self, kwargs):
+        # T=0 and grid=0 raised a bare numpy ValueError
+        with pytest.raises(InvalidParams):
+            pc.gen_synthetic_II(**{"T": 20, "grid": 2, **kwargs})
+
+    def test_smallest_counts(self):
+        sets = pc.gen_synthetic_II(T=1, grid=1)
+        assert sets[("poisson", "har")].observations.values.shape == (1, 1)
+
 
 class TestSyntheticIII:
 
@@ -152,6 +165,16 @@ class TestSyntheticIII:
         # nan raised a misleading UnparseableValue; -1.0 gave variance 1.0
         with pytest.raises(InvalidParams):
             pc.gen_synthetic_III(T=200, sigma=sigma)
+
+    @pytest.mark.parametrize("T", [0, -5, 2.5, True, None])
+    def test_T_must_be_an_integer_of_at_least_one(self, T):
+        # T=0 raised a bare numpy ValueError
+        with pytest.raises(InvalidParams):
+            pc.gen_synthetic_III(T=T)
+
+    def test_one_step(self):
+        sets = pc.gen_synthetic_III(T=np.int64(1))
+        assert sets["gaussian"].observations.values.shape == (1, 1)
 
     def test_sample_moments_match_latent_variance(self, synth3_data):
         for arm in ("gaussian", "bernoulli", "poisson"):
