@@ -8,8 +8,7 @@ with Gaussian or Chebyshev prediction intervals; persist models to disk.
 from .errors import PagecastError
 from .estimator import (
     ImputeResult,
-    fit_forecaster,
-    fit_variance_forecaster,
+    SegmentFit,
     forecast_mean,
     forecast_variance,
     impute_mean,
@@ -48,9 +47,8 @@ __all__ = [
     "TimeSeriesBatch", "load_csv", "write_csv", "aggregate",
     "build_stacked_page", "cells", "unstack",
     "TruncatedSVD", "truncated_svd", "select_rank", "append_columns",
-    "ImputeResult",
-    "impute_mean", "impute_variance", "fit_forecaster", "forecast_mean",
-    "fit_variance_forecaster", "forecast_variance",
+    "ImputeResult", "SegmentFit",
+    "impute_mean", "impute_variance", "forecast_mean", "forecast_variance",
     "HyperParams", "PredictionModel", "SubModel",
     "create_model",
     "PredictionResult", "predict_point", "predict_range",

@@ -152,13 +152,6 @@ def zero_filled(raw: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(raw), raw, 0.0)
 
 
-def fit_segment(raw: np.ndarray, L: int, k1: int | None = None,
-                k2: int | None = None) -> SegmentFit:
-    """A new :class:`SegmentFit` of the N x T raw steps (:meth:`SegmentFit.fit`).
-    Raises :class:`InvalidL` unless 2 <= L <= T."""
-    return SegmentFit().fit(raw, L, k1, k2)
-
-
 def _result(page: np.ndarray, values: np.ndarray) -> ImputeResult:
     """``values`` (N x T) with each series' first L * P steps overwritten by
     the stacked Page matrix ``page`` laid back out in time order."""
@@ -173,16 +166,8 @@ def _result(page: np.ndarray, values: np.ndarray) -> ImputeResult:
 def impute_mean(batch: TimeSeriesBatch, L: int, k: int | None = None) -> ImputeResult:
     """Estimate the latent mean at every in-segment (series, time) point.
     Raises :class:`InvalidL` unless 2 <= L <= T."""
-    fit = fit_segment(batch.values, L, k)
+    fit = SegmentFit().fit(batch.values, L, k)
     return _result(fit.mean_svd.reconstruct(), batch.values.copy())
-
-
-def fit_forecaster(batch: TimeSeriesBatch, L: int,
-                   k: int | None = None) -> SegmentFit:
-    """The segment fit, whose ``beta_mean`` regresses the last Page row on
-    the others de-noised to the full matrix's rank (k, or data-driven when
-    None) capped at L-1.  Raises :class:`InvalidL` unless 2 <= L <= T."""
-    return fit_segment(batch.values, L, k)
 
 
 def forecast(history: np.ndarray, beta_mean: np.ndarray,
@@ -219,18 +204,10 @@ def impute_variance(batch: TimeSeriesBatch, L: int, k1: int | None = None,
     k2 the squared-observation model.  Raises :class:`InvalidL` unless
     2 <= L <= T.
     """
-    fit = fit_segment(batch.values, L, k1, k2)
+    fit = SegmentFit().fit(batch.values, L, k1, k2)
     var = np.clip(fit.var_svd.reconstruct() - fit.mean_svd.reconstruct()**2,
                   0.0, None)
     return _result(var, np.full_like(batch.values, np.nan))
-
-
-def fit_variance_forecaster(batch: TimeSeriesBatch, L: int,
-                            k1: int | None = None,
-                            k2: int | None = None) -> SegmentFit:
-    """The segment fit whose ``beta_mean`` and ``beta_var`` forecast the raw
-    and the squared series.  Raises :class:`InvalidL` unless 2 <= L <= T."""
-    return fit_segment(batch.values, L, k1, k2)
 
 
 def forecast_variance(fit: SegmentFit, history: np.ndarray) -> float:

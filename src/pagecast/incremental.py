@@ -252,11 +252,6 @@ class PredictionModel:
     # --- basic state ----------------------------------------------------
 
     @property
-    def total_obs(self) -> int:
-        """Observation slots seen so far: N per inserted time step."""
-        return self.n_steps * self.N
-
-    @property
     def fallback_mean(self) -> float:
         return self.obs_sum / self.obs_cnt if self.obs_cnt else 0.0
 
@@ -285,10 +280,6 @@ class PredictionModel:
             raise UnknownSeries(f"series {series!r} is neither a name nor an "
                                 f"index in [0, {self.N})")
         return int(series)
-
-    def segments_for_step(self, step: int) -> list[SubModel]:
-        """Sub-models whose segment contains the global step (newest last)."""
-        return self.segments_for_steps(step, step)
 
     def segments_for_steps(self, first: int, last: int) -> list[SubModel]:
         """Sub-models whose segment contains some global step in
@@ -356,7 +347,7 @@ class PredictionModel:
                     margin = max((sm.L or 2) for sm in self.submodels) + 2
                     self.raw.prune_before(max(0, min(self.submodels[-2].start_step,
                                                      step + 1 - margin)))
-            for sm in self.segments_for_step(step):
+            for sm in self.segments_for_steps(step, step):
                 self._catch_up(sm, step, last)
             pos = stop
 

@@ -25,6 +25,7 @@ from .errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
+from .ingestion import is_integer
 
 # Row-count cutover from exact dense SVD to the Gram route during training.
 GRAM_PATH_MIN_ROWS = 96
@@ -87,14 +88,17 @@ def _factors(U: np.ndarray, s: np.ndarray, V: np.ndarray) -> TruncatedSVD:
 
 
 def truncated_svd(m: np.ndarray, k: int) -> TruncatedSVD:
-    """Best rank-k approximation of ``m`` in Frobenius norm (exact LAPACK)."""
+    """Best rank-k approximation of ``m`` in Frobenius norm (exact LAPACK).
+    Raises :class:`RankOutOfRange` unless k is an integer (not a bool) in
+    [1, min(m.shape)]."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteInput("matrix contains NaN or infinity")
-    if not 1 <= k <= min(m.shape):
-        raise RankOutOfRange(f"k={k} outside [1, {min(m.shape)}]")
+    if not is_integer(k) or not 1 <= k <= min(m.shape):
+        raise RankOutOfRange(
+            f"k={k!r} is not an integer in [1, {min(m.shape)}]")
     U, s, Vt = np.linalg.svd(m, full_matrices=False)
     return _factors(U[:, :k], s[:k], Vt[:k].T)
 
@@ -105,11 +109,17 @@ def select_rank(s: np.ndarray, L: int, cols: int) -> int:
     The threshold is omega(beta) * median(s) with beta = min(L, cols) /
     max(L, cols) and omega the cubic fit
     0.56 b^3 - 0.95 b^2 + 1.82 b + 1.43.  Values below REL_FLOOR * s[0]
-    are never counted; the result is clamped to >= 1.
+    are never counted; the result is clamped to >= 1.  A spectrum holding
+    NaN or infinity raises :class:`NonFiniteInput`, and L or cols below 1
+    :class:`RankOutOfRange`.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.size == 0:
         raise EmptySpectrum("no singular values given")
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteInput("spectrum contains NaN or infinity")
+    if L < 1 or cols < 1:
+        raise RankOutOfRange(f"matrix shape {L} x {cols} has no entries")
     if np.any(s < 0) or np.any(np.diff(s) > 0):
         raise RankOutOfRange("spectrum must be nonnegative and nonincreasing")
     beta = min(L, cols) / max(L, cols)
@@ -169,7 +179,9 @@ def append_columns(svd: TruncatedSVD, B: np.ndarray, k: int) -> TruncatedSVD:
     (k+c)-sized core matrix is factored exactly, and the factors are rotated
     and truncated.  When A is exactly within rank k, the result matches the
     batch SVD of the concatenation up to column signs.  Factor columns are
-    re-orthogonalized whenever drift exceeds ORTHO_DRIFT_TOL.
+    re-orthogonalized whenever drift exceeds ORTHO_DRIFT_TOL.  Raises
+    :class:`RankOutOfRange` unless k is an integer (not a bool) in
+    [1, min(rows, columns of [A | B])].
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2 or B.shape[0] != svd.U.shape[0]:
@@ -177,8 +189,9 @@ def append_columns(svd: TruncatedSVD, B: np.ndarray, k: int) -> TruncatedSVD:
             f"B has shape {B.shape}, expected ({svd.U.shape[0]}, c)")
     rows, c = B.shape
     old_cols = svd.V.shape[0]
-    if not 1 <= k <= min(rows, old_cols + c):
-        raise RankOutOfRange(f"k={k} outside [1, {min(rows, old_cols + c)}]")
+    if not is_integer(k) or not 1 <= k <= min(rows, old_cols + c):
+        raise RankOutOfRange(
+            f"k={k!r} is not an integer in [1, {min(rows, old_cols + c)}]")
     if c == 0:
         return svd.copy()
 

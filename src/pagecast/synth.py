@@ -112,10 +112,11 @@ class SyntheticTruth:
             raise InvalidParams("latent variance must be nonnegative")
 
 
-def _check_counts(**counts) -> None:
+def _check_counts(least: int = 1, **counts) -> None:
     for name, value in counts.items():
-        if not is_integer(value) or value < 1:
-            raise InvalidParams(f"{name} must be an integer >= 1, got {value!r}")
+        if not is_integer(value) or value < least:
+            raise InvalidParams(
+                f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_sigma(sigma: float) -> None:
@@ -281,10 +282,11 @@ def gen_lrf(K: int, R_max: int, N: int, T: int, seed: int = 0,
     order at most R_max (a damped harmonic consumes order 2, a polynomial of
     degree d consumes d+1, a pure geometric decay consumes 1).  Every series
     is a random linear combination of the fundamentals, so the stacked Page
-    matrix has rank at most K * R_max for any window length.
+    matrix has rank at most K * R_max for any window length.  K, R_max
+    and N must be integers >= 1 and T an integer >= 2 (:class:`InvalidParams`).
     """
-    if K < 1 or R_max < 1 or N < 1 or T < 2:
-        raise InvalidParams("K, R_max, N >= 1 and T >= 2 required")
+    _check_counts(K=K, R_max=R_max, N=N)
+    _check_counts(least=2, T=T)
     shape_rng = PhiloxStream(seed, STREAM_LRF_SHAPE)
     t = np.arange(1, T + 1, dtype=np.float64)
     comps = np.zeros((K, T))

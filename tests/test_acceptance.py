@@ -66,17 +66,17 @@ def test_criterion_2_exact_recovery():
 
     t = np.arange(1, 601, dtype=float)
     harmonic = np.cos(0.07 * t + 0.3)
-    fm = pc.fit_forecaster(one_batch(harmonic), L=12, k=2)
+    fm = pc.SegmentFit().fit(one_batch(harmonic).values, 12, 2)
     pred = pc.forecast_mean(fm, harmonic[-11:])
     target = math.cos(0.07 * 601 + 0.3)
     harm_err = abs(pred - target) / abs(target)
 
     line = np.arange(1.0, 401.0)
-    fm = pc.fit_forecaster(one_batch(line), L=20, k=2)
+    fm = pc.SegmentFit().fit(one_batch(line).values, 20, 2)
     line_err = abs(pc.forecast_mean(fm, line[-19:]) - 401.0) / 401.0
 
     alt = np.array([1.5, -2.5] * 150)
-    fm = pc.fit_forecaster(one_batch(alt), L=3, k=2)
+    fm = pc.SegmentFit().fit(one_batch(alt).values, 3, 2)
     alt_err = abs(pc.forecast_mean(fm, alt[-2:]) - 1.5) / 1.5
 
     ok = imp_err < 1e-8 and max(harm_err, line_err, alt_err) < 1e-6

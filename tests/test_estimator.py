@@ -85,26 +85,26 @@ class TestFitForecaster:
     def test_constant_series_min_norm_beta(self):
         c = 2.5
         batch = _batch(np.full(60, c))
-        fm = pc.fit_forecaster(batch, L=3, k=1)
+        fm = pc.SegmentFit().fit(batch.values, 3, 1)
         np.testing.assert_allclose(fm.beta_mean, [0.5, 0.5], atol=1e-10)
         assert pc.forecast_mean(fm, np.array([c, c])) == pytest.approx(c)
 
     def test_alternating_series(self):
         a, b = 1.0, -2.0
         x = np.array([a, b] * 40)
-        fm = pc.fit_forecaster(_batch(x), L=3, k=2)
+        fm = pc.SegmentFit().fit(_batch(x).values, 3, 2)
         # history (.., a, b) -> next is a; (.., b, a) -> next is b
         assert pc.forecast_mean(fm, np.array([a, b])) == pytest.approx(a, abs=1e-8)
         assert pc.forecast_mean(fm, np.array([b, a])) == pytest.approx(b, abs=1e-8)
 
     def test_zero_matrix_degenerate(self):
-        fm = pc.fit_forecaster(_batch(np.zeros(30)), L=3)
+        fm = pc.SegmentFit().fit(_batch(np.zeros(30)).values, 3)
         assert fm.degenerate
         np.testing.assert_array_equal(fm.beta_mean, 0.0)
 
     def test_linear_trend_forecast(self):
         t = np.arange(1, 401, dtype=float)
-        fm = pc.fit_forecaster(_batch(t), L=20, k=2)
+        fm = pc.SegmentFit().fit(_batch(t).values, 20, 2)
         hist = t[-19:]
         pred = pc.forecast_mean(fm, hist)
         assert abs(pred - 401.0) / 401.0 < 1e-6
@@ -122,7 +122,7 @@ class TestFitForecaster:
 
     def test_forecast_linearity(self):
         rng = np.random.default_rng(9)
-        fm = pc.fit_forecaster(_batch(rng.normal(size=100)), L=5, k=3)
+        fm = pc.SegmentFit().fit(_batch(rng.normal(size=100)).values, 5, 3)
         h1, h2 = rng.normal(size=4), rng.normal(size=4)
         a, b = 1.7, -0.3
         lhs = pc.forecast_mean(fm, a * h1 + b * h2)
@@ -131,13 +131,12 @@ class TestFitForecaster:
 
     def test_history_length_checked(self):
         batch = _batch(np.arange(40.0))
-        fm = pc.fit_forecaster(batch, L=4, k=2)
-        vf = pc.fit_variance_forecaster(batch, L=4, k1=2)
+        fit = pc.SegmentFit().fit(batch.values, 4, 2)
         with pytest.raises(LengthMismatch):
-            pc.forecast_mean(fm, np.zeros(7))
+            pc.forecast_mean(fit, np.zeros(7))
         for width in (1, 7):
             with pytest.raises(LengthMismatch):
-                pc.forecast_variance(vf, np.zeros(width))
+                pc.forecast_variance(fit, np.zeros(width))
 
 
 class TestVariance:
@@ -179,8 +178,7 @@ class TestVariance:
         assert 0.7 <= ratio <= 1.3
 
     def test_variance_forecast_constant_is_zero(self):
-        vf = pc.fit_variance_forecaster(_batch(np.full(60, 4.0)), L=3,
-                                        k1=1, k2=1)
+        vf = pc.SegmentFit().fit(_batch(np.full(60, 4.0)).values, 3, 1, 1)
         assert pc.forecast_variance(vf, np.array([4.0, 4.0])) == pytest.approx(
             0.0, abs=1e-8)
 
@@ -191,7 +189,7 @@ class TestVariance:
         sigma2 = 0.25
         x = f + np.sqrt(sigma2) * rng.normal(size=len(t))
         train = x[:-100]
-        vf = pc.fit_variance_forecaster(_batch(train), L=34)
+        vf = pc.SegmentFit().fit(_batch(train).values, 34)
         w = len(vf.beta_mean)
         preds = []
         for i in range(100):

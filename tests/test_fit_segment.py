@@ -9,16 +9,16 @@ import pytest
 import pagecast as pc
 from pagecast import estimator, svd_engine
 from pagecast.errors import InvalidL
-from pagecast.estimator import fit_segment
 
 
 def test_batch_functions_refuse_L_below_2():
     values = np.cos(np.arange(40.0))[None, :]
     batch = pc.TimeSeriesBatch(["a"], values, np.ones(values.shape, bool))
-    for fn in (pc.impute_mean, pc.impute_variance, pc.fit_forecaster,
-               pc.fit_variance_forecaster):
+    for fn in (pc.impute_mean, pc.impute_variance):
         with pytest.raises(InvalidL):
             fn(batch, L=1)
+    with pytest.raises(InvalidL):
+        pc.SegmentFit().fit(batch.values, 1)
 
 
 def test_served_model_equals_batch():
@@ -36,7 +36,7 @@ def test_served_model_equals_batch():
     assert len(sm.retrain_history) == 1
     assert sm.P == (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
 
-    fit = fit_segment(batch.values, L)
+    fit = pc.SegmentFit().fit(batch.values, L)
     for name in ("mean_svd", "var_svd", "fc_mean_svd", "fc_var_svd"):
         for part in ("U", "s", "V"):
             np.testing.assert_array_equal(getattr(getattr(sm, name), part),
@@ -60,8 +60,8 @@ def test_served_model_equals_batch():
                                rtol=0, atol=1e-12)
 
     # The one-step forecast is the batch forecast of the last L-1 raw values.
-    fm = pc.fit_forecaster(batch, L=L)
-    vf = pc.fit_variance_forecaster(batch, L=L)
+    fm = pc.SegmentFit().fit(batch.values, L)
+    vf = pc.SegmentFit().fit(batch.values, L)
     for n in range(n_series):
         ahead = pc.predict_point(model, n, t_len + 1)
         history = batch.values[n, t_len - (L - 1):]
@@ -84,7 +84,7 @@ def test_extend_reads_the_stacked_page(monkeypatch):
     raw = np.cos(np.arange(L * (P + 1)) / 4.0) + 0.1 * rng.normal(
         size=(n_series, L * (P + 1)))
     raw[rng.random(raw.shape) < 0.2] = np.nan
-    fit = fit_segment(raw[:, :L * P], L, 2, 2)
+    fit = pc.SegmentFit().fit(raw[:, :L * P], L, 2, 2)
 
     blocks, last_rows = [], []
     append, pcr = svd_engine.append_columns, estimator.pcr_coefficients

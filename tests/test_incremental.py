@@ -97,7 +97,7 @@ class TestScheduleFormulas:
             for sm in model.submodels[len(pending):]:
                 pending.append(retrain_thresholds(hp, sm.index == 0))
                 seen.append(0)
-            for sm in model.segments_for_step(model.n_steps - 1):
+            for sm in model.segments_for_steps(j, j):
                 steps = model.n_steps - sm.start_step
                 fired = due(sm) is not None and steps >= due(sm)
                 assert len(sm.retrain_history) == seen[sm.index] + fired
@@ -558,9 +558,9 @@ class TestInsertMany:
     def test_reference_spans_several_segments(self):
         ref, events = _reference(1)[:2]
         assert len(ref.submodels) == 4 and len(events) > 100
-        assert ref.obs_cnt < ref.total_obs
+        assert ref.obs_cnt < ref.n_steps * ref.N
         ref3 = _reference(3)[0]
-        assert len(ref3.submodels) == 4 and ref3.obs_cnt < ref3.total_obs
+        assert len(ref3.submodels) == 4 and ref3.obs_cnt < ref3.n_steps * ref3.N
 
     def test_single_block(self):
         for n_series in (1, 3, 10):

@@ -94,7 +94,7 @@ class TestImputationQueries:
         model, vals, _ = _model(n_steps=1400, hp=hp)
         t = 1100  # covered by segments 1 (500..1500) and 2 (1000..2000)
         step = t - 1
-        segs = [sm for sm in model.segments_for_step(step)
+        segs = [sm for sm in model.segments_for_steps(step, step)
                 if step in range(*sm.covered_steps())]
         assert len(segs) == 2
         expected = []
@@ -351,7 +351,7 @@ def _reference_range(model, n, t1, t2, confidence, method, with_uq):
             means.append(float(g_mean[t - T - 1]))
             seconds.append(float(g_second[t - T - 1]))
         else:
-            for sm in model.segments_for_step(t - 1):
+            for sm in model.segments_for_steps(t - 1, t - 1):
                 local = t - 1 - sm.start_step
                 if t - 1 not in range(*sm.covered_steps()):
                     continue

@@ -60,6 +60,21 @@ class TestTruncatedSvd:
         with pytest.raises(RankOutOfRange):
             pc.truncated_svd(np.eye(3), 4)
 
+    @pytest.mark.parametrize("k", [2.0, True, 1.5, "2", None], ids=repr)
+    def test_rank_must_be_an_integer(self, k):
+        # Refused by both factorisations, not read as a slice bound.
+        svd = pc.truncated_svd(np.eye(3), 2)
+        with pytest.raises(RankOutOfRange):
+            pc.truncated_svd(np.eye(3), k)
+        with pytest.raises(RankOutOfRange):
+            pc.append_columns(svd, np.ones((3, 1)), k)
+
+    def test_numpy_int_rank(self):
+        m = np.random.default_rng(4).normal(size=(4, 6))
+        svd = pc.truncated_svd(m, np.int64(2))
+        assert svd.rank == 2
+        assert pc.append_columns(svd, m[:, :2], np.int32(2)).rank == 2
+
     def test_eckart_young_monotone(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(8, 15))
@@ -118,6 +133,17 @@ class TestSelectRank:
     def test_empty(self):
         with pytest.raises(EmptySpectrum):
             pc.select_rank(np.array([]), 3, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrum_refused(self, bad):
+        for s in ([bad, 1.0, 0.5], [1.0, 0.5, bad]):
+            with pytest.raises(NonFiniteInput):
+                pc.select_rank(np.array(s), 3, 3)
+
+    @pytest.mark.parametrize("L, cols", [(0, 0), (0, 3), (3, 0), (-1, 3)])
+    def test_shape_without_entries_refused(self, L, cols):
+        with pytest.raises(RankOutOfRange):
+            pc.select_rank(np.array([1.0]), L, cols)
 
     @given(st.floats(min_value=1e-6, max_value=1e6),
            st.integers(min_value=2, max_value=30),

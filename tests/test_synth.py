@@ -199,6 +199,20 @@ class TestGenLrf:
         truth = pc.gen_lrf(2, 2, 3, 100, seed=0, theta=np.zeros((3, 2)))
         np.testing.assert_array_equal(truth.observations.values, 0.0)
 
+    @pytest.mark.parametrize("args", [
+        (2.0, 2, 3, 50), (2, 2, None, 50), (2, 2.5, 3, 50), (True, 2, 3, 50),
+        (2, 2, 3, 50.0), (2, 2, 3, True), (0, 2, 3, 50), (2, 2, 3, 1)],
+        ids=lambda args: "K={!r},R_max={!r},N={!r},T={!r}".format(*args))
+    def test_counts_must_be_integers(self, args):
+        with pytest.raises(InvalidParams):
+            pc.gen_lrf(*args)
+
+    def test_numpy_int_counts(self):
+        a = pc.gen_lrf(np.int64(2), np.int32(2), np.int64(3), np.int64(50))
+        b = pc.gen_lrf(2, 2, 3, 50)
+        np.testing.assert_array_equal(a.observations.values,
+                                      b.observations.values)
+
     def test_determinism(self):
         a = pc.gen_lrf(2, 3, 2, 200, seed=8)
         b = pc.gen_lrf(2, 3, 2, 200, seed=8)
