@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels, page_matrix, svd_engine
 from .errors import InvalidL, LengthMismatch
-from .ingestion import TimeSeriesBatch
+from .ingestion import TimeSeriesBatch, is_integer
 from .svd_engine import REL_FLOOR, TruncatedSVD, svd_with_spectrum
 
 
@@ -71,11 +71,13 @@ class SegmentFit:
         None); a forecast rank is its full matrix's rank capped at L-1.
         One working copy: the Page matrix fits the mean sets and is then
         squared in place for the variance sets.  Returns ``self``; raises
-        :class:`InvalidL` unless 2 <= L <= T.
+        :class:`InvalidL` unless L is an integer (not a bool) with
+        2 <= L <= T, and :class:`RankOutOfRange` unless k1 and k2 are None
+        or integers >= 1 (:func:`~pagecast.svd_engine.svd_with_spectrum`).
         """
         t = raw.shape[1]
-        if not 2 <= L <= t:
-            raise InvalidL(f"L={L} invalid for T={t}: need 2 <= L <= T")
+        if not is_integer(L) or not 2 <= L <= t:
+            raise InvalidL(f"L={L!r} invalid for T={t}: need 2 <= L <= T")
         data = page_matrix.build_stacked_page(raw, L)
 
         self.mean_svd, _ = svd_with_spectrum(data, k1)
@@ -165,7 +167,8 @@ def _result(page: np.ndarray, values: np.ndarray) -> ImputeResult:
 
 def impute_mean(batch: TimeSeriesBatch, L: int, k: int | None = None) -> ImputeResult:
     """Estimate the latent mean at every in-segment (series, time) point.
-    Raises :class:`InvalidL` unless 2 <= L <= T."""
+    Raises :class:`InvalidL` and :class:`RankOutOfRange` as
+    :meth:`SegmentFit.fit` does."""
     fit = SegmentFit().fit(batch.values, L, k)
     return _result(fit.mean_svd.reconstruct(), batch.values.copy())
 
@@ -201,8 +204,8 @@ def impute_variance(batch: TimeSeriesBatch, L: int, k1: int | None = None,
 
     Subtracts the squared mean reconstruction from the second-moment
     reconstruction, entrywise, clamped at zero.  k1 ranks the mean model,
-    k2 the squared-observation model.  Raises :class:`InvalidL` unless
-    2 <= L <= T.
+    k2 the squared-observation model.  Raises :class:`InvalidL` and
+    :class:`RankOutOfRange` as :meth:`SegmentFit.fit` does.
     """
     fit = SegmentFit().fit(batch.values, L, k1, k2)
     var = np.clip(fit.var_svd.reconstruct() - fit.mean_svd.reconstruct()**2,

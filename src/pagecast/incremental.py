@@ -145,22 +145,19 @@ class _RawWindow:
     def extend(self, values: np.ndarray) -> None:
         """Append the columns of the N x n ``values`` in order; capacity
         grows as it would one column at a time (fill, then regrow), whatever
-        the block sizes."""
-        done, n = 0, values.shape[1]
-        while done < n:
-            if self._hi == len(self._vals):
-                self._regrow()
-            take = min(n - done, len(self._vals) - self._hi)
-            self._vals[self._hi:self._hi + take] = values[:, done:done + take].T
-            self._hi += take
-            done += take
-
-    def _regrow(self) -> None:
-        n = self.n_cols
-        vals = np.empty((self._capacity(n), self._vals.shape[1]))
-        vals[:n] = self.rows()
-        self._vals = vals
-        self._lo, self._hi = 0, n
+        the block sizes, with at most one copy of the window per call."""
+        n = values.shape[1]
+        live = self.n_cols
+        if self._hi + n > len(self._vals):
+            cap = self._capacity(len(self._vals) - self._lo)
+            while cap < live + n:
+                cap = self._capacity(cap)
+            vals = np.empty((cap, self._vals.shape[1]))
+            vals[:live] = self.rows()
+            self._vals = vals
+            self._lo, self._hi = 0, live
+        self._vals[self._hi:self._hi + n] = values.T
+        self._hi += n
 
     def prune_before(self, global_step: int) -> None:
         drop = min(global_step - self.start_step, self.n_cols)

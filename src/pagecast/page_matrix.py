@@ -14,15 +14,16 @@ lays a matrix back out in time order.
 import numpy as np
 
 from .errors import InvalidL
+from .ingestion import is_integer
 
 
 def build_stacked_page(raw: np.ndarray, L: int) -> np.ndarray:
     """The zero-filled L x (N*P) stacked Page matrix of the N x T raw steps
     (NaN where missing), in Fortran order.  Raises :class:`InvalidL` unless
-    1 <= L <= T."""
+    L is an integer (not a bool) with 1 <= L <= T."""
     n, t = raw.shape
-    if not 1 <= L <= t:
-        raise InvalidL(f"L={L} invalid for T={t}: need 1 <= L <= T")
+    if not is_integer(L) or not 1 <= L <= t:
+        raise InvalidL(f"L={L!r} invalid for T={t}: need 1 <= L <= T")
     P = t // L
     # One strided copy; Fortran order keeps each column's L steps together.
     data = np.empty((L, n * P), order="F")

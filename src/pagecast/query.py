@@ -24,7 +24,7 @@ from .incremental import PredictionModel
 from .ingestion import is_integer
 from .kernels import reconstruct_points
 from .page_matrix import cells
-from .stats import chebyshev_halfwidth, check_interval, gaussian_halfwidth
+from .stats import halfwidth
 
 # Longest forecast horizon, in steps past the data.  forecast holds
 # len(beta) + h floats per path, so a forecast at the limit holds 16 MB for
@@ -59,27 +59,13 @@ def prediction_interval(mean: float, sigma: float, confidence: float,
                         method: str = "gaussian") -> tuple[float, float]:
     """Central interval around the finite ``mean`` with standard deviation
     ``sigma``, which must be >= 0 (inf allowed, NaN refused)."""
-    check_interval(confidence, method)
+    half = halfwidth(confidence, method)
     if not math.isfinite(mean):
         raise NonFiniteInput(f"mean must be finite, got {mean}")
     if not sigma >= 0:
         raise InvalidConfidence(f"sigma must be nonnegative, got {sigma}")
-    if method == "gaussian":
-        half = gaussian_halfwidth(sigma, confidence)
-    else:
-        half = chebyshev_halfwidth(sigma, confidence)
-    return mean - half, mean + half
-
-
-def _halfwidth(confidence: float, method: str):
-    """The interval half-width as a function of sigma, with the quantile
-    worked out once: sigma * z (gaussian) or sigma / sqrt(1 - c/100)
-    (chebyshev), the floats of gaussian_halfwidth and chebyshev_halfwidth."""
-    if method == "gaussian":
-        z = gaussian_halfwidth(1.0, confidence)
-        return lambda sigma: sigma * z
-    root = math.sqrt(1.0 - confidence / 100.0)
-    return lambda sigma: sigma / root
+    h = half(sigma)
+    return mean - h, mean + h
 
 
 def _check_horizon(model: PredictionModel, t: int) -> None:
@@ -136,18 +122,17 @@ def predict_range(model: PredictionModel, series, t1: int, t2: int,
     if t1 < 1:
         raise OutOfRange(f"t must be >= 1, got {t1}")
     _check_horizon(model, t2)
-    check_interval(confidence, method)
+    half = halfwidth(confidence, method)
     n = model.series_index(series)
     g_mean = g_second = None
     if t2 > model.n_steps and not model.in_fallback:
         g_mean, g_second = _forecast_trajectories(
             model, n, t2 - model.n_steps, with_uq)
-    half = _halfwidth(confidence, method) if with_uq else None
     out = []
     for c1 in range(t1, t2 + 1, QUERY_CHUNK):
         c2 = min(c1 + QUERY_CHUNK - 1, t2)
         out += _answer_chunk(model, n, c1, c2, g_mean, g_second, confidence,
-                             method, half)
+                             method, half if with_uq else None)
     return out
 
 

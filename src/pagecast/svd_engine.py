@@ -133,7 +133,9 @@ def svd_with_spectrum(m: np.ndarray,
     """Factor ``m`` and return (rank-k SVD, full singular-value spectrum).
 
     With ``k=None`` the rank is chosen by :func:`select_rank` on the
-    spectrum.  Small matrices use the exact dense SVD; when ``m`` has more
+    spectrum; any other k is capped at min(m.shape), and must be an
+    integer >= 1 (not a bool) or :class:`RankOutOfRange` is raised.
+    Small matrices use the exact dense SVD; when ``m`` has more
     than GRAM_PATH_MIN_ROWS rows (and at least as many columns) the
     eigendecomposition of m m^T provides the spectrum and left subspace,
     and one subspace-iteration step with a small exact SVD recovers
@@ -142,6 +144,8 @@ def svd_with_spectrum(m: np.ndarray,
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise NonFiniteInput("matrix contains NaN or infinity")
+    if k is not None and not (is_integer(k) and k >= 1):
+        raise RankOutOfRange(f"k={k!r} is neither None nor an integer >= 1")
     rows, cols = m.shape
     min_dim = min(rows, cols)
 
@@ -149,7 +153,7 @@ def svd_with_spectrum(m: np.ndarray,
         U, s_full, Vt = np.linalg.svd(m, full_matrices=False)
         if k is None:
             k = select_rank(s_full, rows, cols)
-        k = max(1, min(k, min_dim))
+        k = min(k, min_dim)
         return _factors(U[:, :k], s_full[:k], Vt[:k].T), s_full
 
     gram = m @ m.T
@@ -157,7 +161,7 @@ def svd_with_spectrum(m: np.ndarray,
     s_full = np.sqrt(np.clip(w[::-1], 0.0, None))
     if k is None:
         k = select_rank(s_full, rows, cols)
-    k = max(1, min(k, min_dim))
+    k = min(k, min_dim)
     U0 = q[:, ::-1][:, :k]
     V1, _ = np.linalg.qr(m.T @ U0)
     U, s, Wt = np.linalg.svd(m @ V1, full_matrices=False)

@@ -1,5 +1,6 @@
 """The one segment fit: the model that answers queries is the batch
-estimator, and both refuse a window below two rows."""
+estimator, and both refuse a window below two rows or that is not an
+integer, and a rank that is not an integer >= 1."""
 
 import math
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import pagecast as pc
-from pagecast import estimator, svd_engine
-from pagecast.errors import InvalidL
+from pagecast import estimator, page_matrix, svd_engine
+from pagecast.errors import InvalidL, RankOutOfRange
 
 
 def test_batch_functions_refuse_L_below_2():
@@ -19,6 +20,43 @@ def test_batch_functions_refuse_L_below_2():
             fn(batch, L=1)
     with pytest.raises(InvalidL):
         pc.SegmentFit().fit(batch.values, 1)
+
+
+def _cosine():
+    return np.cos(2 * np.pi * np.arange(200) / 25)[None, :]
+
+
+@pytest.mark.parametrize("call, error", [
+    # a float or string rank raised a bare TypeError; True, 0 and -3 fitted
+    # rank 1 silently
+    (dict(k1=2.0), RankOutOfRange),
+    (dict(k1="2"), RankOutOfRange),
+    (dict(k1=True), RankOutOfRange),
+    (dict(k1=0), RankOutOfRange),
+    (dict(k1=-3), RankOutOfRange),
+    (dict(k2=2.0), RankOutOfRange),
+    (dict(k2=0), RankOutOfRange),
+    # a float or string window raised a bare TypeError
+    (dict(L=10.0), InvalidL),
+    (dict(L=np.float64(10)), InvalidL),
+    (dict(L="10"), InvalidL),
+])
+def test_fit_refuses_a_bad_parameter(call, error):
+    args = dict(L=10, k1=None, k2=None) | call
+    with pytest.raises(error):
+        pc.SegmentFit().fit(_cosine(), args["L"], args["k1"], args["k2"])
+
+
+@pytest.mark.parametrize("L", [4.0, True, "4"])
+def test_page_build_refuses_a_window_that_is_not_an_integer(L):
+    with pytest.raises(InvalidL):
+        page_matrix.build_stacked_page(_cosine(), L)
+
+
+def test_fit_caps_rank_at_the_page_matrix():
+    fit = pc.SegmentFit().fit(_cosine(), 10, 500, np.int64(500))
+    assert (fit.k1, fit.k2) == (10, 10)
+    assert fit.fc_mean_svd.rank == fit.fc_var_svd.rank == 9
 
 
 def test_served_model_equals_batch():

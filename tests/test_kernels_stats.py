@@ -47,6 +47,20 @@ class TestHalfwidths:
     def test_chebyshev_95(self):
         assert chebyshev_halfwidth(1.0, 95.0) == pytest.approx(4.47214, abs=1e-4)
 
+    @pytest.mark.parametrize("c, exact", [
+        (1.0, 0.012533469508069274),
+        (50.0, 0.6744897501960817),
+        (95.0, 1.9599639845400538),
+        (99.0, 2.5758293035489004),
+        (99.9, 3.290526731491926),
+        (99.99, 3.890591886412582),
+        (99.999, 4.417173413467606),
+    ])
+    def test_gaussian_quantile_exact_to_4_ulp(self, c, exact):
+        # exact: the correctly rounded quantile of p = 0.5 + c/200, from
+        # mpmath at 60 digits
+        assert abs(gaussian_halfwidth(1.0, c) - exact) <= 4 * math.ulp(exact)
+
     def test_chebyshev_wider_everywhere(self):
         for c in (1.0, 10.0, 50.0, 90.0, 99.0, 99.9):
             assert chebyshev_halfwidth(1.0, c) > gaussian_halfwidth(1.0, c)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pagecast as pc
-from pagecast import query
+from pagecast import query, stats
 from pagecast.errors import (InvalidConfidence, NonFiniteInput, OutOfRange,
                              UnknownSeries, UnstableForecast)
 from pagecast.estimator import zero_filled
@@ -66,6 +66,30 @@ class TestPredictionInterval:
             pc.prediction_interval(0.0, -1.0, 95.0, method)
         assert pc.prediction_interval(0.0, math.inf, 95.0, method) == (
             -math.inf, math.inf)
+
+    @pytest.mark.parametrize("confidence", ["95", None, True, False, 95 + 0j,
+                                            [95.0], np.bool_(True)])
+    def test_confidence_must_be_a_real_number(self, confidence):
+        # a string or None raised a bare TypeError; True answered at 1 %
+        model, _, _ = _model(n_steps=300)
+        with pytest.raises(InvalidConfidence):
+            pc.prediction_interval(0.0, 1.0, confidence)
+        for with_uq in (True, False):
+            with pytest.raises(InvalidConfidence):
+                pc.predict_point(model, "s0", 5, confidence,
+                                 with_uq=with_uq)
+
+    def test_numpy_confidence_reads_as_float(self):
+        # np.float32(95) gave float32 bounds, 1.5e-8 off the float ones
+        model, _, _ = _model(n_steps=300)
+        want = pc.predict_range(model, "s0", 250, 310, 95.0)
+        for confidence in (np.float32(95), np.float64(95), np.int64(95), 95):
+            assert pc.prediction_interval(0.0, 1.0, confidence) == \
+                pc.prediction_interval(0.0, 1.0, 95.0)
+            got = pc.predict_range(model, "s0", 250, 310, confidence)
+            assert got == want
+            assert all(type(r.lo) is float and type(r.hi) is float
+                       for r in got)
 
     @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("method", ["gaussian", "chebyshev"])
@@ -462,14 +486,13 @@ class TestOneQueryPath:
     def test_interval_quantile_once_per_call(self, monkeypatch, method):
         # A range works out its interval quantile once, not per point.
         model = _multi_segment_model()
-        calls = []
-        for name in ("gaussian_halfwidth", "chebyshev_halfwidth"):
-            original = getattr(query, name)
-            monkeypatch.setattr(query, name, lambda *a, f=original:
-                                calls.append(a) or f(*a))
+        calls = {"halfwidth": [], "norm_ppf": []}
+        for module, name in ((query, "halfwidth"), (stats, "norm_ppf")):
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(
+                module, name), seen=calls[name]: seen.append(a) or f(*a))
         out = pc.predict_range(model, 1, 1, model.n_steps + 20, 90.0, method)
         assert sum(r.lo is not None and not r.fallback for r in out) > 2000
-        assert len(calls) <= 1
+        assert all(len(seen) <= 1 for seen in calls.values())
 
     @pytest.mark.parametrize("call, error", [
         (dict(t1=0, t2=0), OutOfRange),
