@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -19,9 +20,9 @@ import numpy as np
 from .errors import GridMismatch, PagecastError
 from .incremental import HyperParams, create_model
 from .ingestion import (AGG_FUNCTIONS, TimeSeriesBatch, aggregate, load_csv,
-                        write_csv)
+                        open_text, write_csv)
 from .metrics import ExperimentGrid, nrmse_pooled, wbc
-from .persistence import load_model, save_model
+from .persistence import _live, load_model, save_model
 from .query import predict_point, predict_range
 from .stats import METHODS
 from .synth import corrupt, gen_lrf, gen_synthetic_I, gen_synthetic_II, gen_synthetic_III
@@ -73,8 +74,10 @@ def _read_csv(args, value_cols, tick) -> TimeSeriesBatch:
 
 
 def cmd_create(args) -> int:
-    if os.path.exists(args.model) and not args.overwrite:
-        print(f"error: {args.model} exists (use --overwrite)", file=sys.stderr)
+    model_dir = os.path.normpath(args.model)
+    found = model_dir if os.path.exists(model_dir) else _live(model_dir)[0]
+    if found and not args.overwrite:
+        print(f"error: {found} exists (use --overwrite)", file=sys.stderr)
         return 1
     # refuse bad flags before reading the input
     hp = HyperParams(**{f.name: getattr(args, f.name)
@@ -206,7 +209,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.manifest, newline="", encoding="utf-8") as fh:
+    with open_text(args.manifest) as fh:
         reader = csv.DictReader(fh)
         needed = {"algorithm", "experiment", "pred", "truth"}
         if not needed <= set(reader.fieldnames or ()):
@@ -216,6 +219,12 @@ def cmd_eval(args) -> int:
         entries = list(reader)
     if not entries:
         print("error: empty manifest", file=sys.stderr)
+        return 1
+    (algorithm, experiment), count = Counter(
+        (e["algorithm"], e["experiment"]) for e in entries).most_common(1)[0]
+    if count > 1:
+        print(f"error: manifest lists algorithm {algorithm!r} on experiment "
+              f"{experiment!r} {count} times", file=sys.stderr)
         return 1
 
     algorithms = sorted({e["algorithm"] for e in entries})

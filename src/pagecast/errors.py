@@ -11,6 +11,10 @@ class PagecastError(Exception):
 
 # --- ingestion ---------------------------------------------------------------
 
+class InvalidEncoding(PagecastError):
+    """A text file's bytes are not UTF-8."""
+
+
 class MissingColumn(PagecastError):
     """A requested column is absent from the CSV header."""
 

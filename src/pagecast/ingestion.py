@@ -11,6 +11,7 @@ import csv
 import math
 import numbers
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .errors import (
     DuplicateColumn,
     DuplicateTimestamp,
     EmptyFile,
+    InvalidEncoding,
     InvalidInterval,
     MissingColumn,
     ShapeMismatch,
@@ -129,10 +131,25 @@ def _parse_value(text: str, lineno: int, col: str) -> float:
             f"line {lineno}, column {col!r}: cannot parse value {text!r}") from None
 
 
+@contextmanager
+def open_text(path):
+    """The UTF-8 text file at ``path``, opened for :mod:`csv` with a leading
+    byte-order mark dropped.  Bytes that are not UTF-8, read anywhere in the
+    ``with`` block, raise :class:`InvalidEncoding` naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InvalidEncoding(
+                f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 "
+                f"({exc.reason})") from None
+
+
 def load_csv(path, time_col: str, value_cols: list[str] | None = None,
              tick: float | None = None) -> TimeSeriesBatch:
     """Load a batch from an RFC-4180-style CSV with a header row.
 
+    The file is UTF-8, a leading byte-order mark allowed (:func:`open_text`).
     Empty cells denote missing values.  Rows are sorted by timestamp and
     become consecutive grid indices; with ``tick`` given, rows are instead
     placed at grid index floor((ts - ts_min) / tick), so irregular
@@ -147,7 +164,7 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
     """
     if tick is not None and not (math.isfinite(tick) and tick > 0):
         raise InvalidInterval(f"tick must be finite and positive, got {tick}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

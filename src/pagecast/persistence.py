@@ -41,12 +41,12 @@ series-major (undone by :func:`_reorder_columns`), formats 1-3 the mask
 row (``steps``/``buf_len`` keys, ``buf.f64``, ``last_row_*.f64``), format 1
 ``coeff_avg.f64`` and ``half_steps``; such stores still load, ignoring them.
 
-Saves are staged in ``<dir>.staging`` and committed by renaming the old
-directory to ``<dir>.bak`` and the staging directory to ``<dir>``, with every
-file and directory fsynced before the renames and the parent after them.  A
-load falls back to the backup only when the primary's manifest is missing or
-unreadable, so an interrupted save leaves the previous version loadable;
-other validation failures of a readable primary are raised.
+Load and save read a store's live copy (:func:`_live`).  A save is staged in
+``<dir>.staging``; its commit renames a live ``<dir>`` to ``<dir>.bak`` (or
+removes one that is not live) and the staging directory to ``<dir>``, and
+only then removes the backup, so an interrupted save leaves the last
+committed version loadable.  Every file and directory is fsynced before the
+renames and the parent after them.
 """
 
 import hashlib
@@ -112,24 +112,16 @@ def save_model(model: PredictionModel, directory) -> dict:
     Returns the manifest as a dict.  The previous version (if any) remains
     loadable if the process dies at any point during the save.
     """
-    directory = os.fspath(directory)
-    staging = directory + ".staging"
-    backup = directory + ".bak"
+    directory = os.path.normpath(os.fspath(directory))
+    staging, backup = directory + ".staging", directory + ".bak"
+    live, prev = _live(directory)
     if os.path.exists(staging):
         shutil.rmtree(staging)
     os.makedirs(staging)
 
-    prev_version = 0
-    for candidate in (directory, backup):
-        try:
-            prev_version = max(prev_version,
-                               int(_read_manifest(candidate)["model_version"]))
-        except (PersistenceReadError, FileNotFoundError, OSError):
-            pass
-
     manifest: dict[str, str] = {
         "format_version": str(FORMAT_VERSION),
-        "model_version": str(prev_version + 1),
+        "model_version": str(int(prev["model_version"]) + 1 if prev else 1),
         "names": json.dumps(model.names),
         "t0": float(model.t0).hex(),
         "step": float(model.step).hex(),
@@ -179,12 +171,14 @@ def save_model(model: PredictionModel, directory) -> dict:
     for root, _, _ in os.walk(staging):
         _fsync_dir(root)
 
-    # Commit: demote the live dir to backup, promote staging, drop backup
-    # once the renames are durable.
-    if os.path.exists(backup):
-        shutil.rmtree(backup)
-    if os.path.exists(directory):
+    # Commit: demote a live primary to backup (a dead one is dropped),
+    # promote staging, and drop the backup once the renames are durable.
+    if live == directory:
+        if os.path.exists(backup):
+            shutil.rmtree(backup)
         _rename(directory, backup)
+    elif os.path.exists(directory):
+        shutil.rmtree(directory)
     _rename(staging, directory)
     _fsync_dir(os.path.dirname(os.path.abspath(directory)))
     if os.path.exists(backup):
@@ -196,21 +190,31 @@ def _read_manifest(directory: str) -> dict[str, str]:
     path = os.path.join(directory, "manifest.txt")
     if not os.path.isfile(path):
         raise PersistenceReadError(f"no manifest at {path}")
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "=" not in line:
-                raise PersistenceReadError(
-                    f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise PersistenceReadError(f"{path}: not UTF-8 ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        if line and "=" not in line:
+            raise PersistenceReadError(f"{path}:{lineno}: expected key=value")
+    out = dict(line.split("=", 1) for line in lines if line)
     for key in ("format_version", "model_version"):
         if key not in out:
             raise PersistenceReadError(f"{path}: missing key {key!r}")
     return out
+
+
+def _live(directory: str):
+    """The committed copy of the store at ``directory`` and its manifest:
+    ``directory`` if its manifest reads, else ``directory.bak`` if that
+    one's does, else ``(None, None)``."""
+    for copy in (directory, directory + ".bak"):
+        try:
+            return copy, _read_manifest(copy)
+        except PersistenceReadError:
+            pass
+    return None, None
 
 
 def _load_array(directory: str, relpath: str, manifest: dict[str, str],
@@ -253,15 +257,6 @@ def _load_array(directory: str, relpath: str, manifest: dict[str, str],
     if not np.little_endian:  # the payload is little-endian
         buf.byteswap(inplace=True)
     return buf.T if alloc else np.ascontiguousarray(buf.T)
-
-
-def _load_from(directory: str) -> PredictionModel:
-    manifest = _read_manifest(directory)
-    try:
-        return _rebuild(directory, manifest)
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError,
-            InvalidParams) as exc:
-        raise CorruptManifest(f"{directory}: malformed manifest: {exc}") from exc
 
 
 def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
@@ -331,20 +326,21 @@ def _reorder_columns(sm: SubModel, P: int) -> None:
 
 
 def load_model(directory) -> PredictionModel:
-    """Load a model saved by :func:`save_model`.
+    """Load a model saved by :func:`save_model` from the store's live copy.
 
-    Falls back to ``<dir>.bak`` only when the primary's manifest is missing
-    or unreadable (the signature an interrupted save leaves behind), and
-    raises :class:`CorruptManifest` if the backup is absent too.  A readable
-    primary that fails validation raises :class:`ChecksumMismatch`,
+    That is ``<dir>.bak`` only when the primary's manifest is missing or
+    unreadable (the signature an interrupted save leaves behind); with no
+    live copy it raises :class:`CorruptManifest`.  A readable primary that
+    fails validation raises :class:`ChecksumMismatch`,
     :class:`CorruptManifest` or :class:`VersionUnsupported` without trying
     the backup.
     """
-    directory = os.fspath(directory)
-    backup = directory + ".bak"
+    directory = os.path.normpath(os.fspath(directory))
+    live, manifest = _live(directory)
+    if live is None:
+        raise CorruptManifest(f"no loadable model at {directory}")
     try:
-        return _load_from(directory)
-    except PersistenceReadError:
-        if os.path.isdir(backup):
-            return _load_from(backup)
-        raise CorruptManifest(f"no loadable model at {directory}") from None
+        return _rebuild(live, manifest)
+    except (KeyError, ValueError, TypeError, json.JSONDecodeError,
+            InvalidParams) as exc:
+        raise CorruptManifest(f"{live}: malformed manifest: {exc}") from exc

@@ -146,6 +146,7 @@ def test_criterion_3_noise_robustness(synth3, arm):
 # --- 4. variance estimation ------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_variance_estimation():
     """Variance imputation on the harmonic arms lands within 2x of the
     reference accuracy; the Poisson arm shows the mean=variance signature."""
@@ -216,6 +217,7 @@ def test_criterion_5_incremental_vs_batch():
 # --- 6. meta-algorithm schedule ------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_schedule():
     """Retrain events and segment starts follow the analytic schedule."""
     hp = pc.HyperParams(T0=100, gamma=0.5, Tprime=10_000)

@@ -150,6 +150,61 @@ class TestCreatePredict:
         assert _run(capsys, ["create", "--input", str(data), "--model",
                              str(model_dir), "--T0", "50", "--overwrite"])[0] == 0
 
+    def test_create_refuses_a_store_live_only_in_backup(self, tmp_path,
+                                                        capsys):
+        # what a save interrupted between its two renames leaves
+        data = tmp_path / "data.csv"
+        _write_series_csv(data)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "50"])[0] == 0
+        os.rename(model_dir, tmp_path / "model.bak")
+        _write_series_csv(data, n_steps=300)
+        code, _, err = _run(capsys, ["create", "--input", str(data),
+                                     "--model", str(model_dir), "--T0", "50"])
+        assert code == 1 and "model.bak exists" in err
+        assert pc.load_model(model_dir).n_steps == 400
+
+    def test_trailing_separator_names_the_store(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        more = tmp_path / "more.csv"
+        _write_series_csv(more, n_steps=50, seed=9, first_t=301)
+        m1, m2 = str(tmp_path / "m1"), str(tmp_path / "m2")
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             m1 + os.sep, "--T0", "80"])[0] == 0
+        assert _run(capsys, ["create", "--input", str(data), "--model", m2,
+                             "--T0", "80"])[0] == 0
+        assert _run(capsys, ["insert", "--input", str(more), "--model",
+                             m2 + os.sep])[0] == 0
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "m1", "m2",
+                                                "more.csv"]
+        assert ".staging" not in os.listdir(m2)
+        assert pc.load_model(m1).n_steps == 300
+        assert pc.load_model(m2).n_steps == 350
+
+    def test_predict_on_non_utf8_manifest_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_series_csv(data, n_steps=300)
+        model_dir = tmp_path / "model"
+        assert _run(capsys, ["create", "--input", str(data), "--model",
+                             str(model_dir), "--T0", "80"])[0] == 0
+        with open(model_dir / "manifest.txt", "ab") as fh:
+            fh.write(b"\xff\xfe")
+        code, _, err = _run(capsys, ["predict", "--model", str(model_dir),
+                                     "--series", "s0", "--t", "5"])
+        assert code == 1
+        assert err.startswith("error: CorruptManifest: no loadable model")
+
+    def test_create_on_non_utf8_csv_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes("t,café\n1,5\n2,6\n".encode("latin-1"))
+        code, _, err = _run(capsys, ["create", "--input", str(data),
+                                     "--model", str(tmp_path / "model")])
+        assert code == 1
+        assert err.startswith(f"error: InvalidEncoding: {data}: byte 0xe9")
+        assert not (tmp_path / "model").exists()
+
     def test_insert_extends_model(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         _write_series_csv(data, n_steps=300)
@@ -479,6 +534,40 @@ class TestEvalCli:
         rows = {r["algorithm"]: r for r in csv.DictReader(io.StringIO(out))}
         assert float(rows["good"]["wbc"]) > 0.9
         assert float(rows["good"]["wbc"]) + float(rows["bad"]["wbc"]) == pytest.approx(1.0)
+
+    @staticmethod
+    def _pair_files(tmp_path):
+        truth = np.random.default_rng(0).normal(size=(1, 60))
+        ones = np.ones_like(truth, dtype=bool)
+        for name, pred in (("truth", truth), ("good", truth + 0.01),
+                           ("bad", truth + 5.0)):
+            pc.write_csv(pc.TimeSeriesBatch(["a"], pred, ones),
+                         tmp_path / f"{name}.csv")
+
+    def test_manifest_with_byte_order_mark(self, tmp_path, capsys):
+        self._pair_files(tmp_path)
+        manifest = tmp_path / "exp.csv"
+        manifest.write_text("algorithm,experiment,pred,truth\n"
+                            "good,x1,good.csv,truth.csv\n"
+                            "bad,x1,bad.csv,truth.csv\n", encoding="utf-8-sig")
+        code, out, _ = _run(capsys, ["eval", "--manifest", str(manifest),
+                                     "--format", "csv"])
+        assert code == 0
+        assert [r["algorithm"] for r in csv.DictReader(io.StringIO(out))] == [
+            "bad", "good"]
+
+    def test_repeated_pair_refused(self, tmp_path, capsys):
+        # the later row used to replace the earlier one silently
+        self._pair_files(tmp_path)
+        manifest = tmp_path / "exp.csv"
+        manifest.write_text("algorithm,experiment,pred,truth\n"
+                            "A,e1,bad.csv,truth.csv\n"
+                            "B,e1,bad.csv,truth.csv\n"
+                            "A,e1,good.csv,truth.csv\n")
+        code, out, err = _run(capsys, ["eval", "--manifest", str(manifest)])
+        assert code == 1 and out == ""
+        assert err == ("error: manifest lists algorithm 'A' on experiment "
+                       "'e1' 2 times\n")
 
     def test_bad_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "exp.csv"

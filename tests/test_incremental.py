@@ -199,6 +199,7 @@ class TestFallbackAndFirstTrain:
 
 
 class TestScheduleSimulation:
+    @pytest.mark.slow
     def test_criterion_style_schedule(self):
         hp = pc.HyperParams(T0=100, gamma=0.5, Tprime=10_000)
         batch = _stream(50_000, seed=1)
@@ -531,6 +532,7 @@ class TestInsertMany:
             models.append(model)
         _assert_same_state(*models)
 
+    @pytest.mark.slow
     def test_add_steps_once_per_piece(self, monkeypatch):
         # Later sub-models freeze at L=2 and append every other step; the
         # block is still added in pieces cut only at BULK_STEPS and at the
@@ -693,6 +695,7 @@ class TestRawWindowContract:
     Page column and the last Page row are read from the raw window, so it
     must still hold every step of every sub-model that is being fed."""
 
+    @pytest.mark.slow
     @settings(max_examples=30, deadline=None)
     @given(n_series=st.sampled_from([1, 3]), T0=st.integers(5, 40),
            span=st.integers(2, 6), L=st.sampled_from([None, 2, 5]),

@@ -9,6 +9,7 @@ from pagecast.errors import (
     DuplicateColumn,
     DuplicateTimestamp,
     EmptyFile,
+    InvalidEncoding,
     InvalidInterval,
     MissingColumn,
     ShapeMismatch,
@@ -56,6 +57,23 @@ class TestLoadCsv:
             pc.load_csv(path, "time")
         with pytest.raises(MissingColumn):
             pc.load_csv(path, "t", ["b"])
+
+    def test_byte_order_mark_before_time_column(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        path = _write(tmp_path, "\ufefft,a\n1,5\n2,6\n")
+        batch = pc.load_csv(path, "t")
+        assert batch.names == ["a"] and batch.n_steps == 2
+
+    def test_byte_order_mark_before_value_column(self, tmp_path):
+        batch = pc.load_csv(_write(tmp_path, "\ufeffa,t\n5,1\n6,2\n"), "t")
+        assert batch.names == ["a"]
+        np.testing.assert_array_equal(batch.values, [[5, 6]])
+
+    def test_file_that_is_not_utf8_refused(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t,café\n1,5\n".encode("latin-1"))
+        with pytest.raises(InvalidEncoding, match=f"{path}: byte 0xe9"):
+            pc.load_csv(path, "t")
 
     def test_duplicate_timestamp(self, tmp_path):
         with pytest.raises(DuplicateTimestamp):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -656,6 +657,30 @@ class TestValidation:
         with pytest.raises(CorruptManifest, match=f"lacks checksum for {relpath}"):
             pc.load_model(tmp_path / "m")
 
+    def test_non_utf8_manifest_is_unreadable(self, tmp_path):
+        # such a primary is not the live copy: load reads the backup, and
+        # without one refuses the store
+        hp = pc.HyperParams(T0=60, Tprime=400)
+        pc.save_model(_model(n_steps=300, hp=hp), tmp_path / "old")
+        pc.save_model(_model(n_steps=350, hp=hp), tmp_path / "m")
+        shutil.copytree(tmp_path / "old", tmp_path / "m.bak")
+        with open(tmp_path / "m" / "manifest.txt", "ab") as fh:
+            fh.write(b"\xff\xfe")
+        assert pc.load_model(tmp_path / "m").n_steps == 300
+        shutil.rmtree(tmp_path / "m.bak")
+        with pytest.raises(CorruptManifest, match="no loadable model"):
+            pc.load_model(tmp_path / "m")
+
+    def test_trailing_separator_names_the_same_store(self, tmp_path):
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        store = str(tmp_path / "m")
+        pc.save_model(model, store + os.sep)
+        manifest = pc.save_model(model, store + os.sep)
+        assert manifest["model_version"] == "2"
+        assert os.listdir(tmp_path) == ["m"]
+        for path in (store, store + os.sep):
+            assert _probe(pc.load_model(path), 300) == _probe(model, 300)
+
     def test_missing_dir(self, tmp_path):
         with pytest.raises(CorruptManifest):
             pc.load_model(tmp_path / "nope")
@@ -728,6 +753,53 @@ class TestCrashSafety:
             pc.save_model(model, tmp_path / "m")
             loaded = pc.load_model(tmp_path / "m")
             assert loaded.n_steps == 301
+
+    def _each_interrupted_save(self, monkeypatch, model, family, targets):
+        """Save ``model`` as ``m`` in a copy of the directory ``family``,
+        interrupted at each call of each primitive in ``targets`` in turn,
+        and yield each copy; a save that makes fewer calls is not kept.  A
+        save writes no file in place, so the copy's files are hard links."""
+        for target in targets:
+            for idx in itertools.count():
+                copy = family.with_name(f"{family.name}-{target}{idx}")
+                shutil.copytree(family, copy, copy_function=os.link)
+                self._crash_at_call(monkeypatch, target, idx)
+                try:
+                    pc.save_model(model, copy / "m")
+                    interrupted = False
+                except OSError:
+                    interrupted = True
+                monkeypatch.undo()
+                if not interrupted:
+                    shutil.rmtree(copy)
+                    break
+                yield copy
+
+    @pytest.mark.parametrize("target", ["_write_bytes", "_rename",
+                                        "_fsync_dir"])
+    def test_twice_interrupted_save_keeps_a_committed_version(
+            self, tmp_path, monkeypatch, target):
+        # A resave interrupted at any call of ``target``, then a save of the
+        # model loaded after it interrupted at any call of any primitive,
+        # each leave the previous or the new version loadable.
+        model = _model(n_steps=100, n_series=1, seed=1,
+                       hp=pc.HyperParams(T0=60, Tprime=400))
+        pc.save_model(model, tmp_path / "v1" / "m")
+        versions = [_probe(model, 100)]
+        model.insert(np.array([0.5]))
+        versions.append(_probe(model, 100))
+        every = ("_write_bytes", "_rename", "_fsync_dir")
+        for first in self._each_interrupted_save(monkeypatch, model,
+                                                 tmp_path / "v1", [target]):
+            live = pc.load_model(first / "m")
+            assert _probe(live, 100) in versions
+            committed = [_probe(live, 100)]
+            live.insert(np.array([0.25]))
+            committed.append(_probe(live, 100))
+            for second in self._each_interrupted_save(monkeypatch, live,
+                                                      first, every):
+                assert _probe(pc.load_model(second / "m"), 100) in committed
+                shutil.rmtree(second)
 
     def test_raw_window_is_the_first_file_written(self, tmp_path,
                                                   monkeypatch):
