@@ -20,9 +20,9 @@ import numpy as np
 from .errors import GridMismatch, PagecastError
 from .incremental import HyperParams, create_model
 from .ingestion import (AGG_FUNCTIONS, TimeSeriesBatch, aggregate, load_csv,
-                        open_text, write_csv)
+                        open_text, write_csv, zero_filled)
 from .metrics import ExperimentGrid, nrmse_pooled, wbc
-from .persistence import _live, load_model, save_model
+from .persistence import _live, _refuse_file, load_model, save_model
 from .query import predict_point, predict_range
 from .stats import METHODS
 from .synth import corrupt, gen_lrf, gen_synthetic_I, gen_synthetic_II, gen_synthetic_III
@@ -75,6 +75,7 @@ def _read_csv(args, value_cols, tick) -> TimeSeriesBatch:
 
 def cmd_create(args) -> int:
     model_dir = os.path.normpath(args.model)
+    _refuse_file(model_dir)
     found = model_dir if os.path.exists(model_dir) else _live(model_dir)[0]
     if found and not args.overwrite:
         print(f"error: {found} exists (use --overwrite)", file=sys.stderr)
@@ -131,7 +132,7 @@ def cmd_insert(args) -> int:
             f"first timestamp {batch.t0:.17g} does not continue the model, "
             f"whose next step is at {expected:.17g}")
     start = time.perf_counter()
-    model.insert_many(batch.values, batch.observed)
+    model.insert_many(batch.values)
     save_model(model, args.model)
     elapsed = time.perf_counter() - start
     print(f"inserted {batch.n_steps} steps in {elapsed:.3f} s", file=sys.stderr)
@@ -176,13 +177,9 @@ def _write_truth(truth, out_dir: str, tag: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     base = truth.observations
     write_csv(base, os.path.join(out_dir, f"{tag}_obs.csv"))
-    ones = np.ones_like(truth.latent_mean, dtype=bool)
-    write_csv(TimeSeriesBatch(base.names, truth.latent_mean, ones,
-                              base.t0, base.step),
-              os.path.join(out_dir, f"{tag}_mean.csv"))
-    write_csv(TimeSeriesBatch(base.names, truth.latent_var, ones,
-                              base.t0, base.step),
-              os.path.join(out_dir, f"{tag}_var.csv"))
+    for kind, latent in (("mean", truth.latent_mean), ("var", truth.latent_var)):
+        write_csv(TimeSeriesBatch(base.names, latent, t0=base.t0, step=base.step),
+                  os.path.join(out_dir, f"{tag}_{kind}.csv"))
 
 
 def cmd_synth(args) -> int:
@@ -206,6 +203,19 @@ def cmd_synth(args) -> int:
 
 
 # --- eval ----------------------------------------------------------------------
+
+
+def _misaligned(pred: TimeSeriesBatch, truth: TimeSeriesBatch) -> str | None:
+    """Why ``pred`` cannot be scored against ``truth`` column by column and
+    step by step, or None if it can."""
+    if sorted(pred.names) != sorted(truth.names):
+        return f"columns {pred.names} do not match {truth.names}"
+    for what, a, b in (("first timestamp", pred.t0, truth.t0),
+                       ("step", pred.step, truth.step),
+                       ("step count", pred.n_steps, truth.n_steps)):
+        if a != b:
+            return f"{what} {a!r} differs from {b!r}"
+    return None
 
 
 def cmd_eval(args) -> int:
@@ -236,9 +246,17 @@ def cmd_eval(args) -> int:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     for e in entries:
-        pred = load_csv(resolve(e["pred"]), args.time_col)
-        truth = load_csv(resolve(e["truth"]), args.time_col)
-        score = nrmse_pooled(pred.zero_filled(), truth.zero_filled())
+        pred_path, truth_path = resolve(e["pred"]), resolve(e["truth"])
+        pred = load_csv(pred_path, args.time_col)
+        truth = load_csv(truth_path, args.time_col)
+        problem = _misaligned(pred, truth)
+        if problem:
+            print(f"error: pred {pred_path} against truth {truth_path}: "
+                  f"{problem}", file=sys.stderr)
+            return 1
+        rows = [pred.names.index(name) for name in truth.names]
+        score = nrmse_pooled(zero_filled(pred.values[rows]),
+                             zero_filled(truth.values))
         errors[algorithms.index(e["algorithm"]),
                experiments.index(e["experiment"])] = score
 

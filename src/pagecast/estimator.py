@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels, page_matrix, svd_engine
 from .errors import InvalidL, LengthMismatch
-from .ingestion import TimeSeriesBatch, is_integer
+from .ingestion import TimeSeriesBatch, is_integer, zero_filled
 from .svd_engine import REL_FLOOR, TruncatedSVD, svd_with_spectrum
 
 
@@ -146,12 +146,6 @@ def pcr_coefficients(svd_tilde: TruncatedSVD, last_row: np.ndarray) -> np.ndarra
 def _degenerate(svd_tilde: TruncatedSVD) -> bool:
     """No direction to regress on: no singular value, or a zero largest."""
     return svd_tilde.s.size == 0 or bool(svd_tilde.s[0] <= 0.0)
-
-
-def zero_filled(raw: np.ndarray) -> np.ndarray:
-    """Raw window values with the missing (NaN) entries set to 0.  Faster
-    than ``np.nan_to_num`` on the short histories forecasts read."""
-    return np.where(np.isfinite(raw), raw, 0.0)
 
 
 def _result(page: np.ndarray, values: np.ndarray) -> ImputeResult:

@@ -303,7 +303,8 @@ class PredictionModel:
     def insert_many(self, values: np.ndarray,
                     observed: np.ndarray | None = None) -> None:
         """Insert a block of time steps; column j of the N x T ``values`` is
-        the j-th new step.  NaN and inf entries count as missing, and a
+        the j-th new step.  NaN and inf entries count as missing, as do the
+        entries where the N x T ``observed`` mask, if given, is False; a
         finite entry above ``VALUE_MAX`` in magnitude raises
         :class:`NonFiniteInput` before any state changes.
 
@@ -318,18 +319,20 @@ class PredictionModel:
         if values.ndim != 2 or values.shape[0] != self.N:
             raise WidthMismatch(
                 f"block has shape {values.shape}, model has {self.N} series")
-        # Entries that count as observed: finite and flagged (all, without
-        # a mask).
-        usable = np.isfinite(values)
         if observed is not None:
             observed = np.asarray(observed, dtype=bool)
             if observed.shape != values.shape:
                 raise WidthMismatch(
                     f"mask shape {observed.shape} != values {values.shape}")
-            usable &= observed
+
+        def piece(a: int, b: int) -> np.ndarray:
+            """Steps a..b-1 of the block, NaN where the mask says missing."""
+            if observed is None:
+                return values[:, a:b]
+            return np.where(observed[:, a:b], values[:, a:b], np.nan)
+
         for pos in range(0, values.shape[1], BULK_STEPS):
-            self._check_magnitudes(values[:, pos:pos + BULK_STEPS],
-                                   usable[:, pos:pos + BULK_STEPS], pos)
+            self._check_magnitudes(piece(pos, pos + BULK_STEPS), pos)
         last = self.n_steps + values.shape[1] - 1
         pos = 0
         while pos < values.shape[1]:
@@ -337,7 +340,7 @@ class PredictionModel:
             opening = len(self.submodels) * self.half_steps
             stop = pos + (1 if step == opening else
                           min(values.shape[1] - pos, BULK_STEPS, opening - step))
-            self._add_steps(values[:, pos:stop], usable[:, pos:stop])
+            self._add_steps(piece(pos, stop))
             if step == opening:
                 self.submodels.append(SubModel(len(self.submodels), step, self.N))
                 if len(self.submodels) >= 2:
@@ -348,12 +351,11 @@ class PredictionModel:
                 self._catch_up(sm, step, last)
             pos = stop
 
-    def _check_magnitudes(self, values: np.ndarray, usable: np.ndarray,
-                          offset: int) -> None:
-        """Raise :class:`NonFiniteInput` if a usable entry of the N x n block,
+    def _check_magnitudes(self, values: np.ndarray, offset: int) -> None:
+        """Raise :class:`NonFiniteInput` if a finite entry of the N x n block,
         whose first column is ``offset`` steps past the data, exceeds
         ``VALUE_MAX`` in magnitude."""
-        bad = usable & (np.abs(values) > VALUE_MAX)
+        bad = np.isfinite(values) & (np.abs(values) > VALUE_MAX)
         if np.count_nonzero(bad):
             n, j = np.argwhere(bad)[0]
             raise NonFiniteInput(
@@ -396,17 +398,18 @@ class PredictionModel:
             return sm.L * (sm.P + 1), False
         return None if due is None else (due, True)
 
-    def _add_steps(self, values: np.ndarray, observed: np.ndarray) -> None:
-        """Add an N x n block to the moments and the raw window.  Row sums of
-        a C-contiguous (n, N) copy, added in step order, give the same
-        floats whatever the block sizes."""
-        rows = np.ascontiguousarray(np.where(observed, values, 0.0).T)
+    def _add_steps(self, values: np.ndarray) -> None:
+        """Add the finite entries of an N x n block to the moments and the
+        raw window.  Row sums of a C-contiguous (n, N) copy, added in step
+        order, give the same floats whatever the block sizes."""
+        finite = np.isfinite(values)
+        rows = np.ascontiguousarray(np.where(finite, values, 0.0).T)
         for row_sum, row_sumsq in zip(rows.sum(axis=1).tolist(),
                                       (rows * rows).sum(axis=1).tolist()):
             self.obs_sum += row_sum
             self.obs_sumsq += row_sumsq
-        self.obs_cnt += int(np.count_nonzero(observed))
-        self.raw.extend(np.where(observed, values, np.nan))
+        self.obs_cnt += int(np.count_nonzero(finite))
+        self.raw.extend(np.where(finite, values, np.nan))
         self.n_steps += values.shape[1]
 
     def _catch_up(self, sm: SubModel, first: int, last: int) -> None:
@@ -468,5 +471,5 @@ def create_model(batch: TimeSeriesBatch, hp: HyperParams | None = None) -> Predi
     """Train a model on the whole batch with one
     :meth:`PredictionModel.insert_many` call."""
     model = PredictionModel(batch.names, hp, t0=batch.t0, step=batch.step)
-    model.insert_many(batch.values, batch.observed)
+    model.insert_many(batch.values)
     return model

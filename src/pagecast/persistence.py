@@ -49,6 +49,7 @@ committed version loadable.  Every file and directory is fsynced before the
 renames and the parent after them.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -106,13 +107,24 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _refuse_file(directory: str) -> None:
+    """Raise :class:`NotADirectoryError` naming ``directory`` if something
+    other than a directory (a regular file, say) is there: no save replaces
+    it."""
+    if os.path.exists(directory) and not os.path.isdir(directory):
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory, so not a "
+                                 "model store", directory)
+
+
 def save_model(model: PredictionModel, directory) -> dict:
     """Persist the model, replacing any previous version atomically.
 
     Returns the manifest as a dict.  The previous version (if any) remains
-    loadable if the process dies at any point during the save.
+    loadable if the process dies at any point during the save.  A path that
+    holds a file is refused before anything is written (:func:`_refuse_file`).
     """
     directory = os.path.normpath(os.fspath(directory))
+    _refuse_file(directory)
     staging, backup = directory + ".staging", directory + ".bak"
     live, prev = _live(directory)
     if os.path.exists(staging):

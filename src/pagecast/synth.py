@@ -126,7 +126,7 @@ def _check_sigma(sigma: float) -> None:
 
 def _batch(values: np.ndarray, prefix: str) -> TimeSeriesBatch:
     names = [f"{prefix}{i}" for i in range(values.shape[0])]
-    return TimeSeriesBatch(names, values, np.ones(values.shape, dtype=bool))
+    return TimeSeriesBatch(names, values)
 
 
 def _harmonic_mixtures(seed: int, T: int, r: int, n_terms: int,
@@ -324,25 +324,25 @@ def corrupt(truth: SyntheticTruth, sigma: float = 0.0, p_obs: float = 1.0,
     noise with standard deviation ``sigma`` is added to observed entries.
     The latent mean is unchanged, and the result shares that array with
     ``truth``; sigma^2 is added to the latent variance, in a new array.
-    The observations are one new array, which the new batch keeps.
+    The observations are one new array, NaN where missing, which the new
+    batch keeps.
     """
     if not 0.0 < p_obs <= 1.0:
         raise InvalidParams("p_obs must lie in (0, 1]")
     _check_sigma(sigma)
     base = truth.observations
-    values = np.ascontiguousarray(base.zero_filled())
-    obs = base.observed.copy()
+    values = np.array(base.values, order="C")
     noise = PhiloxStream(seed, STREAM_OBS_GAUSS + 1000)
     mask = PhiloxStream(seed, STREAM_MASK)
-    # Entry i of the C-order grid takes draw i of each stream.
-    flat_vals, flat_obs = values.reshape(-1), obs.reshape(-1)
+    # Entry i of the C-order grid takes draw i of each stream; NaN stays NaN.
+    flat = values.reshape(-1)
     for a in range(0, values.size, DRAW_BLOCK):
         b = min(a + DRAW_BLOCK, values.size)
         if sigma > 0.0:
-            flat_vals[a:b] += sigma * noise.normals(b - a)
+            flat[a:b] += sigma * noise.normals(b - a)
         if p_obs < 1.0:
-            flat_obs[a:b] &= mask.uniforms(b - a) < p_obs
-        flat_vals[a:b][~flat_obs[a:b]] = np.nan
-    batch = TimeSeriesBatch(list(base.names), values, obs, base.t0, base.step)
+            flat[a:b][mask.uniforms(b - a) >= p_obs] = np.nan
+    batch = TimeSeriesBatch(list(base.names), values, t0=base.t0,
+                            step=base.step)
     return SyntheticTruth(batch, truth.latent_mean,
                           truth.latent_var + sigma * sigma)

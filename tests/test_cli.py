@@ -150,6 +150,21 @@ class TestCreatePredict:
         assert _run(capsys, ["create", "--input", str(data), "--model",
                              str(model_dir), "--T0", "50", "--overwrite"])[0] == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--overwrite"]])
+    def test_create_refuses_a_file_at_the_model_path(self, tmp_path, capsys,
+                                                     flags):
+        # with --overwrite it trained, then failed and left m.staging
+        data = tmp_path / "data.csv"
+        _write_series_csv(data)
+        path = tmp_path / "m"
+        path.write_text("not a store")
+        code, _, err = _run(capsys, ["create", "--input", str(data),
+                                     "--model", str(path), *flags])
+        assert code == 1 and err.startswith("error: ") and str(path) in err
+        assert "read " not in err  # refused before the CSV is read
+        assert path.read_text() == "not a store"
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "m"]
+
     def test_create_refuses_a_store_live_only_in_backup(self, tmp_path,
                                                         capsys):
         # what a save interrupted between its two renames leaves
@@ -568,6 +583,53 @@ class TestEvalCli:
         assert code == 1 and out == ""
         assert err == ("error: manifest lists algorithm 'A' on experiment "
                        "'e1' 2 times\n")
+
+    @staticmethod
+    def _score(tmp_path, capsys, pred, truth):
+        """Exit code, NRMSE and stderr of eval on one (pred, truth) pair,
+        each a (names, values, t0) written as CSV; the truth scored against
+        itself is the second algorithm that WBC needs."""
+        for tag, (names, values, t0) in (("pred", pred), ("truth", truth)):
+            pc.write_csv(pc.TimeSeriesBatch(names, values, None, t0),
+                         tmp_path / f"{tag}.csv")
+        manifest = tmp_path / "exp.csv"
+        manifest.write_text("algorithm,experiment,pred,truth\n"
+                            "A,e1,pred.csv,truth.csv\n"
+                            "B,e1,truth.csv,truth.csv\n")
+        code, out, err = _run(capsys, ["eval", "--manifest", str(manifest),
+                                       "--format", "csv"])
+        rows = {r["algorithm"]: r["e1"] for r in csv.DictReader(io.StringIO(out))}
+        return code, rows.get("A"), err
+
+    def test_columns_matched_by_name(self, tmp_path, capsys):
+        truth = np.random.default_rng(1).normal(size=(2, 50))
+        pred = truth + [[0.1], [2.0]]
+        want = self._score(tmp_path, capsys, (["a", "b"], pred, 1),
+                           (["a", "b"], truth, 1))
+        swapped = self._score(tmp_path, capsys, (["b", "a"], pred[::-1], 1),
+                              (["a", "b"], truth, 1))
+        assert want[0] == swapped[0] == 0 and want[1] == swapped[1]
+
+    @pytest.mark.parametrize("pred_names, pred_t0, pred_steps", [
+        (["x", "y"], 500, 200),   # it scored this pair 0.0141
+        (["a", "x"], 1, 200),
+        (["a", "b", "c"], 1, 200),
+        (["b", "a"], 2, 200),
+        (["a", "b"], 1, 199)],
+        ids=["other_names_and_start", "a_name_missing", "an_extra_name",
+             "other_start", "other_length"])
+    def test_misaligned_pair_refused(self, tmp_path, capsys, pred_names,
+                                     pred_t0, pred_steps):
+        t = np.arange(200)
+        truth = np.vstack([np.cos(t / 9), np.sin(t / 13)])
+        pred = np.resize(truth + 0.01, (len(pred_names), pred_steps))
+        code, score, err = self._score(
+            tmp_path, capsys, (pred_names, pred, pred_t0),
+            (["a", "b"], truth, 1))
+        assert code == 1 and score is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "pred.csv") in err
+        assert str(tmp_path / "truth.csv") in err
 
     def test_bad_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "exp.csv"

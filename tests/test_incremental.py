@@ -578,6 +578,21 @@ class TestInsertMany:
         model.insert_many(np.empty((1, 0)))
         _assert_same_state(model, before)
 
+    def test_mask_acts_as_nan(self):
+        # finite entries that the mask calls missing leave the model that
+        # NaN at those entries does, across BULK_STEPS pieces and segments
+        hp = pc.HyperParams(T0=100, Tprime=1600)
+        vals = _stream(2600, 2, seed=9).values
+        mask = np.random.default_rng(9).random(vals.shape) < 0.8
+        masked = pc.PredictionModel(["a", "b"], hp)
+        masked.insert_many(vals, mask)
+        masked.insert(vals[:, 0], mask[:, 1])
+        nan = pc.PredictionModel(["a", "b"], hp)
+        nan.insert_many(np.where(mask, vals, np.nan))
+        nan.insert(np.where(mask[:, 1], vals[:, 0], np.nan))
+        assert len(nan.submodels) > 2 and nan.obs_cnt < vals.size
+        _assert_same_state(masked, nan)
+
     def test_shape_checks(self):
         model = pc.PredictionModel(["a", "b"], pc.HyperParams(T0=10, Tprime=100))
         with pytest.raises(WidthMismatch):

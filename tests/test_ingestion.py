@@ -16,6 +16,7 @@ from pagecast.errors import (
     UnparseableTimestamp,
     UnparseableValue,
 )
+from pagecast.ingestion import AGG_FUNCTIONS
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -196,6 +197,25 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.values[back.observed],
                                       batch.values[batch.observed])
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", " -INF "])
+    def test_infinite_cell_names_its_line_and_column(self, tmp_path, cell):
+        # it failed with only "observed entries must be finite"
+        path = _write(tmp_path, f"t,b,a\n1,1,2\n2,3,{cell}\n3,4,5\n")
+        with pytest.raises(UnparseableValue, match="line 3, column 'a'"):
+            pc.load_csv(path, "t")
+
+    def test_nan_cell_is_missing(self, tmp_path):
+        batch = pc.load_csv(_write(tmp_path, "t,a\n1,5\n2,nan\n3,NaN\n"), "t")
+        np.testing.assert_array_equal(batch.observed[0], [True, False, False])
+
+    def test_batch_keeps_no_array_but_values(self, tmp_path):
+        batch = pc.load_csv(_write(tmp_path, "t,a,b\n1,5,\n2,,1\n3,7,2\n"),
+                            "t")
+        assert _arrays(batch) == ["values"]
+        for fn in AGG_FUNCTIONS:
+            for interval in (1, 2):
+                assert _arrays(pc.aggregate(batch, interval, fn)) == ["values"]
+
     def test_write_csv_refuses_series_named_like_time_col(self, tmp_path):
         # its "t,t" header is one load_csv refuses
         batch = pc.TimeSeriesBatch(["t"], np.ones((1, 2)), np.ones((1, 2), bool))
@@ -205,6 +225,11 @@ class TestLoadCsv:
         assert not path.exists()
         pc.write_csv(batch, path, time_col="time")
         assert pc.load_csv(path, "time").names == ["t"]
+
+
+def _arrays(batch):
+    """Names of the numpy arrays the batch holds."""
+    return [k for k, v in vars(batch).items() if isinstance(v, np.ndarray)]
 
 
 class TestBatchValues:
@@ -251,6 +276,35 @@ class TestBatchValues:
     def test_shape_mismatch(self, names, values, observed):
         with pytest.raises(ShapeMismatch):
             pc.TimeSeriesBatch(names, values, observed)
+
+    def test_nan_marks_missing_without_a_mask(self):
+        vals, mask = self._grid()
+        vals[~mask] = np.nan
+        batch = pc.TimeSeriesBatch(["a", "b", "c"], vals)
+        assert np.shares_memory(batch.values, vals)
+        np.testing.assert_array_equal(batch.observed, mask)
+        np.testing.assert_array_equal(batch.observed, ~np.isnan(vals))
+        assert _arrays(batch) == ["values"]
+
+    def test_mask_becomes_nan(self):
+        vals, mask = self._grid()
+        batch = pc.TimeSeriesBatch(["a", "b", "c"], vals, mask, 5.0, 2.0)
+        assert (batch.t0, batch.step) == (5.0, 2.0)
+        np.testing.assert_array_equal(batch.observed, mask)
+        assert _arrays(batch) == ["values"]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_entry_refused_without_a_mask(self, bad):
+        vals = self._grid()[0]
+        vals[0, 1] = bad
+        with pytest.raises(UnparseableValue):
+            pc.TimeSeriesBatch(["a", "b", "c"], vals)
+
+    def test_nan_the_mask_calls_observed_refused(self):
+        vals, mask = self._grid()
+        vals[0, 1] = np.nan
+        with pytest.raises(UnparseableValue):
+            pc.TimeSeriesBatch(["a", "b", "c"], vals, mask)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_non_finite_observed_entry_refused(self, bad):

@@ -855,6 +855,16 @@ class TestCrashSafety:
         pc.save_model(model, tmp_path / "m")
         pc.load_model(tmp_path / "m")
 
+    def test_file_at_the_path_refused_before_staging(self, tmp_path):
+        # a full m.staging was written, then the commit failed on the file
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        path = tmp_path / "m"
+        path.write_text("not a store")
+        with pytest.raises(NotADirectoryError, match=re.escape(repr(str(path)))):
+            pc.save_model(model, path)
+        assert path.read_text() == "not a store"
+        assert sorted(os.listdir(tmp_path)) == ["m"]
+
     def test_readonly_parent_raises_oserror(self, tmp_path):
         if os.geteuid() == 0:
             pytest.skip("root bypasses permission bits")

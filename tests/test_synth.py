@@ -259,6 +259,19 @@ class TestCorrupt:
         assert np.isfinite(obs.values[obs.observed]).all()
 
 
+def test_batches_keep_no_array_but_values():
+    truths = [pc.gen_synthetic_I(n=2, m=2, T=50, seed=1),
+              *pc.gen_synthetic_II(seed=1, T=50, grid=2).values(),
+              *pc.gen_synthetic_III(T=50, seed=1).values(),
+              pc.gen_lrf(2, 2, 3, 50, seed=1)]
+    truths.append(pc.corrupt(truths[0], sigma=0.1, p_obs=0.5, seed=2))
+    for truth in truths:
+        batch = truth.observations
+        assert [k for k, v in vars(batch).items()
+                if isinstance(v, np.ndarray)] == ["values"]
+    assert np.isnan(truths[-1].observations.values).any()
+
+
 def _one_shot_normals(seed, stream, n):
     """The normal sampler drawing all n uniforms at once: the reference
     for the blocked sampler."""
