@@ -14,13 +14,14 @@ import sys
 import time
 from collections import Counter
 from dataclasses import fields
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import GridMismatch, PagecastError
 from .incremental import HyperParams, create_model
-from .ingestion import (AGG_FUNCTIONS, TimeSeriesBatch, aggregate, load_csv,
-                        open_text, write_csv, zero_filled)
+from .ingestion import (AGG_FUNCTIONS, TimeSeriesBatch, _parse_timestamp, aggregate,
+                        load_csv, open_text, write_csv, zero_filled)
 from .metrics import ExperimentGrid, nrmse_pooled, wbc
 from .persistence import _live, _refuse_file, load_model, save_model
 from .query import predict_point, predict_range
@@ -205,16 +206,24 @@ def cmd_synth(args) -> int:
 # --- eval ----------------------------------------------------------------------
 
 
-def _misaligned(pred: TimeSeriesBatch, truth: TimeSeriesBatch) -> str | None:
+def _misaligned(pred: TimeSeriesBatch, truth: TimeSeriesBatch, paths: tuple,
+                time_col: str) -> str | None:
     """Why ``pred`` cannot be scored against ``truth`` column by column and
-    step by step, or None if it can."""
+    row by row, or None if it can.  Without a tick :func:`load_csv` keeps
+    only the first timestamp, so those of both ``paths`` are read here."""
     if sorted(pred.names) != sorted(truth.names):
         return f"columns {pred.names} do not match {truth.names}"
-    for what, a, b in (("first timestamp", pred.t0, truth.t0),
-                       ("step", pred.step, truth.step),
-                       ("step count", pred.n_steps, truth.n_steps)):
+    stamps = []
+    for path in paths:
+        with open_text(path) as fh:
+            reader = csv.reader(fh)
+            col = [h.strip() for h in next(reader)].index(time_col)
+            stamps.append(sorted(_parse_timestamp(row[col], lineno)
+                                 for lineno, row in enumerate(reader, start=2)
+                                 if any(cell.strip() for cell in row)))
+    for row, (a, b) in enumerate(zip_longest(*stamps), start=1):
         if a != b:
-            return f"{what} {a!r} differs from {b!r}"
+            return f"row {row}: timestamp {a} differs from {b}"
     return None
 
 
@@ -247,9 +256,8 @@ def cmd_eval(args) -> int:
 
     for e in entries:
         pred_path, truth_path = resolve(e["pred"]), resolve(e["truth"])
-        pred = load_csv(pred_path, args.time_col)
-        truth = load_csv(truth_path, args.time_col)
-        problem = _misaligned(pred, truth)
+        pred, truth = (load_csv(p, args.time_col) for p in (pred_path, truth_path))
+        problem = _misaligned(pred, truth, (pred_path, truth_path), args.time_col)
         if problem:
             print(f"error: pred {pred_path} against truth {truth_path}: "
                   f"{problem}", file=sys.stderr)

@@ -292,20 +292,23 @@ class PredictionModel:
 
     def insert(self, values: np.ndarray, observed: np.ndarray | None = None) -> None:
         """Insert one time step of N values: :meth:`insert_many` with a
-        one-column block, after checking the row's width."""
+        one-column block, after checking the row's width and setting NaN
+        where the optional N-entry ``observed`` mask is False."""
         values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
         if len(values) != self.N:
             raise WidthMismatch(f"row has {len(values)} values, model has {self.N}")
         if observed is not None:
             observed = np.asarray(observed, dtype=bool).reshape(-1, 1)
-        self.insert_many(values, observed)
+            if len(observed) != self.N:
+                raise WidthMismatch(
+                    f"mask has {len(observed)} entries, model has {self.N}")
+            values = np.where(observed, values, np.nan)
+        self.insert_many(values)
 
-    def insert_many(self, values: np.ndarray,
-                    observed: np.ndarray | None = None) -> None:
+    def insert_many(self, values: np.ndarray) -> None:
         """Insert a block of time steps; column j of the N x T ``values`` is
-        the j-th new step.  NaN and inf entries count as missing, as do the
-        entries where the N x T ``observed`` mask, if given, is False; a
-        finite entry above ``VALUE_MAX`` in magnitude raises
+        the j-th new step, NaN where a value is missing.  An infinite entry,
+        or a finite one above ``VALUE_MAX`` in magnitude, raises
         :class:`NonFiniteInput` before any state changes.
 
         Leaves the model in the state that inserting the columns one call
@@ -319,20 +322,8 @@ class PredictionModel:
         if values.ndim != 2 or values.shape[0] != self.N:
             raise WidthMismatch(
                 f"block has shape {values.shape}, model has {self.N} series")
-        if observed is not None:
-            observed = np.asarray(observed, dtype=bool)
-            if observed.shape != values.shape:
-                raise WidthMismatch(
-                    f"mask shape {observed.shape} != values {values.shape}")
-
-        def piece(a: int, b: int) -> np.ndarray:
-            """Steps a..b-1 of the block, NaN where the mask says missing."""
-            if observed is None:
-                return values[:, a:b]
-            return np.where(observed[:, a:b], values[:, a:b], np.nan)
-
         for pos in range(0, values.shape[1], BULK_STEPS):
-            self._check_magnitudes(piece(pos, pos + BULK_STEPS), pos)
+            self._check_magnitudes(values[:, pos:pos + BULK_STEPS], pos)
         last = self.n_steps + values.shape[1] - 1
         pos = 0
         while pos < values.shape[1]:
@@ -340,7 +331,7 @@ class PredictionModel:
             opening = len(self.submodels) * self.half_steps
             stop = pos + (1 if step == opening else
                           min(values.shape[1] - pos, BULK_STEPS, opening - step))
-            self._add_steps(piece(pos, stop))
+            self._add_steps(values[:, pos:stop])
             if step == opening:
                 self.submodels.append(SubModel(len(self.submodels), step, self.N))
                 if len(self.submodels) >= 2:
@@ -352,16 +343,18 @@ class PredictionModel:
             pos = stop
 
     def _check_magnitudes(self, values: np.ndarray, offset: int) -> None:
-        """Raise :class:`NonFiniteInput` if a finite entry of the N x n block,
-        whose first column is ``offset`` steps past the data, exceeds
-        ``VALUE_MAX`` in magnitude."""
-        bad = np.isfinite(values) & (np.abs(values) > VALUE_MAX)
+        """Raise :class:`NonFiniteInput` if an entry of the N x n block, whose
+        first column is ``offset`` steps past the data, exceeds ``VALUE_MAX``
+        in magnitude (+-inf does; NaN does not)."""
+        bad = np.abs(values) > VALUE_MAX
         if np.count_nonzero(bad):
             n, j = np.argwhere(bad)[0]
+            why = ("is infinite (NaN marks a missing value)"
+                   if np.isinf(values[n, j]) else f"exceeds {VALUE_MAX:.6g}, "
+                   "beyond which training's sums of powers overflow")
             raise NonFiniteInput(
                 f"series {self.names[n]!r} at t={self.n_steps + offset + j + 1}: "
-                f"|{values[n, j]:.6g}| exceeds {VALUE_MAX:.6g}, beyond which "
-                "training's sums of powers overflow")
+                f"|{values[n, j]:.6g}| {why}")
 
     def _next_retrain(self, sm: SubModel) -> int | None:
         """Segment step count at which ``sm`` next fully retrains, or None
@@ -399,9 +392,10 @@ class PredictionModel:
         return None if due is None else (due, True)
 
     def _add_steps(self, values: np.ndarray) -> None:
-        """Add the finite entries of an N x n block to the moments and the
-        raw window.  Row sums of a C-contiguous (n, N) copy, added in step
-        order, give the same floats whatever the block sizes."""
+        """Add an N x n block to the raw window as given, and its finite
+        (observed) entries to the moments.  Row sums of a C-contiguous (n, N)
+        zero-filled copy, added in step order, give the same floats whatever
+        the block sizes."""
         finite = np.isfinite(values)
         rows = np.ascontiguousarray(np.where(finite, values, 0.0).T)
         for row_sum, row_sumsq in zip(rows.sum(axis=1).tolist(),
@@ -409,7 +403,7 @@ class PredictionModel:
             self.obs_sum += row_sum
             self.obs_sumsq += row_sumsq
         self.obs_cnt += int(np.count_nonzero(finite))
-        self.raw.extend(np.where(finite, values, np.nan))
+        self.raw.extend(values)
         self.n_steps += values.shape[1]
 
     def _catch_up(self, sm: SubModel, first: int, last: int) -> None:

@@ -92,10 +92,6 @@ class TimeSeriesBatch:
     def n_steps(self) -> int:
         return self.values.shape[1]
 
-    def zero_filled(self) -> np.ndarray:
-        """:func:`zero_filled` of the values."""
-        return zero_filled(self.values)
-
 
 def _parse_timestamp(text: str, lineno: int) -> int | Fraction:
     """Seconds since the epoch, exactly as written (an int or a Fraction):

@@ -108,12 +108,13 @@ def _fsync_dir(path: str) -> None:
 
 
 def _refuse_file(directory: str) -> None:
-    """Raise :class:`NotADirectoryError` naming ``directory`` if something
-    other than a directory (a regular file, say) is there: no save replaces
-    it."""
-    if os.path.exists(directory) and not os.path.isdir(directory):
-        raise NotADirectoryError(errno.ENOTDIR, "not a directory, so not a "
-                                 "model store", directory)
+    """Raise :class:`NotADirectoryError` naming the path if something other
+    than a directory (a regular file, say) is at ``directory`` or at its
+    ``.bak`` or ``.staging`` sibling: no save replaces it."""
+    for path in (directory, directory + ".bak", directory + ".staging"):
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise NotADirectoryError(errno.ENOTDIR, "not a directory, so not "
+                                     "part of a model store", path)
 
 
 def save_model(model: PredictionModel, directory) -> dict:

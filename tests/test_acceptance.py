@@ -14,6 +14,7 @@ import pytest
 import pagecast as pc
 from pagecast import persistence
 from pagecast.incremental import q0_limit, q_limit
+from pagecast.ingestion import zero_filled
 from pagecast.stats import chebyshev_halfwidth, gaussian_halfwidth
 
 
@@ -161,7 +162,7 @@ def test_criterion_4_variance_estimation():
     for arm, bound in thresholds.items():
         st = data[(arm, "har")]
         batch = st.observations
-        x = batch.zero_filled()
+        x = zero_filled(batch.values)
         n_series, t_len = x.shape
         L = int(math.sqrt(n_series * t_len / 10))
         out_v = pc.impute_variance(batch, L=L)

@@ -587,10 +587,10 @@ class TestEvalCli:
     @staticmethod
     def _score(tmp_path, capsys, pred, truth):
         """Exit code, NRMSE and stderr of eval on one (pred, truth) pair,
-        each a (names, values, t0) written as CSV; the truth scored against
-        itself is the second algorithm that WBC needs."""
-        for tag, (names, values, t0) in (("pred", pred), ("truth", truth)):
-            pc.write_csv(pc.TimeSeriesBatch(names, values, None, t0),
+        each a (names, values, t0[, step]) written as CSV; the truth scored
+        against itself is the second algorithm that WBC needs."""
+        for tag, (names, values, *grid) in (("pred", pred), ("truth", truth)):
+            pc.write_csv(pc.TimeSeriesBatch(names, values, None, *grid),
                          tmp_path / f"{tag}.csv")
         manifest = tmp_path / "exp.csv"
         manifest.write_text("algorithm,experiment,pred,truth\n"
@@ -628,6 +628,18 @@ class TestEvalCli:
             (["a", "b"], truth, 1))
         assert code == 1 and score is None
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "pred.csv") in err
+        assert str(tmp_path / "truth.csv") in err
+
+    def test_timestamps_compared_row_by_row(self, tmp_path, capsys):
+        # without a tick both files load as steps 1, 2, ..., so this pair of
+        # equal values on other timestamps scored NRMSE 0.0
+        truth = np.random.default_rng(2).normal(size=(1, 50))
+        code, score, err = self._score(tmp_path, capsys, (["a"], truth, 1, 4),
+                                       (["a"], truth, 1))
+        assert code == 1 and score is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "row 2: timestamp 5 differs from 2" in err
         assert str(tmp_path / "pred.csv") in err
         assert str(tmp_path / "truth.csv") in err
 

@@ -4,6 +4,7 @@ import pytest
 import pagecast as pc
 from pagecast.errors import LengthMismatch
 from pagecast.estimator import _degenerate, pcr_coefficients
+from pagecast.ingestion import zero_filled
 
 
 def _batch(values, observed=None):
@@ -152,7 +153,7 @@ class TestVariance:
         # multivariate Bernoulli arm: estimated variance tracks p(1-p)
         data = pc.gen_synthetic_II(seed=0, T=3000)[("bernoulli", "har")]
         batch = data.observations
-        x = batch.zero_filled()
+        x = zero_filled(batch.values)
         n_series, t_len = x.shape
         L = int(np.sqrt(n_series * t_len / 10))
         out = pc.impute_variance(batch, L=L)

@@ -10,6 +10,7 @@ import pytest
 import pagecast as pc
 from pagecast import estimator, page_matrix, svd_engine
 from pagecast.errors import InvalidL, RankOutOfRange
+from pagecast.ingestion import zero_filled
 
 
 def test_batch_functions_refuse_L_below_2():
@@ -106,7 +107,7 @@ def test_served_model_equals_batch():
         assert ahead.mean == pc.forecast_mean(fm, history)
         assert ahead.variance == pc.forecast_variance(vf, history)
 
-    x = batch.zero_filled()
+    x = zero_filled(batch.values)
     truth = data.latent_var[:, span]
     per = [np.mean((served_var[n] - truth[n]) ** 2) / x[n, span].std() ** 2
            for n in range(n_series)]

@@ -343,18 +343,18 @@ def _answers(model):
 def _chunk_stream(n_series, L=None):
     """Block, mask, hyper-parameters and a step-by-step reference model.
 
-    N=1 runs several segments with 10 % missing values (NaN and inf, no
-    mask); N=3 and N=10 pass an explicit mask that also flags some NaN/inf
-    entries, which must count as missing.  N=10 rows are long enough for
-    numpy to sum them pairwise, so their summation order shows.  With an L
-    override, N=3 lowers T0 to 60, so every sub-model's first retrain
-    waits past its first thresholds for the window.
+    N=1 runs several segments with 10 % missing values (NaN, no mask);
+    N=3 and N=10 add a mask that also flags some NaN entries: ``insert``
+    takes it, and ``insert_many`` gets the block with NaN where it is
+    False.  N=10 rows are long enough for numpy to sum them pairwise, so
+    their summation order shows.  With an L override, N=3 lowers T0 to 60,
+    so every sub-model's first retrain waits past its first thresholds for
+    the window.
     """
     rng = np.random.default_rng(40 + n_series)
     n_steps = {1: 1400, 3: 800, 10: 400}[n_series]
     vals = _stream(n_steps, n_series, seed=n_series).values.copy()
-    bad = rng.random(vals.shape) < 0.1
-    vals[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+    vals[rng.random(vals.shape) < 0.1] = np.nan
     if n_series == 1:
         hp = pc.HyperParams(T0=200, gamma=0.5, Tprime=800)
         mask = None
@@ -396,14 +396,14 @@ def _check_chunked(n_series, cuts, stepwise, L=None):
     vals, mask, hp = _chunk_stream(n_series, L)
     ref, _, answers, _ = _reference(n_series, L)
     model = pc.PredictionModel(ref.names, hp)
+    block = vals if mask is None else np.where(mask, vals, np.nan)
     edges = [0] + sorted(cuts) + [vals.shape[1]]
     for i, (a, b) in enumerate(zip(edges, edges[1:])):
-        m = None if mask is None else mask[:, a:b]
         if stepwise[i % len(stepwise)]:
             for j in range(a, b):
-                model.insert(vals[:, j], None if m is None else m[:, j - a])
+                model.insert(vals[:, j], None if mask is None else mask[:, j])
         else:
-            model.insert_many(vals[:, a:b], m)
+            model.insert_many(block[:, a:b])
     _assert_same_state(model, ref)
     assert _answers(model) == answers
 
@@ -579,17 +579,16 @@ class TestInsertMany:
         _assert_same_state(model, before)
 
     def test_mask_acts_as_nan(self):
-        # finite entries that the mask calls missing leave the model that
-        # NaN at those entries does, across BULK_STEPS pieces and segments
+        # finite entries that insert's mask calls missing leave the model
+        # that NaN at those entries does, across segments
         hp = pc.HyperParams(T0=100, Tprime=1600)
         vals = _stream(2600, 2, seed=9).values
         mask = np.random.default_rng(9).random(vals.shape) < 0.8
         masked = pc.PredictionModel(["a", "b"], hp)
-        masked.insert_many(vals, mask)
-        masked.insert(vals[:, 0], mask[:, 1])
+        for j in range(vals.shape[1]):
+            masked.insert(vals[:, j], mask[:, j])
         nan = pc.PredictionModel(["a", "b"], hp)
         nan.insert_many(np.where(mask, vals, np.nan))
-        nan.insert(np.where(mask[:, 1], vals[:, 0], np.nan))
         assert len(nan.submodels) > 2 and nan.obs_cnt < vals.size
         _assert_same_state(masked, nan)
 
@@ -599,14 +598,12 @@ class TestInsertMany:
             model.insert_many(np.zeros((3, 5)))
         with pytest.raises(WidthMismatch):
             model.insert_many(np.zeros(2))
-        with pytest.raises(WidthMismatch):
-            model.insert_many(np.zeros((2, 5)), np.ones((2, 4), bool))
 
 
 class TestOverflowingSquares:
-    """A finite value whose square overflows would make every retrain of its
-    sub-models fail, so inserts refuse it before changing any state; NaN and
-    inf stay missing."""
+    """A value whose square overflows would make every retrain of its
+    sub-models fail, so inserts refuse it, +-inf included, before changing
+    any state; NaN stays missing."""
 
     HP = pc.HyperParams(T0=20, Tprime=1000)
 
@@ -622,7 +619,7 @@ class TestOverflowingSquares:
         clean = self._fed(9)
         _assert_same_state(model, clean)
         rows = _stream(300, n_series=2, seed=4).values
-        rows[0, 5], rows[1, 7] = np.nan, -np.inf
+        rows[0, 5], rows[1, 7] = np.nan, np.nan
         for j in range(rows.shape[1]):
             model.insert(rows[:, j])
             clean.insert(rows[:, j])
@@ -636,10 +633,26 @@ class TestOverflowingSquares:
         with pytest.raises(NonFiniteInput, match=r"'a'.*t=260"):
             model.insert_many(block)
         _assert_same_state(model, self._fed(9))
-        mask = np.ones(block.shape, bool)
-        mask[0, 250] = False
-        model.insert_many(block, mask)
+        block[0, 250] = np.nan
+        model.insert_many(block)
         assert model.submodels[0].trained
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinity_refused(self, bad):
+        model = self._fed(9)
+        with pytest.raises(NonFiniteInput,
+                           match=r"'a' at t=10: \|-?inf\| is infinite"):
+            model.insert(np.array([bad, 1.0]))
+        with pytest.raises(NonFiniteInput, match=r"'b' at t=10: .*infinite"):
+            model.insert(np.array([1.0, bad]), np.array([True, True]))
+        block = _stream(3 * inc.BULK_STEPS, n_series=2, seed=4).values
+        for j in (0, inc.BULK_STEPS + 7, 3 * inc.BULK_STEPS - 1):
+            hit = block.copy()
+            hit[1, j] = bad
+            with pytest.raises(NonFiniteInput,
+                               match=rf"'b' at t={j + 10}: .*infinite"):
+                model.insert_many(hit)
+        _assert_same_state(model, self._fed(9))
 
     def test_create_model_raises_before_training(self, monkeypatch):
         calls = []

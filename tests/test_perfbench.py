@@ -2,14 +2,17 @@
 The benchmark reaches pagecast through its public calls (the positional
 ``TimeSeriesBatch`` constructor, ``batch.observed``, ``insert(values,
 observed)``, the CLI), so a change that breaks one of them fails here
-before the benchmark runs."""
+before the benchmark runs.  After ``verify`` each final model also goes
+through ``tracing.model_shape``, which a traced run reads off every trained
+sub-model."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SIZES = {
     "create_multi": {"DATASETS": 1, "STEPS": 4000},
@@ -20,9 +23,10 @@ SIZES = {
 }
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
+def _load(name):
+    """perfbench's ``name``.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -30,7 +34,7 @@ def _workloads():
 
 @pytest.mark.parametrize("name", sorted(SIZES))
 def test_workload_passes_its_checks(name, tmp_path):
-    module = _workloads()
+    module = _load("workloads")
     workload = module.WORKLOADS[name]()
     for attr, value in SIZES[name].items():
         setattr(workload, attr, value)
@@ -42,3 +46,6 @@ def test_workload_passes_its_checks(name, tmp_path):
     workload.report(rec)
     assert rec.failed == 0 and rec.errors == []
     assert rec.checks and all(rec.checks.values()), rec.checks
+    shape = _load("tracing").model_shape(workload.model)
+    assert shape["incremental.submodels"] > 0
+    assert all(math.isfinite(v) for v in shape.values()), shape

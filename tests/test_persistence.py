@@ -865,6 +865,24 @@ class TestCrashSafety:
         assert path.read_text() == "not a store"
         assert sorted(os.listdir(tmp_path)) == ["m"]
 
+    @pytest.mark.parametrize("suffix", [".bak", ".staging"])
+    def test_file_beside_the_store_refused_before_staging(self, tmp_path,
+                                                          suffix):
+        # with a file at m.bak, a full m.staging was written, then the
+        # commit failed on the file
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        pc.save_model(model, tmp_path / "m")
+        stored = {p: p.read_bytes() for p in (tmp_path / "m").rglob("*")
+                  if p.is_file()}
+        stray = tmp_path / f"m{suffix}"
+        stray.write_text("not a store")
+        with pytest.raises(NotADirectoryError, match=re.escape(repr(str(stray)))):
+            pc.save_model(model, tmp_path / "m")
+        assert stray.read_text() == "not a store"
+        assert sorted(os.listdir(tmp_path)) == ["m", f"m{suffix}"]
+        assert stored == {p: p.read_bytes() for p in (tmp_path / "m").rglob("*")
+                          if p.is_file()}
+
     def test_readonly_parent_raises_oserror(self, tmp_path):
         if os.geteuid() == 0:
             pytest.skip("root bypasses permission bits")

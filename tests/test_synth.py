@@ -5,6 +5,7 @@ import pytest
 
 import pagecast as pc
 from pagecast.errors import InvalidParams
+from pagecast.ingestion import zero_filled
 from pagecast.stats import norm_ppf_array
 from pagecast.synth import (DRAW_BLOCK, STREAM_MASK, STREAM_OBS_GAUSS,
                             PhiloxStream)
@@ -283,7 +284,7 @@ def _one_shot_normals(seed, stream, n):
 def _one_shot_corrupt(truth, sigma, p_obs, seed):
     """corrupt's observations with every draw made at once (the reference)."""
     base = truth.observations
-    values = base.zero_filled()
+    values = zero_filled(base.values)
     obs = base.observed.copy()
     if sigma > 0.0:
         z = _one_shot_normals(seed, STREAM_OBS_GAUSS + 1000, values.size)
