@@ -8,7 +8,7 @@ regression, i.e. the minimum-norm least-squares solution on the retained
 subspace), then apply the coefficients to the most recent raw window.
 Variance estimation runs the same machinery on the squared observations and
 subtracts the squared mean estimate, clamped at zero.  :meth:`SegmentFit.fit`
-is the one full fit and :meth:`SegmentFit.extend` the one (Zha-Simon) update;
+is the one full fit and :meth:`SegmentFit.extend` the one append;
 :func:`forecast` is every forecast, batch and served.
 """
 

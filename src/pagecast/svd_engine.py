@@ -5,8 +5,9 @@ The public entry points are:
 * :func:`truncated_svd` -- exact LAPACK factorization, truncated to rank k;
 * :func:`select_rank` -- Gavish-Donoho median hard threshold (cubic
   approximation of the optimal coefficient);
-* :func:`append_columns` -- Zha-Simon column-append update that avoids
-  re-factoring the existing matrix.
+* :func:`append_columns` -- column-append update: one thin SVD of
+  [U diag(s) | B], so the existing matrix is never re-factored.  Its U
+  comes straight from LAPACK; only V, rotated from the old V, can drift.
 
 Training on long streams additionally uses :func:`svd_with_spectrum`, which
 switches to a Gram-matrix eigendecomposition once the row count is large.
@@ -34,7 +35,8 @@ GRAM_PATH_MIN_ROWS = 96
 # (guards rank selection and regression against numerical-noise values).
 REL_FLOOR = 1e-12
 
-# Re-orthogonalize factor columns when max|Q^T Q - I| exceeds this.
+# Re-orthogonalize an appended V when max|V^T V - I| exceeds this (U needs
+# no check: an append takes it fresh from LAPACK).
 ORTHO_DRIFT_TOL = 1e-8
 
 
@@ -177,20 +179,24 @@ def _reorthogonalize(Q: np.ndarray) -> np.ndarray:
 
 
 def append_columns(svd: TruncatedSVD, B: np.ndarray, k: int) -> TruncatedSVD:
-    """Rank-k SVD of [A | B] given the rank factors of A (Zha-Simon update).
+    """Rank-k SVD of [A | B] given the rank factors of A = U diag(s) V^T.
 
-    The residual of ``B`` against span(U) is orthonormalized by QR, a small
-    (k+c)-sized core matrix is factored exactly, and the factors are rotated
-    and truncated.  When A is exactly within rank k, the result matches the
-    batch SVD of the concatenation up to column signs.  Factor columns are
-    re-orthogonalized whenever drift exceeds ORTHO_DRIFT_TOL.  Raises
-    :class:`RankOutOfRange` unless k is an integer (not a bool) in
-    [1, min(rows, columns of [A | B])].
+    [A | B] = [U diag(s) | B] blockdiag(V^T, I), so the thin SVD
+    F diag(theta) G^T of the small matrix [U diag(s) | B], truncated to
+    rank k, gives U' = F and V' = [V G_top; G_bottom].  When A is exactly
+    within rank k, the result matches the batch SVD of the concatenation.
+    U' is orthonormal to rounding whatever the drift of U; V' inherits
+    V's, so V' alone is re-orthogonalized once its drift exceeds
+    ORTHO_DRIFT_TOL.  Raises :class:`NonFiniteInput` if ``B`` holds NaN or
+    infinity, and :class:`RankOutOfRange` unless k is an integer (not a
+    bool) in [1, min(rows, columns of [A | B])].
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2 or B.shape[0] != svd.U.shape[0]:
         raise ShapeMismatch(
             f"B has shape {B.shape}, expected ({svd.U.shape[0]}, c)")
+    if not np.all(np.isfinite(B)):
+        raise NonFiniteInput("B contains NaN or infinity")
     rows, c = B.shape
     old_cols = svd.V.shape[0]
     if not is_integer(k) or not 1 <= k <= min(rows, old_cols + c):
@@ -201,26 +207,11 @@ def append_columns(svd: TruncatedSVD, B: np.ndarray, k: int) -> TruncatedSVD:
 
     U, s, V = svd.U, svd.s, svd.V
     kk = len(s)
-    C = U.T @ B
-    resid = B - U @ C
-    Q, Rr = np.linalg.qr(resid)
-    q = Q.shape[1]
-
-    core = np.zeros((kk + q, kk + c))
-    core[:kk, :kk] = np.diag(s)
-    core[:kk, kk:] = C
-    core[kk:, kk:] = Rr
-    F, theta, Gt = np.linalg.svd(core, full_matrices=False)
-
+    F, theta, Gt = np.linalg.svd(np.hstack([U * s, B]), full_matrices=False)
     k_new = min(k, len(theta))
-    F = F[:, :k_new]
-    G = Gt[:k_new].T
-
-    U_new = np.hstack([U, Q]) @ F
+    U_new, G = F[:, :k_new], Gt[:k_new].T
+    _sign_fix(U_new, G)  # on the small G, so _factors flips no C-row V
     V_new = np.vstack([V @ G[:kk], G[kk:]])
-
-    if np.abs(U_new.T @ U_new - np.eye(k_new)).max() > ORTHO_DRIFT_TOL:
-        U_new = _reorthogonalize(U_new)
     if np.abs(V_new.T @ V_new - np.eye(k_new)).max() > ORTHO_DRIFT_TOL:
         V_new = _reorthogonalize(V_new)
     return _factors(U_new, theta[:k_new], V_new)

@@ -874,17 +874,21 @@ class TestGoldenAnswers:
     an order that depends on its thread count, so the answers are computed
     in a child process with every BLAS at one thread, the setting perfbench
     runs at.  The hex values come from the numpy/OpenBLAS build the suite
-    runs on; another build may differ in the last bits.
+    runs on; another build may differ in the last bits.  To re-pin them,
+    print the rows :meth:`answers` computes, from ``tests/``::
+
+        PYTHONPATH=../src python -c "import test_incremental as m
+        print(*m.TestGoldenAnswers.answers()[1], sep=chr(10))"
     """
 
     GOLDEN = [
-        (0, 1, "0x1.5b67b045d5c14p-1", "0x1.96f51e4b46a60p-4"),
-        (3, 5000, "-0x1.80fc9f2af4695p+0", "0x1.e55f7167c0f80p-5"),
-        (7, 11000, "0x1.14b4bd61a0c7bp-2", "0x1.62f71ffe60dfcp-4"),
+        (0, 1, "0x1.5b67b045d5c06p-1", "0x1.96f51e4b46ab0p-4"),
+        (3, 5000, "-0x1.80fc9f2af4688p+0", "0x1.e55f7167c1280p-5"),
+        (7, 11000, "0x1.14b4bd61a0c6ap-2", "0x1.62f71ffe60e6bp-4"),
         (9, 12000, "-0x1.09ccf772ee2d0p-4", "0x1.179eca1bd2932p+0"),
         (2, 12001, "-0x1.2a7a1e8de6351p-1", "0x0.0p+0"),
-        (5, 12100, "0x1.5eb1385a3d581p-3", "0x0.0p+0"),
-        (8, 13000, "-0x1.42fcd3010c0bfp-4", "0x1.58a54ec26e6a4p-8"),
+        (5, 12100, "0x1.5eb1385a3d582p-3", "0x0.0p+0"),
+        (8, 13000, "-0x1.42fcd3010c007p-4", "0x1.58a54ec26f653p-8"),
     ]
 
     SCRIPT = """
@@ -900,17 +904,24 @@ for series, t in json.load(sys.stdin):
 print(json.dumps(got))
 """
 
-    def test_create_model_answers(self):
+    @classmethod
+    def answers(cls) -> tuple[list, list]:
+        """The sub-models' windows and the SCRIPT's rows for GOLDEN's
+        queries, computed in a child process with every BLAS at one thread."""
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1",
                    PYTHONPATH=os.path.dirname(os.path.dirname(pc.__file__)))
-        queries = [[series, t] for series, t, _, _ in self.GOLDEN]
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+        queries = [[series, t] for series, t, _, _ in cls.GOLDEN]
+        proc = subprocess.run([sys.executable, "-c", cls.SCRIPT], env=env,
                               input=json.dumps(queries), capture_output=True,
                               text=True, timeout=300, check=True)
         windows, *got = json.loads(proc.stdout)
+        return windows, [tuple(row) for row in got]
+
+    def test_create_model_answers(self):
+        windows, got = self.answers()
         assert windows == [99]
-        assert [tuple(row) for row in got] == self.GOLDEN
+        assert got == self.GOLDEN
 
 
 class TestStatisticalStability:

@@ -172,18 +172,48 @@ class TestAppendColumns:
         np.testing.assert_allclose(out.reconstruct(), np.ones((3, 3)),
                                    atol=1e-12)
 
-    def test_in_span_matches_batch(self):
+    @pytest.mark.parametrize("rows, k, c", [
+        (4, 2, 3), (3, 1, 1),
+        (3, 2, 10),  # rows < k + c: the small matrix is wide
+        (20, 8, 5)])
+    def test_in_span_matches_batch(self, rows, k, c):
         rng = np.random.default_rng(9)
-        basisL = rng.normal(size=(4, 2))
-        coef = rng.normal(size=(2, 6))
-        a = basisL @ coef
-        b = basisL @ rng.normal(size=(2, 3))
-        svd = pc.truncated_svd(a, 2)
-        inc = pc.append_columns(svd, b, 2)
-        batch = pc.truncated_svd(np.hstack([a, b]), 2)
-        angle = np.linalg.norm(inc.U @ inc.U.T - batch.U @ batch.U.T)
-        assert angle < 1e-8
-        np.testing.assert_allclose(inc.s, batch.s, rtol=1e-9)
+        basisL = rng.normal(size=(rows, k))
+        a = basisL @ rng.normal(size=(k, k + 4))
+        b = basisL @ rng.normal(size=(k, c))
+        inc = pc.append_columns(pc.truncated_svd(a, k), b, k)
+        batch = pc.truncated_svd(np.hstack([a, b]), k)
+        for got, want in zip((inc.U, inc.s, inc.V), (batch.U, batch.s, batch.V)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_columns_refused(self, bad):
+        rng = np.random.default_rng(8)
+        svd = pc.truncated_svd(rng.normal(size=(5, 2)) @ rng.normal(size=(2, 20)), 2)
+        b = rng.normal(size=(5, 3))
+        b[2, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            pc.append_columns(svd, b, 2)
+
+    def test_no_long_v_is_flipped(self, monkeypatch):
+        """The small factors are sign-fixed before V is rotated, so the final
+        sign fix never flips a column of the C-row V."""
+        flips = []
+        real = svd_engine._sign_fix
+
+        def spy(U, V):
+            if V.shape[0] > 2:  # longer than the k + c = 2 rows of G
+                flips.append(bool(
+                    (U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0).any()))
+            real(U, V)
+        rng = np.random.default_rng(15)
+        x = np.cos(2 * np.pi * np.arange(3015) / 800) + 0.1 * rng.normal(size=3015)
+        page = x.reshape(-1, 3).T  # stream_uni's L=3 Page matrix
+        svd = pc.truncated_svd(page[:, :5], 1)
+        monkeypatch.setattr(svd_engine, "_sign_fix", spy)
+        for j in range(5, 1005):
+            svd = pc.append_columns(svd, page[:, j:j + 1], 1)
+        assert len(flips) == 1000 and not any(flips)
 
     def test_shape_mismatch(self):
         svd = pc.truncated_svd(np.eye(3), 2)
@@ -214,7 +244,8 @@ class TestAppendColumns:
         monkeypatch.setattr(svd_engine, "_reorthogonalize",
                             lambda Q: calls.append(Q.shape) or real(Q))
         out = pc.append_columns(drifted, rng.normal(size=(20, 5)), 8)
-        assert calls == [(20, 8), (65, 8)]  # U, then V
+        assert calls == [(65, 8)]  # V alone: U comes fresh from LAPACK
+        assert np.abs(out.U.T @ out.U - np.eye(8)).max() <= 1e-12
         assert out.orthogonality_error() <= 1e-12
         assert out.V.shape == (65, 8)
 
