@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import GridMismatch, PagecastError
 from .incremental import HyperParams, create_model
-from .ingestion import (AGG_FUNCTIONS, TimeSeriesBatch, _parse_timestamp, aggregate,
-                        load_csv, open_text, write_csv, zero_filled)
+from .ingestion import (AGG_FUNCTIONS, TimeSeriesBatch, aggregate, load_csv, open_text,
+                        sorted_stamps, write_csv, zero_filled)
 from .metrics import ExperimentGrid, nrmse_pooled, wbc
 from .persistence import _live, _refuse_file, load_model, save_model
 from .query import predict_point, predict_range
@@ -213,14 +213,7 @@ def _misaligned(pred: TimeSeriesBatch, truth: TimeSeriesBatch, paths: tuple,
     only the first timestamp, so those of both ``paths`` are read here."""
     if sorted(pred.names) != sorted(truth.names):
         return f"columns {pred.names} do not match {truth.names}"
-    stamps = []
-    for path in paths:
-        with open_text(path) as fh:
-            reader = csv.reader(fh)
-            col = [h.strip() for h in next(reader)].index(time_col)
-            stamps.append(sorted(_parse_timestamp(row[col], lineno)
-                                 for lineno, row in enumerate(reader, start=2)
-                                 if any(cell.strip() for cell in row)))
+    stamps = [sorted_stamps(path, time_col) for path in paths]
     for row, (a, b) in enumerate(zip_longest(*stamps), start=1):
         if a != b:
             return f"row {row}: timestamp {a} differs from {b}"

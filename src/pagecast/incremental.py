@@ -26,12 +26,7 @@ import numpy as np
 from .errors import (InvalidParams, NonFiniteInput, UnknownSeries, UntrainedModel,
                      WidthMismatch)
 from .estimator import SegmentFit
-from .ingestion import TimeSeriesBatch, is_integer
-
-# Longest run of steps that insert_many checks or adds in one bulk
-# operation; keeps its float temporaries at O(N * BULK_STEPS) whatever the
-# block size.
-BULK_STEPS = 1024
+from .ingestion import BULK_STEPS, TimeSeriesBatch, is_integer
 
 # The largest magnitude an observed value may have.  Training sums x^2 over
 # the observations (the running moments) and, on the Gram route, x^4 over the

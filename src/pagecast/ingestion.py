@@ -12,6 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -28,6 +29,12 @@ from .errors import (
 )
 
 AGG_FUNCTIONS = ("mean", "min", "max", "sum", "last")
+
+# Lines (and steps) handled per bulk operation: load_csv converts a block of
+# this many lines at a time and insert_many adds at most this many steps at
+# once, which keeps their temporaries at O(N * BULK_STEPS) whatever the
+# input's length.
+BULK_STEPS = 1024
 
 
 def is_integer(value) -> bool:
@@ -149,33 +156,86 @@ def open_text(path):
                 f"({exc.reason})") from None
 
 
-def load_csv(path, time_col: str, value_cols: list[str] | None = None,
-             tick: float | None = None) -> TimeSeriesBatch:
-    """Load a batch from an RFC-4180-style CSV with a header row.
-
-    The file is UTF-8, a leading byte-order mark allowed (:func:`open_text`).
-    Empty and NaN cells denote missing values; a cell that is no finite
-    number (``inf`` included) raises :class:`UnparseableValue` naming its
-    line and column.  Rows are sorted by timestamp and
-    become consecutive grid indices; with ``tick`` given, rows are instead
-    placed at grid index floor((ts - ts_min) / tick), so irregular
-    timestamps land on a uniform grid.  ``ts - ts_min`` is exact (epoch
-    floats would lose sub-second parts) and a timestamp less than
-    1e-9 * tick below a grid point counts as on it, so rounding cannot move
-    an on-grid row one index early.  Two rows on the same index raise
-    :class:`DuplicateTimestamp`.  ``value_cols=None`` selects every column
-    except ``time_col``; a selected name that the header or ``value_cols``
-    repeats, or that is ``time_col``, raises :class:`DuplicateColumn`.  A
-    ``tick`` that is not finite and positive raises :class:`InvalidInterval`.
-    """
-    if tick is not None and not (math.isfinite(tick) and tick > 0):
-        raise InvalidInterval(f"tick must be finite and positive, got {tick}")
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+def _stamp_array(stamps: list) -> np.ndarray:
+    """``stamps`` as int64 when each is an int that fits, else as objects."""
+    if all(type(s) is int for s in stamps):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
+            return np.array(stamps, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array(stamps, dtype=object)
+
+
+def _convert_block(lines: list[str], width: int, t_idx: int,
+                   v_idx: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The stamps and the len(v_idx) x rows values of ``lines``, one record
+    each, the values converted in one numpy call and integer stamps in
+    another; or None when the block needs :func:`_parse_rows`.  It does when
+    it holds a quote, a carriage return or a row that is not ``width`` cells
+    wide, or when a stamp or a value fails to convert or a value is
+    infinite.  numpy reads a ``str`` by ``float``'s and ``int``'s own rules,
+    so a block converts here to the bits :func:`_parse_rows` gives it."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text:
+        return None
+    body = text[:-1] if text.endswith("\n") else text
+    rows = body.split("\n")
+    if set(map(str.count, rows, repeat(",", len(rows)))) != {width - 1}:
+        return None
+    cells = body.replace("\n", ",").split(",")
+    if "" in cells:  # an empty cell is missing
+        cells = [cell or "nan" for cell in cells]
+    try:
+        values = np.array([cells[i::width] for i in v_idx], dtype=np.float64)
+        try:
+            stamps = np.array(cells[t_idx::width], dtype=np.int64)
+        except (ValueError, OverflowError):
+            # a refusal's message is not shown: _parse_rows re-reads the block
+            stamps = _stamp_array([_parse_timestamp(cell, 0)
+                                   for cell in cells[t_idx::width]])
+    except (ValueError, UnparseableTimestamp):
+        return None
+    if np.isinf(values).any():
+        return None
+    return stamps, values.reshape(len(v_idx), len(lines))
+
+
+def _parse_rows(rows: list[list[str]], lineno: int, header: list[str],
+                t_idx: int, v_idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The stamps and the len(v_idx) x rows values of the csv records
+    ``rows``, the first of them line ``lineno``, read cell by cell.  A blank
+    row is skipped and a short row's missing cells are empty.  A cell that
+    is no stamp or no finite number, or a non-empty cell past the header's
+    width, raises naming its line."""
+    width = len(header)
+    stamps, values = [], []
+    for lineno, row in enumerate(rows, start=lineno):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if any(cell.strip() for cell in row[width:]):
+            raise UnparseableValue(f"line {lineno}: {len(row)} cells under "
+                                   f"a header of {width}")
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        stamps.append(_parse_timestamp(row[t_idx], lineno))
+        values.append([_parse_value(row[i], lineno, header[i]) for i in v_idx])
+    values = np.array(values, dtype=np.float64).reshape(len(stamps), len(v_idx))
+    return _stamp_array(stamps), values.T
+
+
+def _read_blocks(path, time_col: str, value_cols: list[str] | None
+                 ) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """``(value_cols, stamps, blocks)`` of the CSV at ``path``: the selected
+    columns, the exact stamps in file order (int64, or objects where an
+    integer array cannot hold them) and one len(value_cols) x rows value
+    array per block of ``BULK_STEPS`` lines.  A block converts by
+    :func:`_convert_block`, or, where that declines it, cell by cell by
+    :func:`_parse_rows`; then a quoted cell's line breaks may carry it past
+    ``BULK_STEPS`` lines, so that it ends with a whole record."""
+    with open_text(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise EmptyFile(f"{path}: no header row")
         header = [h.strip() for h in header]
         if time_col not in header:
             raise MissingColumn(f"{path}: missing time column {time_col!r}")
@@ -194,23 +254,71 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
         t_idx = header.index(time_col)
         v_idx = [header.index(c) for c in value_cols]
 
-        stamps: list[int | Fraction] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) < len(header):  # a short row's missing cells are empty
-                row += [""] * (len(header) - len(row))
-            stamps.append(_parse_timestamp(row[t_idx], lineno))
-            rows.append([_parse_value(row[i], lineno, header[i]) for i in v_idx])
+        stamps, blocks = [], []
+        lineno = 2
+        while lines := list(islice(fh, BULK_STEPS)):
+            block = _convert_block(lines, len(header), t_idx, v_idx)
+            if block is None:
+                reader = csv.reader(chain(lines, fh))
+                rows = []
+                while reader.line_num < len(lines):
+                    rows.append(next(reader))
+                block = _parse_rows(rows, lineno, header, t_idx, v_idx)
+                lineno += len(rows)
+            else:
+                lineno += len(lines)
+            stamps.append(block[0])
+            blocks.append(block[1])
 
-    if not rows:
+    if not sum(map(len, stamps)):
         raise EmptyFile(f"{path}: header only, no data rows")
+    return value_cols, np.concatenate(stamps), blocks
 
-    order = sorted(range(len(stamps)), key=stamps.__getitem__)
-    ts = [stamps[i] for i in order]
-    offsets = np.array([float(t - ts[0]) for t in ts])
-    grid = np.asarray(rows, dtype=np.float64)[order]
+
+def sorted_stamps(path, time_col: str) -> list[int | Fraction]:
+    """The timestamps of the CSV at ``path`` in increasing order, each
+    exactly as written (an int or a Fraction), read as :func:`load_csv`
+    reads them."""
+    return np.sort(_read_blocks(path, time_col, [])[1]).tolist()
+
+
+def load_csv(path, time_col: str, value_cols: list[str] | None = None,
+             tick: float | None = None) -> TimeSeriesBatch:
+    """Load a batch from an RFC-4180-style CSV with a header row.
+
+    The file is UTF-8, a leading byte-order mark allowed (:func:`open_text`).
+    Empty and NaN cells denote missing values; a cell that is no finite
+    number (``inf`` included) raises :class:`UnparseableValue` naming its
+    line and column, and so does a row with a non-empty cell past the
+    header's width, naming its line and cell count.  Rows are sorted by
+    timestamp and become consecutive grid indices; with ``tick`` given,
+    rows are instead placed at grid index floor((ts - ts_min) / tick), so
+    irregular timestamps land on a uniform grid.  ``ts - ts_min`` is exact
+    (epoch floats would lose sub-second parts) and a timestamp less than
+    1e-9 * tick below a grid point counts as on it, so rounding cannot move
+    an on-grid row one index early.  Two rows on the same index raise
+    :class:`DuplicateTimestamp`.  ``value_cols=None`` selects every column
+    except ``time_col``; a selected name that the header or ``value_cols``
+    repeats, or that is ``time_col``, raises :class:`DuplicateColumn`.  A
+    ``tick`` that is not finite and positive raises :class:`InvalidInterval`.
+
+    The file is read ``BULK_STEPS`` lines at a time.  A block without
+    quotes, carriage returns, rows of another width or refused cells has
+    its values converted in one numpy call; the others are read cell by
+    cell, to the same bits.  Only stamps that are not int64 integers are
+    kept as Python objects past their block.
+    """
+    if tick is not None and not (math.isfinite(tick) and tick > 0):
+        raise InvalidInterval(f"tick must be finite and positive, got {tick}")
+    value_cols, ts, blocks = _read_blocks(path, time_col, value_cols)
+
+    order = None
+    if not (ts[1:] >= ts[:-1]).all():
+        order = np.argsort(ts, kind="stable")
+        ts = ts[order]
+    if ts.dtype == np.int64 and int(ts[-1]) - int(ts[0]) >= 2 ** 63:
+        ts = ts.astype(object)  # the int64 difference would wrap
+    offsets = (ts - ts[0]).astype(np.float64)
 
     if tick is not None:
         # Sorted rows give sorted buckets, so a repeat is a zero difference.
@@ -227,10 +335,14 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
                 f"{path}: duplicate timestamp {float(ts[same[0]])}")
         idx = np.arange(len(ts), dtype=np.int64)
         step = 1.0
+    if order is not None:  # the grid index of each row in file order
+        idx[order] = idx.copy()
 
-    n_steps = int(idx[-1]) + 1
-    values = np.full((len(value_cols), n_steps), np.nan)
-    values[:, idx] = grid.T
+    values = np.full((len(value_cols), int(idx.max()) + 1), np.nan)
+    pos = 0
+    for block in blocks:
+        values[:, idx[pos:pos + block.shape[1]]] = block
+        pos += block.shape[1]
     return TimeSeriesBatch(list(value_cols), values, t0=float(ts[0]), step=step)
 
 

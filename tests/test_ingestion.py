@@ -1,10 +1,14 @@
+import random
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pagecast as pc
+import pagecast.ingestion as ingestion
 from pagecast.errors import (
     DuplicateColumn,
     DuplicateTimestamp,
@@ -88,6 +92,16 @@ class TestLoadCsv:
     def test_unparseable_value(self, tmp_path):
         with pytest.raises(UnparseableValue, match="line 3, column 'b'"):
             pc.load_csv(_write(tmp_path, "t,a,b\n1,5,6\n2,7,x\n"), "t")
+
+    def test_cell_past_the_header_refused(self, tmp_path):
+        # it loaded as a=0.5, b=NaN, and the 0.7 was dropped
+        path = _write(tmp_path, "t,a,b\n1,5,6\n2,0.5,,0.7\n")
+        with pytest.raises(UnparseableValue, match="line 3: 4 cells"):
+            pc.load_csv(path, "t")
+
+    def test_empty_cells_past_the_header_accepted(self, tmp_path):
+        batch = pc.load_csv(_write(tmp_path, "t,a,b\n1,5,6,,\n2,7,8, \n"), "t")
+        np.testing.assert_array_equal(batch.values, [[5, 7], [6, 8]])
 
     def test_file_without_header_is_empty(self, tmp_path):
         with pytest.raises(EmptyFile, match="no header"):
@@ -230,6 +244,211 @@ class TestLoadCsv:
 def _arrays(batch):
     """Names of the numpy arrays the batch holds."""
     return [k for k, v in vars(batch).items() if isinstance(v, np.ndarray)]
+
+
+def _same(a, b):
+    """True when two batches hold the same names, grid and value bits."""
+    return (a.names == b.names and (a.t0, a.step) == (b.t0, b.step)
+            and a.values.tobytes() == b.values.tobytes())
+
+
+def _per_cell(path, *args, **kwargs):
+    """load_csv with every block declined by the block converter, so read
+    cell by cell: the reference the block path must match."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingestion, "_convert_block", lambda *a: None)
+        return pc.load_csv(path, *args, **kwargs)
+
+
+@pytest.fixture
+def blocks_of_4(monkeypatch):
+    """load_csv reads the file four lines at a time."""
+    monkeypatch.setattr(ingestion, "BULK_STEPS", 4)
+
+
+@pytest.mark.usefixtures("blocks_of_4")
+class TestBlocks:
+    """Files that span several blocks, four lines to a block."""
+
+    @staticmethod
+    def _rows(n=10):
+        """Cells of rows k = 1..n of a "t,a,b" file: t=k, a=k.5, b=10k."""
+        return [[str(k), f"{k}.5", str(10 * k)] for k in range(1, n + 1)]
+
+    @staticmethod
+    def _text(rows, header="t,a,b", end="\n"):
+        return end.join([header, *(",".join(r) for r in rows)]) + end
+
+    def _expected(self, n=10):
+        return np.array([[k + 0.5 for k in range(1, n + 1)],
+                         [10.0 * k for k in range(1, n + 1)]])
+
+    def test_plain_block_converts_without_the_per_cell_parser(
+            self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a plain block was read cell by cell")
+        monkeypatch.setattr(ingestion, "_parse_rows", refuse)
+        batch = pc.load_csv(_write(tmp_path, self._text(self._rows())), "t")
+        np.testing.assert_array_equal(batch.values, self._expected())
+
+    @pytest.mark.parametrize("col, cell, error, match", [
+        (2, "x", UnparseableValue, "line 10, column 'b': cannot parse value 'x'"),
+        (1, "inf", UnparseableValue, "line 10, column 'a': cannot parse"),
+        (0, "bad", UnparseableTimestamp, "line 10: cannot parse timestamp 'bad'")])
+    def test_refused_cell_in_a_later_block(self, tmp_path, col, cell, error,
+                                           match):
+        rows = self._rows()
+        rows[8][col] = cell  # line 10, in the third block
+        with pytest.raises(error, match=match):
+            pc.load_csv(_write(tmp_path, self._text(rows)), "t")
+
+    def test_quoted_cells(self, tmp_path):
+        rows = [[*row, "plain"] for row in self._rows()]
+        rows[1][3] = '"x, y"'
+        rows[6][1] = '"7.5"'
+        path = _write(tmp_path, self._text(rows, "t,a,b,note"))
+        batch = pc.load_csv(path, "t", ["a", "b"])
+        np.testing.assert_array_equal(batch.values, self._expected())
+        assert _same(batch, _per_cell(path, "t", ["a", "b"]))
+
+    @pytest.mark.parametrize("row, note", [
+        (3, '"x\ny"'), (3, '"\n\n\n\n\n"'), (1, '"x\ny"')])
+    def test_quoted_line_breaks(self, tmp_path, row, note):
+        # row 4 is the first block's last line, so its note runs into the
+        # second block; row 2's note leaves the first block 3 records
+        rows = [[*cells, ""] for cells in self._rows()]
+        rows[row][3] = note
+        path = _write(tmp_path, self._text(rows, "t,a,b,note"))
+        batch = pc.load_csv(path, "t", ["a", "b"])
+        np.testing.assert_array_equal(batch.values, self._expected())
+        assert _same(batch, _per_cell(path, "t", ["a", "b"]))
+        # a line number counts csv records, a multi-line record as one
+        rows[8][2] = "x"
+        with pytest.raises(UnparseableValue, match="line 10, column 'b'"):
+            pc.load_csv(_write(tmp_path, self._text(rows, "t,a,b,note")), "t",
+                        ["a", "b"])
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = _write(tmp_path, self._text(self._rows(), end="\r\n"))
+        batch = pc.load_csv(path, "t")
+        np.testing.assert_array_equal(batch.values, self._expected())
+        assert _same(batch, _per_cell(path, "t"))
+
+    def test_blank_line_and_short_row_at_a_block_boundary(self, tmp_path):
+        lines = [",".join(row) for row in self._rows()]
+        lines[3] = "4,4.5"  # the first block's last line lacks its b cell
+        lines.insert(4, "")  # and the second block starts blank
+        path = _write(tmp_path, "t,a,b\n" + "\n".join(lines) + "\n")
+        batch = pc.load_csv(path, "t")
+        expected = self._expected()
+        expected[1, 3] = np.nan
+        np.testing.assert_array_equal(batch.values, expected)
+        assert _same(batch, _per_cell(path, "t"))
+
+    def test_rows_sorted_across_blocks(self, tmp_path):
+        rows = self._rows()
+        random.Random(0).shuffle(rows)
+        path = _write(tmp_path, self._text(rows))
+        batch = pc.load_csv(path, "t")
+        assert batch.t0 == 1.0
+        np.testing.assert_array_equal(batch.values, self._expected())
+        assert _same(batch, _per_cell(path, "t"))
+
+    def test_duplicate_stamp_across_blocks(self, tmp_path):
+        rows = self._rows()
+        rows[8][0] = "2"
+        with pytest.raises(DuplicateTimestamp, match="duplicate timestamp 2.0"):
+            pc.load_csv(_write(tmp_path, self._text(rows)), "t")
+
+    @pytest.mark.parametrize("stamps, tick", [
+        ([2 ** 64 + k for k in range(5)], None),
+        # each fits int64, but the last minus the first does not
+        ([-2 ** 63, -2 ** 62, 0, 2 ** 62, 2 ** 63 - 1], 2.0 ** 62)])
+    def test_integer_stamps_beyond_int64(self, tmp_path, stamps, tick):
+        rows = [[str(t), f"{k}.5", str(10 * k)]
+                for k, t in enumerate(stamps, start=1)]
+        path = _write(tmp_path, self._text(rows))
+        batch = pc.load_csv(path, "t", tick=tick)
+        assert batch.t0 == float(stamps[0])
+        np.testing.assert_array_equal(batch.values, self._expected(5))
+        assert _same(batch, _per_cell(path, "t", tick=tick))
+
+    def test_iso_stamps_across_blocks(self, tmp_path):
+        base = datetime(2024, 1, 1)
+        rows = [[(base + timedelta(milliseconds=100 * k)).isoformat(), a, b]
+                for k, (_, a, b) in enumerate(self._rows())]
+        random.Random(1).shuffle(rows)
+        path = _write(tmp_path, self._text(rows))
+        batch = pc.load_csv(path, "t", tick=0.1)
+        assert batch.t0 == base.replace(tzinfo=timezone.utc).timestamp()
+        np.testing.assert_array_equal(batch.values, self._expected())
+        assert _same(batch, _per_cell(path, "t", tick=0.1))
+
+    def test_negative_nan_keeps_its_bits(self, tmp_path):
+        rows = self._rows()
+        rows[6][1], rows[2][2] = "-nan", "nan"
+        path = _write(tmp_path, self._text(rows))
+        batch = pc.load_csv(path, "t")
+        assert np.signbit(batch.values[0, 6]) and np.isnan(batch.values[0, 6])
+        assert not np.signbit(batch.values[1, 2])
+        assert _same(batch, _per_cell(path, "t"))
+
+
+_BASE = datetime(2024, 1, 1)
+_STAMPS = {"int": str, "decimal": lambda k: repr(k / 8),
+           "iso": lambda k: (_BASE + timedelta(milliseconds=k)).isoformat()}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_CELLS = st.one_of(
+    _FINITE.map(repr), _FINITE.map(lambda x: f" {x!r}  "),
+    st.sampled_from(["", "nan", "-nan", "NaN", " ", "\t", "1_000", "-0.0",
+                     "1e-320"]))
+
+
+@st.composite
+def _tables(draw):
+    """The text of a small CSV: 1-3 series, unique stamps in random order,
+    all of one kind, and cells of every form a number or a gap takes."""
+    n_series = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
+                         max_size=16, unique=True))
+    render = _STAMPS[draw(st.sampled_from(sorted(_STAMPS)))]
+    pad = " " if draw(st.booleans()) else ""
+    lines = ["t," + ",".join(f"s{i}" for i in range(n_series))]
+    for key in keys:
+        cells = draw(st.lists(_CELLS, min_size=n_series, max_size=n_series))
+        lines.append(",".join([pad + render(key) + pad, *cells]))
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockSizes:
+    @given(_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_block_size_does_not_change_the_batch(self, tmp_path_factory,
+                                                  table):
+        path = tmp_path_factory.mktemp("table") / "data.csv"
+        path.write_text(table, encoding="utf-8")
+        reference = _per_cell(path, "t")
+        for size in (1, 2, 7, ingestion.BULK_STEPS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingestion, "BULK_STEPS", size)
+                assert _same(pc.load_csv(path, "t"), reference)
+
+
+def test_load_peak_memory_is_at_most_three_batches(tmp_path):
+    # the per-row lists of floats it held peaked at 8.5 batches
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(10, 20_000))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    path = tmp_path / "data.csv"
+    pc.write_csv(pc.TimeSeriesBatch([f"s{i}" for i in range(10)], values), path)
+    tracemalloc.start()
+    try:
+        batch = pc.load_csv(path, "t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.values.tobytes() == values.tobytes()
+    assert peak <= 3 * batch.values.nbytes
 
 
 class TestBatchValues:
