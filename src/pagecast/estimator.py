@@ -91,28 +91,42 @@ class SegmentFit:
         return self
 
     def extend(self, raw: np.ndarray) -> None:
-        """Fold one new Page column per series into the fitted factors and
-        refit both betas against the new last Page row.
+        """Fold every completed Page column of the segment's N x T raw steps
+        (NaN where missing) past the fitted ones into the factors, at the
+        fitted ranks, and then refit both betas once, against the new last
+        Page row.  The trailing T mod L steps wait for a later call.
 
-        ``raw`` holds the segment's N x L*(P+1) raw steps (NaN where
-        missing), for the P Page columns per series already fitted; its last
-        L steps become the matrix's next N columns, at the fitted ranks.
+        The Page columns go in in time order, each as one
+        :func:`~pagecast.svd_engine.append_columns` call per factor set
+        that adds its N matrix columns.  No beta is read between the
+        appends, so one call leaves the bits that as many calls of one
+        Page column each would.
         """
-        L = self.L
+        n = raw.shape[0]
+        mean, var, fc_mean, fc_var = (self.mean_svd, self.var_svd,
+                                      self.fc_mean_svd, self.fc_var_svd)
+        L = mean.U.shape[0]
+        fitted = mean.V.shape[0] // n
+        P = raw.shape[1] // L
         # Called through page_matrix, where perfbench's tracer counts builds.
-        B = page_matrix.build_stacked_page(raw[:, -L:], L)
-        B_sq = B * B
+        new = page_matrix.build_stacked_page(raw[:, L * fitted:L * P], L)
+        new_sq = new * new
         # The last Page row: every L-th step's Page matrix at window 1 is
         # that row, already in V's row order.
-        last_row = page_matrix.build_stacked_page(raw[:, L - 1::L], 1)[0]
+        last_row = page_matrix.build_stacked_page(raw[:, L - 1:L * P:L], 1)[0]
         # Called through svd_engine, where perfbench's tracer counts appends.
         append = svd_engine.append_columns
-        self.mean_svd = append(self.mean_svd, B, self.k1)
-        self.var_svd = append(self.var_svd, B_sq, self.k2)
-        self.fc_mean_svd = append(self.fc_mean_svd, B[:-1], self.fc_mean_svd.rank)
-        self.fc_var_svd = append(self.fc_var_svd, B_sq[:-1], self.fc_var_svd.rank)
-        self.beta_mean = pcr_coefficients(self.fc_mean_svd, last_row)
-        self.beta_var = pcr_coefficients(self.fc_var_svd, last_row * last_row)
+        ranks = mean.rank, var.rank, fc_mean.rank, fc_var.rank
+        for j in range(0, new.shape[1], n):
+            B, B_sq = new[:, j:j + n], new_sq[:, j:j + n]
+            mean = append(mean, B, ranks[0])
+            var = append(var, B_sq, ranks[1])
+            fc_mean = append(fc_mean, B[:-1], ranks[2])
+            fc_var = append(fc_var, B_sq[:-1], ranks[3])
+        self.mean_svd, self.var_svd = mean, var
+        self.fc_mean_svd, self.fc_var_svd = fc_mean, fc_var
+        self.beta_mean = pcr_coefficients(fc_mean, last_row)
+        self.beta_var = pcr_coefficients(fc_var, last_row * last_row)
 
 
 @dataclass

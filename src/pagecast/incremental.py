@@ -230,9 +230,10 @@ class PredictionModel:
         self.t0 = t0
         self.step = step
         self.n_steps = 0
-        self.obs_sum = 0.0
-        self.obs_sumsq = 0.0
-        self.obs_cnt = 0
+        # The observed values' sum, sum of squares and count over the steps
+        # before the fourth entry.  They lag the raw window, which
+        # _folded_moments reads to bring them up to date.
+        self._moments = (0.0, 0.0, 0, 0)
         self.half_steps = max(1, self.hp.Tprime // (2 * self.N))
         # Retrain thresholds of later segments ([0]) and the first ([1]).
         self._thresholds = [retrain_thresholds(self.hp, f) for f in (False, True)]
@@ -242,6 +243,44 @@ class PredictionModel:
         self.query_stats = {"factor_entries": 0}
 
     # --- basic state ----------------------------------------------------
+
+    @property
+    def obs_sum(self) -> float:
+        """The sum of every observed value inserted."""
+        return self._folded_moments()[0]
+
+    @property
+    def obs_sumsq(self) -> float:
+        """The sum of the squares of every observed value inserted."""
+        return self._folded_moments()[1]
+
+    @property
+    def obs_cnt(self) -> int:
+        """The number of observed values inserted."""
+        return self._folded_moments()[2]
+
+    def _folded_moments(self) -> tuple[float, float, int, int]:
+        """The moments with every step inserted so far folded in.  The steps
+        since the last fold are read off the raw window, ``BULK_STEPS`` rows
+        at a time: row sums of a zero-filled C-contiguous (n, N) copy, added
+        in step order, give the same floats whatever the folds' sizes, so
+        the moments do not depend on when they are read."""
+        moments = self._moments
+        if moments[3] < self.n_steps:
+            total, total_sq, count, first = moments
+            rows = self.raw.slice_steps(first, self.n_steps).T
+            for pos in range(0, len(rows), BULK_STEPS):
+                block = rows[pos:pos + BULK_STEPS]
+                finite = np.isfinite(block)
+                block = np.where(finite, block, 0.0)
+                sums, sums_sq = np.add.reduce([block, block * block], 2).tolist()
+                for row_sum, row_sum_sq in zip(sums, sums_sq):
+                    total += row_sum
+                    total_sq += row_sum_sq
+                count += int(np.count_nonzero(finite))
+            # One assignment, so that a reader never sees a half-made fold.
+            self._moments = moments = (total, total_sq, count, self.n_steps)
+        return moments
 
     @property
     def fallback_mean(self) -> float:
@@ -317,19 +356,21 @@ class PredictionModel:
         if values.ndim != 2 or values.shape[0] != self.N:
             raise WidthMismatch(
                 f"block has shape {values.shape}, model has {self.N} series")
-        for pos in range(0, values.shape[1], BULK_STEPS):
+        n = values.shape[1]
+        for pos in range(0, n, BULK_STEPS):
             self._check_magnitudes(values[:, pos:pos + BULK_STEPS], pos)
-        last = self.n_steps + values.shape[1] - 1
+        last = self.n_steps + n - 1
         pos = 0
-        while pos < values.shape[1]:
+        while pos < n:
             step = self.n_steps
             opening = len(self.submodels) * self.half_steps
-            stop = pos + (1 if step == opening else
-                          min(values.shape[1] - pos, BULK_STEPS, opening - step))
+            stop = (pos + 1 if step == opening else
+                    min(n, pos + BULK_STEPS, pos + opening - step))
             self._add_steps(values[:, pos:stop])
             if step == opening:
                 self.submodels.append(SubModel(len(self.submodels), step, self.N))
                 if len(self.submodels) >= 2:
+                    self._folded_moments()  # before their steps are pruned
                     margin = max((sm.L or 2) for sm in self.submodels) + 2
                     self.raw.prune_before(max(0, min(self.submodels[-2].start_step,
                                                      step + 1 - margin)))
@@ -387,34 +428,26 @@ class PredictionModel:
         return None if due is None else (due, True)
 
     def _add_steps(self, values: np.ndarray) -> None:
-        """Add an N x n block to the raw window as given, and its finite
-        (observed) entries to the moments.  Row sums of a C-contiguous (n, N)
-        zero-filled copy, added in step order, give the same floats whatever
-        the block sizes."""
-        finite = np.isfinite(values)
-        rows = np.ascontiguousarray(np.where(finite, values, 0.0).T)
-        for row_sum, row_sumsq in zip(rows.sum(axis=1).tolist(),
-                                      (rows * rows).sum(axis=1).tolist()):
-            self.obs_sum += row_sum
-            self.obs_sumsq += row_sumsq
-        self.obs_cnt += int(np.count_nonzero(finite))
+        """Add an N x n block to the raw window as given; its observed
+        entries reach the moments at their next fold."""
         self.raw.extend(values)
         self.n_steps += values.shape[1]
 
     def _catch_up(self, sm: SubModel, first: int, last: int) -> None:
         """Fire every :meth:`_next_event` of ``sm`` that its steps have
-        reached, each on the segment's raw steps up to the event's count; an
-        overdue retrain fires at the count after global step ``first``, the
-        first of the steps just added."""
-        while ((event := self._next_event(sm, last)) is not None
-               and event[0] <= self._seg_steps(sm)):
-            count = max(event[0], first + 1 - sm.start_step)
-            raw = self.raw.slice_steps(sm.start_step, sm.start_step + count)
+        reached.  A retrain reads the segment's raw steps up to its count;
+        an overdue one fires at the count after global step ``first``, the
+        first of the steps just added.  An append reads every step the
+        segment has, and folds in each Page column they complete."""
+        have = self._seg_steps(sm)
+        while (event := self._next_event(sm, last)) is not None and event[0] <= have:
             if event[1]:
+                count = max(event[0], first + 1 - sm.start_step)
+                raw = self.raw.slice_steps(sm.start_step, sm.start_step + count)
                 sm.fit(raw, self._window_for(count), self.hp.k1, self.hp.k2)
                 sm.retrain_history.append((sm.start_step + count) * self.N)
             else:
-                sm.extend(raw)
+                sm.extend(self.raw.slice_steps(sm.start_step, sm.start_step + have))
             self._coeff_cache = None
 
     def _window_for(self, t_seg: int) -> int:

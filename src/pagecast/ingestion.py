@@ -100,15 +100,26 @@ class TimeSeriesBatch:
         return self.values.shape[1]
 
 
+# The largest finite float, exactly, as an int.
+_FLOAT_MAX = int(np.finfo(np.float64).max)
+
+
 def _parse_timestamp(text: str, lineno: int) -> int | Fraction:
     """Seconds since the epoch, exactly as written (an int or a Fraction):
     as floats, epoch-sized stamps lose their sub-second digits.  An ISO-8601
-    stamp without a UTC offset is read as UTC, whatever the host's zone."""
+    stamp without a UTC offset is read as UTC, whatever the host's zone.  A
+    stamp beyond float range is refused, an integer as ``1e400`` is."""
     text = text.strip()
     try:
-        return int(text)
+        stamp = int(text)
     except ValueError:
         pass
+    else:
+        if abs(stamp) <= _FLOAT_MAX:
+            return stamp
+        raise UnparseableTimestamp(
+            f"line {lineno}: timestamp {text[:12]}... ({len(text)} characters) "
+            "is beyond float range")
     try:
         if math.isfinite(float(text)):
             return Fraction(text)
@@ -318,7 +329,11 @@ def load_csv(path, time_col: str, value_cols: list[str] | None = None,
         ts = ts[order]
     if ts.dtype == np.int64 and int(ts[-1]) - int(ts[0]) >= 2 ** 63:
         ts = ts.astype(object)  # the int64 difference would wrap
-    offsets = (ts - ts[0]).astype(np.float64)
+    try:
+        offsets = (ts - ts[0]).astype(np.float64)
+    except OverflowError:
+        raise UnparseableTimestamp(
+            f"{path}: the timestamps span more than float range") from None
 
     if tick is not None:
         # Sorted rows give sorted buckets, so a repeat is a zero difference.

@@ -284,9 +284,6 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
     model = PredictionModel(json.loads(manifest["names"]), hp,
                             t0=float.fromhex(manifest["t0"]),
                             step=float.fromhex(manifest["step"]))
-    model.obs_sum = float.fromhex(manifest["obs_sum"])
-    model.obs_sumsq = float.fromhex(manifest["obs_sumsq"])
-    model.obs_cnt = int(manifest["obs_cnt"])
 
     def window(shape):  # rows of a new window: (steps, series)
         if shape[1] != model.N:
@@ -296,6 +293,9 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
 
     _load_array(directory, "raw_values.f64", manifest, window)
     model.n_steps = model.raw.start_step + model.raw.n_cols
+    model._moments = (float.fromhex(manifest["obs_sum"]),
+                       float.fromhex(manifest["obs_sumsq"]),
+                       int(manifest["obs_cnt"]), model.n_steps)
 
     histories = [list(json.loads(manifest[f"sub{i}.retrain_history"]))
                  for i in range(-(-model.n_steps // model.half_steps))]

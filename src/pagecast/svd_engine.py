@@ -59,14 +59,16 @@ class TruncatedSVD:
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.s) @ self.V.T
 
-    def copy(self) -> "TruncatedSVD":
-        return TruncatedSVD(self.U.copy(), self.s.copy(), self.V.copy())
-
     def orthogonality_error(self) -> float:
         k = self.rank
         eu = np.abs(self.U.T @ self.U - np.eye(k)).max()
         ev = np.abs(self.V.T @ self.V - np.eye(k)).max()
         return max(float(eu), float(ev))
+
+
+def _largest_entries(U: np.ndarray) -> np.ndarray:
+    """Each column's entry of largest magnitude (the first, on a tie)."""
+    return U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])]
 
 
 def _sign_fix(U: np.ndarray, V: np.ndarray) -> None:
@@ -75,7 +77,7 @@ def _sign_fix(U: np.ndarray, V: np.ndarray) -> None:
     In-place; makes factorizations deterministic for serialization and
     golden tests.
     """
-    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+    flip = _largest_entries(U) < 0
     if flip.any():
         U[:, flip] *= -1.0
         V[:, flip] *= -1.0
@@ -187,31 +189,43 @@ def append_columns(svd: TruncatedSVD, B: np.ndarray, k: int) -> TruncatedSVD:
     within rank k, the result matches the batch SVD of the concatenation.
     U' is orthonormal to rounding whatever the drift of U; V' inherits
     V's, so V' alone is re-orthogonalized once its drift exceeds
-    ORTHO_DRIFT_TOL.  Raises :class:`NonFiniteInput` if ``B`` holds NaN or
-    infinity, and :class:`RankOutOfRange` unless k is an integer (not a
-    bool) in [1, min(rows, columns of [A | B])].
+    ORTHO_DRIFT_TOL.  With no new column the result is the leading
+    min(k, rank) factors.  Raises :class:`NonFiniteInput` if ``B`` holds
+    NaN or infinity, and :class:`RankOutOfRange` unless k is an integer
+    (not a bool) in [1, min(rows, columns of [A | B])].
     """
     B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2 or B.shape[0] != svd.U.shape[0]:
-        raise ShapeMismatch(
-            f"B has shape {B.shape}, expected ({svd.U.shape[0]}, c)")
-    if not np.all(np.isfinite(B)):
+    U, s, V = svd.U, svd.s, svd.V
+    rows, kk = U.shape
+    if B.ndim != 2 or B.shape[0] != rows:
+        raise ShapeMismatch(f"B has shape {B.shape}, expected ({rows}, c)")
+    if np.count_nonzero(np.isfinite(B)) < B.size:
         raise NonFiniteInput("B contains NaN or infinity")
-    rows, c = B.shape
-    old_cols = svd.V.shape[0]
+    c = B.shape[1]
+    old_cols = V.shape[0]
     if not is_integer(k) or not 1 <= k <= min(rows, old_cols + c):
         raise RankOutOfRange(
             f"k={k!r} is not an integer in [1, {min(rows, old_cols + c)}]")
     if c == 0:
-        return svd.copy()
+        k = min(k, kk)
+        return TruncatedSVD(U[:, :k].copy(), s[:k].copy(), V[:, :k].copy())
 
-    U, s, V = svd.U, svd.s, svd.V
-    kk = len(s)
-    F, theta, Gt = np.linalg.svd(np.hstack([U * s, B]), full_matrices=False)
+    small = np.empty((rows, kk + c))
+    np.multiply(U, s, out=small[:, :kk])
+    small[:, kk:] = B
+    F, theta, Gt = np.linalg.svd(small, full_matrices=False)
     k_new = min(k, len(theta))
-    U_new, G = F[:, :k_new], Gt[:k_new].T
-    _sign_fix(U_new, G)  # on the small G, so _factors flips no C-row V
-    V_new = np.vstack([V @ G[:kk], G[kk:]])
-    if np.abs(V_new.T @ V_new - np.eye(k_new)).max() > ORTHO_DRIFT_TOL:
+    # The sign fix of the small factors, as products with -1.0 or 1.0 (exact,
+    # and F's columns are orthonormal, so no largest entry is zero); V' is
+    # rotated from the fixed G.
+    sign = np.copysign(1.0, _largest_entries(F[:, :k_new]))
+    U_new = F[:, :k_new] * sign
+    G = Gt[:k_new].T * sign
+    V_new = np.empty((old_cols + c, k_new))
+    np.matmul(V, G[:kk], out=V_new[:old_cols])
+    V_new[old_cols:] = G[kk:]
+    drift = V_new.T @ V_new
+    drift.ravel()[::k_new + 1] -= 1.0  # V'^T V' - I, in place
+    if np.abs(drift).max() > ORTHO_DRIFT_TOL:
         V_new = _reorthogonalize(V_new)
-    return _factors(U_new, theta[:k_new], V_new)
+    return TruncatedSVD(U_new, theta[:k_new], V_new)

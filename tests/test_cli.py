@@ -95,6 +95,15 @@ class TestCreatePredict:
         assert "error: UnparseableTimestamp" in err and "line 3" in err
         assert "Traceback" not in err
 
+    def test_create_stamp_beyond_float_range_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("t,a\n1,5\n1" + "0" * 400 + ",6\n")
+        code, out, err = _run(capsys, [
+            "create", "--input", str(data), "--model", str(tmp_path / "m")])
+        assert code == 1 and out == ""
+        assert "error: UnparseableTimestamp" in err and "line 3" in err
+        assert "Traceback" not in err
+
     def test_create_tick_keeps_on_grid_rows(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("t,a\n" + "".join(

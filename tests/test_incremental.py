@@ -289,6 +289,28 @@ class TestInsertEquivalence:
         assert model.fallback_mean == pytest.approx(6.0)
         assert not model.submodels[0].trained
 
+    def test_moments_do_not_depend_on_when_they_are_read(self):
+        # The moments are folded in from the raw window when read and before
+        # a prune; reading them after every block, after some blocks or only
+        # at the end gives the bits of a step-by-step loop of row sums.
+        hp = pc.HyperParams(T0=20, Tprime=300)
+        vals = _stream(1000, 3, seed=8).values
+        vals[np.random.default_rng(8).random(vals.shape) < 0.2] = np.nan
+        total = total_sq = 0.0
+        for row in np.where(np.isfinite(vals), vals, 0.0).T:
+            total += float(row.sum())
+            total_sq += float((row * row).sum())
+        for read_every in (1, 170, None):
+            model = pc.PredictionModel(["a", "b", "c"], hp)
+            for j in range(0, vals.shape[1], 50):
+                model.insert_many(vals[:, j:j + 50])
+                if read_every and j % read_every < 50:
+                    model.fallback_var
+            assert model.raw.start_step > 0  # the window was pruned
+            assert (model.obs_sum.hex(), model.obs_sumsq.hex()) == (
+                total.hex(), total_sq.hex())
+            assert model.obs_cnt == np.count_nonzero(np.isfinite(vals))
+
     def test_window_policy_recomputed_at_retrain(self):
         hp = pc.HyperParams(T0=64, gamma=1.0, Tprime=100_000)
         model = pc.create_model(_stream(4000, seed=7), hp)
@@ -556,6 +578,26 @@ class TestInsertMany:
         assert opened == 20 and {sm.L for sm in model.submodels[1:]} == {2}
         assert len(calls) <= -(-vals.shape[1] // inc.BULK_STEPS) + 2 * opened
         _assert_same_state(model, ref)
+
+    def test_bulk_insert_refits_beta_once_per_catch_up(self, monkeypatch):
+        # Later sub-models freeze at L=2, so a 1024-step piece completes
+        # hundreds of Page columns; one extend folds them all in and refits
+        # the betas once, where a step at a time refits them per column.
+        hp = pc.HyperParams(T0=50, gamma=0.3, Tprime=3000)
+        vals = _stream(5000, 3, seed=4).values
+        pcr_calls, extends = [], []
+        pcr, extend = pc.estimator.pcr_coefficients, inc.SubModel.extend
+        monkeypatch.setattr(pc.estimator, "pcr_coefficients",
+                            lambda *a: pcr_calls.append(1) or pcr(*a))
+        monkeypatch.setattr(inc.SubModel, "extend", lambda sm, raw: (
+            extends.append(raw.shape[1] // sm.L - sm.P) or extend(sm, raw)))
+        model = pc.PredictionModel(["a", "b", "c"], hp)
+        model.insert_many(vals)
+        retrains = sum(len(sm.retrain_history) for sm in model.submodels)
+        assert len(pcr_calls) == 2 * (retrains + len(extends))
+        pieces = -(-vals.shape[1] // inc.BULK_STEPS) + len(model.submodels)
+        assert len(extends) <= 2 * pieces  # a piece reaches two sub-models
+        assert sum(extends) > 20 * len(extends)  # Page columns folded in
 
     def test_reference_spans_several_segments(self):
         ref, events = _reference(1)[:2]

@@ -116,6 +116,19 @@ class TestLoadCsv:
         with pytest.raises(UnparseableTimestamp):
             pc.load_csv(_write(tmp_path, f"t,a\n{stamp},5\n2,6\n"), "t")
 
+    @pytest.mark.parametrize("stamp", ["1" + "0" * 400, "-1" + "0" * 400],
+                             ids=["positive", "negative"])
+    def test_stamp_beyond_float_range_refused(self, tmp_path, stamp):
+        path = _write(tmp_path, f"t,a\n1,5\n{stamp},6\n")
+        with pytest.raises(UnparseableTimestamp, match="line 3: .* beyond float"):
+            pc.load_csv(path, "t")
+
+    def test_stamps_spanning_beyond_float_range_refused(self, tmp_path):
+        # each stamp is a float, but their difference is not
+        path = _write(tmp_path, f"t,a\n-1{'0' * 308},5\n1{'0' * 308},6\n")
+        with pytest.raises(UnparseableTimestamp, match="span more than float"):
+            pc.load_csv(path, "t")
+
     def test_row_without_time_cell(self, tmp_path):
         path = _write(tmp_path, "a,t\n5,1\n6\n7,3\n")
         with pytest.raises(UnparseableTimestamp, match="line 3"):

@@ -155,6 +155,75 @@ class TestSelectRank:
         assert pc.select_rank(s, rows, cols) == pc.select_rank(c * s, rows, cols)
 
 
+def _reference_sign_fix(U, V):
+    flip = U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0
+    if flip.any():
+        U[:, flip] *= -1.0
+        V[:, flip] *= -1.0
+
+
+def _reference_append(svd, B, k):
+    """The one-thin-SVD append written plainly: hstack, thin SVD, sign fix
+    of the small factors, vstack, a drift check against np.eye, then
+    contiguous copies, a second sign fix and an own copy of s."""
+    U, s, V = svd.U, svd.s, svd.V
+    kk = len(s)
+    F, theta, Gt = np.linalg.svd(np.hstack([U * s, B]), full_matrices=False)
+    k_new = min(k, len(theta))
+    U_new, G = F[:, :k_new], Gt[:k_new].T
+    _reference_sign_fix(U_new, G)
+    V_new = np.vstack([V @ G[:kk], G[kk:]])
+    if np.abs(V_new.T @ V_new - np.eye(k_new)).max() > svd_engine.ORTHO_DRIFT_TOL:
+        V_new = svd_engine._reorthogonalize(V_new)
+    U_new, V_new = np.ascontiguousarray(U_new), np.ascontiguousarray(V_new)
+    _reference_sign_fix(U_new, V_new)
+    return pc.TruncatedSVD(U_new, theta[:k_new].copy(), V_new)
+
+
+def _same_bytes(a, b):
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.U, b.U), (a.s, b.s), (a.V, b.V)))
+
+
+class TestAppendMatchesReference:
+    """append_columns gives the reference formula's U, s and V, bit for bit."""
+
+    @pytest.mark.parametrize("rows, rank, c, k, cols", [
+        (3, 1, 1, 1, 100),     # stream_uni's L=3
+        (19, 2, 1, 2, 200),
+        (20, 8, 10, 8, 60),
+        (20, 8, 10, 4, 60),    # truncation below the rank
+        (30, 5, 10, 12, 50),   # rank growth
+        (3, 2, 10, 2, 20),     # rows < rank + c
+    ])
+    def test_chained_appends(self, rows, rank, c, k, cols):
+        rng = np.random.default_rng(rows * 100 + c)
+        basis = rng.normal(size=(rows, 3))
+        svd = pc.truncated_svd(rng.normal(size=(rows, cols)), rank)
+        ref = svd
+        for _ in range(40):
+            B = basis @ rng.normal(size=(3, c)) + 0.1 * rng.normal(size=(rows, c))
+            svd = pc.append_columns(svd, B, k)
+            ref = _reference_append(ref, B, k)
+            assert _same_bytes(svd, ref)
+        assert svd.rank == min(k, rows)
+
+    def test_reorthogonalization_branch(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        svd = pc.truncated_svd(rng.normal(size=(20, 60)), 8)
+        drifted = pc.TruncatedSVD(svd.U + 1e-6 * rng.normal(size=svd.U.shape),
+                                  svd.s,
+                                  svd.V + 1e-6 * rng.normal(size=svd.V.shape))
+        B = rng.normal(size=(20, 5))
+        calls = []
+        real = svd_engine._reorthogonalize
+        monkeypatch.setattr(svd_engine, "_reorthogonalize",
+                            lambda Q: calls.append(Q.shape) or real(Q))
+        out = pc.append_columns(drifted, B, 8)
+        assert calls == [(65, 8)]
+        assert _same_bytes(out, _reference_append(drifted, B, 8))
+
+
 class TestAppendColumns:
     def test_zero_column_append(self):
         rng = np.random.default_rng(6)
@@ -163,6 +232,16 @@ class TestAppendColumns:
         out = pc.append_columns(svd, np.zeros((5, 2)), 3)
         np.testing.assert_allclose(out.s, svd.s, rtol=1e-12)
         np.testing.assert_allclose(out.V[-2:], 0.0, atol=1e-12)
+
+    def test_zero_columns_keep_the_leading_k_factors(self):
+        rng = np.random.default_rng(16)
+        svd = pc.truncated_svd(rng.normal(size=(6, 9)), 4)
+        out = pc.append_columns(svd, np.zeros((6, 0)), 2)
+        assert out.rank == 2 and out.V.shape == (9, 2)
+        for got, want in ((out.U, svd.U), (out.s, svd.s), (out.V, svd.V)):
+            np.testing.assert_array_equal(got, want[..., :2])
+            assert not np.shares_memory(got, want)
+        assert pc.append_columns(svd, np.zeros((6, 0)), 6).rank == 4
 
     def test_rank_one_exact(self):
         a = np.ones((3, 2))
@@ -196,24 +275,23 @@ class TestAppendColumns:
             pc.append_columns(svd, b, 2)
 
     def test_no_long_v_is_flipped(self, monkeypatch):
-        """The small factors are sign-fixed before V is rotated, so the final
-        sign fix never flips a column of the C-row V."""
-        flips = []
-        real = svd_engine._sign_fix
-
-        def spy(U, V):
-            if V.shape[0] > 2:  # longer than the k + c = 2 rows of G
-                flips.append(bool(
-                    (U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])] < 0).any()))
-            real(U, V)
+        """The signs are fixed on the small factors before V is rotated, so
+        no sign fix sees the C-row V."""
+        rows_seen = []
+        for name in ("_largest_entries", "_sign_fix"):
+            def spy(*factors, real=getattr(svd_engine, name)):
+                rows_seen.append(max(f.shape[0] for f in factors))
+                return real(*factors)
+            monkeypatch.setattr(svd_engine, name, spy)
         rng = np.random.default_rng(15)
         x = np.cos(2 * np.pi * np.arange(3015) / 800) + 0.1 * rng.normal(size=3015)
         page = x.reshape(-1, 3).T  # stream_uni's L=3 Page matrix
         svd = pc.truncated_svd(page[:, :5], 1)
-        monkeypatch.setattr(svd_engine, "_sign_fix", spy)
+        del rows_seen[:]
         for j in range(5, 1005):
             svd = pc.append_columns(svd, page[:, j:j + 1], 1)
-        assert len(flips) == 1000 and not any(flips)
+        assert len(rows_seen) == 1000 and max(rows_seen) == 3  # F: L rows
+        assert svd.V.shape == (1005, 1)
 
     def test_shape_mismatch(self):
         svd = pc.truncated_svd(np.eye(3), 2)
