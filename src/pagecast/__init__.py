@@ -21,7 +21,8 @@ from .incremental import (
     create_model,
 )
 from .ingestion import TimeSeriesBatch, aggregate, load_csv, write_csv
-from .metrics import ExperimentGrid, nrmse, nrmse_pooled, r_squared, wbc
+from .metrics import (ExperimentGrid, nrmse, nrmse_pooled, r_squared,
+                      rolling_nrmse, wbc)
 from .page_matrix import build_stacked_page, cells, unstack
 from .persistence import load_model, save_model
 from .query import (
@@ -56,6 +57,7 @@ __all__ = [
     "save_model", "load_model",
     "SyntheticTruth", "gen_synthetic_I", "gen_synthetic_II",
     "gen_synthetic_III", "gen_lrf", "corrupt",
-    "ExperimentGrid", "nrmse", "nrmse_pooled", "r_squared", "wbc",
+    "ExperimentGrid", "nrmse", "nrmse_pooled", "r_squared", "rolling_nrmse",
+    "wbc",
     "__version__",
 ]

@@ -12,7 +12,8 @@ is the one full fit and :meth:`SegmentFit.extend` the one append;
 :func:`forecast` is every forecast, batch and served.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +21,11 @@ from . import kernels, page_matrix, svd_engine
 from .errors import InvalidL, LengthMismatch
 from .ingestion import TimeSeriesBatch, is_integer, zero_filled
 from .svd_engine import REL_FLOOR, TruncatedSVD, svd_with_spectrum
+
+
+def _stored(*stems):
+    """A state field, None unfitted, stored as the files ``stems``."""
+    return field(default=None, metadata={"stems": stems})
 
 
 @dataclass(eq=False)
@@ -30,15 +36,38 @@ class SegmentFit:
     the raw and of the squared observations (in :mod:`~pagecast.page_matrix`'s
     layout); ``fc_mean_svd`` and ``fc_var_svd`` factor their first
     L-1 rows, and ``beta_mean`` and ``beta_var`` regress the last row on
-    them.  L and the ranks k1 and k2 are read off the factors.
+    them.  L and the ranks k1 and k2 are read off the factors.  The fields,
+    in store order with each array's file stem, are the whole state.
     """
 
-    mean_svd: TruncatedSVD | None = None
-    var_svd: TruncatedSVD | None = None
-    fc_mean_svd: TruncatedSVD | None = None
-    fc_var_svd: TruncatedSVD | None = None
-    beta_mean: np.ndarray | None = None
-    beta_var: np.ndarray | None = None
+    mean_svd: TruncatedSVD | None = _stored("U", "S", "V")
+    fc_mean_svd: TruncatedSVD | None = _stored("Uf", "Sf", "Vf")
+    var_svd: TruncatedSVD | None = _stored("Uv", "Sv", "Vv")
+    fc_var_svd: TruncatedSVD | None = _stored("Uvf", "Svf", "Vvf")
+    beta_mean: np.ndarray | None = _stored("beta_mean")
+    beta_var: np.ndarray | None = _stored("beta_var")
+
+    def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
+        """(file stem, array) of every array of the state, in store order;
+        none unfitted."""
+        if self.trained:
+            for f in fields(self):
+                stems, value = f.metadata["stems"], getattr(self, f.name)
+                yield from zip(stems, (value.U, value.s, value.V)
+                               if len(stems) == 3 else (value,))
+
+    def factor_sets(self) -> list[TruncatedSVD]:
+        """The state's factor sets, in store order; none unfitted."""
+        return [getattr(self, f.name) for f in fields(self)
+                if self.trained and len(f.metadata["stems"]) == 3]
+
+    def set_arrays(self, read: Callable[[str], np.ndarray]) -> None:
+        """Set the whole state, in store order, from ``read(stem)``, the
+        array stored under each file stem (a vector as one column)."""
+        for f in fields(self):
+            parts = [read(stem) for stem in f.metadata["stems"]]
+            setattr(self, f.name, parts[0].reshape(-1) if len(parts) == 1
+                    else TruncatedSVD(parts[0], parts[1].reshape(-1), parts[2]))
 
     @property
     def trained(self) -> bool:

@@ -16,6 +16,7 @@ everything seen (fallback mode).
 """
 
 import bisect
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -292,6 +293,24 @@ class PredictionModel:
             return 0.0
         mu = self.fallback_mean
         return max(0.0, self.obs_sumsq / self.obs_cnt - mu * mu)
+
+    def digest(self) -> str:
+        """The sha256, in hex, of the state training reads and writes: the
+        step and sub-model counts, the moments (sums as hex floats), the raw
+        window's first step and stored steps, and each sub-model's first
+        step, retrain history and :meth:`~pagecast.estimator.SegmentFit.arrays`,
+        every array with its shape.  The window's spare capacity is left out."""
+        total, total_sq, count, _ = self._folded_moments()
+        items = [((self.n_steps, len(self.submodels), total.hex(), total_sq.hex(),
+                   count, self.raw.start_step), self.raw.rows())]
+        for sm in self.submodels:
+            items += [((sm.start_step, sm.retrain_history, stem), arr)
+                      for stem, arr in sm.arrays()]
+        digest = hashlib.sha256()
+        for label, arr in items:
+            digest.update(f"{label}{arr.shape}".encode())
+            digest.update(np.ascontiguousarray(arr))
+        return digest.hexdigest()
 
     def trained_submodels(self) -> list[SubModel]:
         return [sm for sm in self.submodels if sm.trained]

@@ -211,16 +211,16 @@ def _convert_block(lines: list[str], width: int, t_idx: int,
     return stamps, values.reshape(len(v_idx), len(lines))
 
 
-def _parse_rows(rows: list[list[str]], lineno: int, header: list[str],
+def _parse_rows(rows: list[list[str]], linenos: list[int], header: list[str],
                 t_idx: int, v_idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The stamps and the len(v_idx) x rows values of the csv records
-    ``rows``, the first of them line ``lineno``, read cell by cell.  A blank
-    row is skipped and a short row's missing cells are empty.  A cell that
-    is no stamp or no finite number, or a non-empty cell past the header's
-    width, raises naming its line."""
+    ``rows``, which start on the physical lines ``linenos``, read cell by
+    cell.  A blank row is skipped and a short row's missing cells are empty.
+    A cell that is no stamp or no finite number, or a non-empty cell past
+    the header's width, raises naming its record's first line."""
     width = len(header)
     stamps, values = [], []
-    for lineno, row in enumerate(rows, start=lineno):
+    for lineno, row in zip(linenos, rows):
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if any(cell.strip() for cell in row[width:]):
@@ -271,11 +271,12 @@ def _read_blocks(path, time_col: str, value_cols: list[str] | None
             block = _convert_block(lines, len(header), t_idx, v_idx)
             if block is None:
                 reader = csv.reader(chain(lines, fh))
-                rows = []
+                rows, starts = [], []
                 while reader.line_num < len(lines):
+                    starts.append(lineno + reader.line_num)
                     rows.append(next(reader))
-                block = _parse_rows(rows, lineno, header, t_idx, v_idx)
-                lineno += len(rows)
+                block = _parse_rows(rows, starts, header, t_idx, v_idx)
+                lineno += reader.line_num
             else:
                 lineno += len(lines)
             stamps.append(block[0])

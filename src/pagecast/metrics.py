@@ -1,4 +1,5 @@
-"""Accuracy scoring: NRMSE, R-squared, and Weighted Borda Count.
+"""Accuracy scoring: NRMSE, rolling-origin forecast NRMSE, R-squared, and
+Weighted Borda Count.
 
 NRMSE standardizes both prediction and truth by the truth series' mean and
 standard deviation before taking the RMSE, so errors are comparable across
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTruth, IncompleteGrid, LengthMismatch
+from .incremental import PredictionModel
+from .query import predict_range
 
 
 def _standardized_diff(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -43,6 +46,37 @@ def nrmse_pooled(pred: np.ndarray, truth: np.ndarray) -> float:
     sq = [np.mean(_standardized_diff(pred[i], truth[i]) ** 2)
           for i in range(truth.shape[0])]
     return float(np.sqrt(np.mean(sq)))
+
+
+def rolling_nrmse(model: PredictionModel, values: np.ndarray,
+                  latent: np.ndarray, targets: list[int],
+                  horizon: int) -> np.ndarray:
+    """Rolling-origin forecast NRMSE of each series in ``targets`` (indices
+    of ``model``'s series).
+
+    ``values`` is the model's N x T stream (NaN where missing), whose first
+    ``model.n_steps`` steps the model has been fed, and row i of ``latent``
+    the latent mean of series ``targets[i]`` over the same T steps.  The
+    origins are every ``horizon`` steps from the end of training while a
+    whole horizon is left.  At each one every target is forecast
+    ``horizon`` steps ahead (:func:`~pagecast.query.predict_range`, no
+    intervals), and then the model is fed those steps (``insert_many``).
+    Returns each target's :func:`nrmse` of its forecasts against its latent
+    mean, over all origins; ``model`` is left fed to the last horizon.
+    """
+    latent = np.asarray(latent, dtype=np.float64)
+    start = model.n_steps
+    origins = range(start, latent.shape[1] - horizon + 1, horizon)
+    end = start + len(origins) * horizon
+    pred = np.empty((len(targets), end - start))
+    for t in origins:
+        for row, target in enumerate(targets):
+            answers = predict_range(model, target, t + 1, t + horizon,
+                                    with_uq=False)
+            pred[row, t - start:t - start + horizon] = [r.mean for r in answers]
+        model.insert_many(values[:, t:t + horizon])
+    return np.array([nrmse(p, truth)
+                     for p, truth in zip(pred, latent[:, start:end])])
 
 
 def r_squared(pred: np.ndarray, truth: np.ndarray) -> float:

@@ -4,12 +4,12 @@ Layout of a saved model directory::
 
     <dir>/manifest.txt      UTF-8 key=value lines, checksums of every array
     <dir>/raw_values.f64    retained raw steps (NaN where missing)
-    <dir>/sub_<i>/          per trained sub-model:
-        U.f64 S.f64 V.f64              mean-model factors
-        Uf.f64 Sf.f64 Vf.f64           mean forecast factors
-        Uv.f64 Sv.f64 Vv.f64           variance-model factors
-        Uvf.f64 Svf.f64 Vvf.f64        variance forecast factors
-        beta_mean.f64 beta_var.f64     regression coefficients
+    <dir>/sub_<i>/          per trained sub-model: <stem>.f64 for each
+                            array of its state, under the file stems and
+                            in the order that
+                            :class:`~pagecast.estimator.SegmentFit`
+                            declares (U.f64 S.f64 V.f64 first, the mean
+                            factors)
 
 Every ``.f64`` file is two little-endian uint64 dimensions (rows, cols)
 followed by rows*cols little-endian IEEE-754 float64 values in column-major
@@ -61,17 +61,8 @@ import numpy as np
 from .errors import (ChecksumMismatch, CorruptManifest, InvalidParams,
                      VersionUnsupported)
 from .incremental import HyperParams, PredictionModel, SubModel, _RawWindow
-from .svd_engine import TruncatedSVD
 
 FORMAT_VERSION = 6
-
-_SVD_FILES = {
-    "mean_svd": ("U", "S", "V"),
-    "fc_mean_svd": ("Uf", "Sf", "Vf"),
-    "var_svd": ("Uv", "Sv", "Vv"),
-    "fc_var_svd": ("Uvf", "Svf", "Vvf"),
-}
-_VEC_FILES = ("beta_mean", "beta_var")
 
 
 class PersistenceReadError(CorruptManifest):
@@ -166,13 +157,8 @@ def save_model(model: PredictionModel, directory) -> dict:
         manifest[f"sub{sm.index}.retrain_history"] = json.dumps(sm.retrain_history)
         if not sm.trained:
             continue
-        sub = f"sub_{sm.index}"
-        for attr, names in _SVD_FILES.items():
-            svd = getattr(sm, attr)
-            for fname, arr in zip(names, (svd.U, svd.s, svd.V)):
-                emit(f"{sub}/{fname}.f64", arr)
-        for attr in _VEC_FILES:
-            emit(f"{sub}/{attr}.f64", getattr(sm, attr))
+        for stem, arr in sm.arrays():
+            emit(f"sub_{sm.index}/{stem}.f64", arr)
 
     for relpath, digest in checksums.items():
         manifest[f"checksum.{relpath}"] = digest
@@ -307,14 +293,8 @@ def _rebuild(directory: str, manifest: dict[str, str]) -> PredictionModel:
         sm = SubModel(i, i * model.half_steps, model.N)
         sm.retrain_history = history
         if history:
-            sub = f"sub_{i}"
-            for attr, fnames in _SVD_FILES.items():
-                U, s, V = (_load_array(directory, f"{sub}/{name}.f64", manifest)
-                           for name in fnames)
-                setattr(sm, attr, TruncatedSVD(U, s.reshape(-1), V))
-            for attr in _VEC_FILES:
-                vec = _load_array(directory, f"{sub}/{attr}.f64", manifest)
-                setattr(sm, attr, vec.reshape(-1))
+            sm.set_arrays(lambda stem: _load_array(
+                directory, f"sub_{i}/{stem}.f64", manifest))
             if version < 5:
                 _reorder_columns(sm, int(manifest[f"sub{i}.P"]))
             if (sm.L != model._window_for(history[-1] // model.N - sm.start_step)
@@ -329,7 +309,7 @@ def _reorder_columns(sm: SubModel, P: int) -> None:
     to row N*j + n.  Those stores kept column j of series n at row n*R + j
     for the R columns per series of the last retrain."""
     R = (sm.retrain_history[-1] // sm.N - sm.start_step) // sm.L
-    svds = [getattr(sm, attr) for attr in _SVD_FILES]
+    svds = sm.factor_sets()
     if not 0 <= R <= P or any(svd.V.shape[0] != sm.N * P for svd in svds):
         raise CorruptManifest(f"sub{sm.index}.P={P} disagrees with its V files")
     j, n = np.arange(P)[:, None], np.arange(sm.N)

@@ -5,7 +5,11 @@ Each test prints a single ``[acceptance] ... PASS/FAIL`` line (visible with
 else; instances are deterministic (fixed seeds, deterministic generators).
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -403,10 +407,10 @@ def _schedule_model(n_steps=260):
 # --- 10. performance scaling ------------------------------------------------------------
 
 
-def test_criterion_10_performance():
-    """Training time scales (near-)linearly in total observations and point
-    query latency does not grow with the training size.  This checks the
-    scaling property, not any absolute hardware-bound numbers."""
+def _scaling() -> dict:
+    """Criterion 10's measurement: per total size the best of repeated
+    create_model wall times, the two per-observation ratios of successive
+    sizes, and the p50 point latency on the smallest and the largest model."""
     n_series = 10
     sizes = [10_000, 100_000, 1_000_000]
     repeats = {10_000: 5, 100_000: 3, 1_000_000: 1}
@@ -441,8 +445,38 @@ def test_criterion_10_performance():
         return float(np.percentile(lat, 50))
 
     p50_latency(models[sizes[0]])  # warm-up
-    p_small = p50_latency(models[sizes[0]])
-    p_large = p50_latency(models[sizes[2]])
+    return {"times": times, "ratios": [ratio_a, ratio_b],
+            "p50": [p50_latency(models[sizes[0]]),
+                    p50_latency(models[sizes[2]])]}
+
+
+# Runs _scaling in a child process: it loads this file by path and prints
+# the result as JSON.
+_SCALING_CHILD = (
+    "import importlib.util, json, sys\n"
+    "spec = importlib.util.spec_from_file_location('acceptance', sys.argv[1])\n"
+    "module = importlib.util.module_from_spec(spec)\n"
+    "spec.loader.exec_module(module)\n"
+    "print(json.dumps(module._scaling()))\n")
+
+
+def test_criterion_10_performance():
+    """Training time scales (near-)linearly in total observations and point
+    query latency does not grow with the training size.  This checks the
+    scaling property, not any absolute hardware-bound numbers.  The cases
+    run in a child process with one BLAS thread, so the ratios follow the
+    code's scaling, not the host's thread state: the 1e5 case is mostly one
+    dense SVD, whose time the thread count moves by a factor of about 3."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(pc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _SCALING_CHILD, __file__],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    times, (ratio_a, ratio_b) = result["times"], result["ratios"]
+    p_small, p_large = result["p50"]
     lat_ratio = p_large / p_small
 
     ok = ratio_a <= 1.3 and ratio_b <= 1.3 and lat_ratio <= 2.0
@@ -471,31 +505,20 @@ def test_criterion_11_multivariate_benefit():
     train_steps, horizon = 11_000, 10
     targets = list(range(10))
 
-    def rolling_nrmse(series_subset, eval_targets):
+    def score(series_subset, eval_targets):
         obs = noisy.observations
         batch = pc.TimeSeriesBatch(
             [obs.names[i] for i in series_subset],
             obs.values[series_subset][:, :train_steps],
             obs.observed[series_subset][:, :train_steps])
         model = pc.create_model(batch, hp)
-        per = {tg: ([], []) for tg in eval_targets}
-        t = train_steps
-        while t + horizon <= truth.latent_mean.shape[1]:
-            for tg in eval_targets:
-                local = series_subset.index(tg)
-                rr = pc.predict_range(model, local, t + 1, t + horizon,
-                                      with_uq=False)
-                per[tg][0].extend(r.mean for r in rr)
-                per[tg][1].extend(truth.latent_mean[tg, t:t + horizon])
-            for j in range(horizon):
-                model.insert(obs.values[series_subset, t + j])
-            t += horizon
-        return float(np.mean([pc.nrmse(np.array(p), np.array(tr))
-                              for p, tr in per.values()]))
+        return float(np.mean(pc.rolling_nrmse(
+            model, obs.values[series_subset], truth.latent_mean[eval_targets],
+            [series_subset.index(tg) for tg in eval_targets], horizon)))
 
-    score_1 = float(np.mean([rolling_nrmse([tg], [tg]) for tg in targets]))
-    score_10 = rolling_nrmse(list(range(10)), targets)
-    score_40 = rolling_nrmse(list(range(40)), targets)
+    score_1 = float(np.mean([score([tg], [tg]) for tg in targets]))
+    score_10 = score(list(range(10)), targets)
+    score_40 = score(list(range(40)), targets)
 
     ratio = score_40 / score_1
     monotone = score_1 >= score_10 >= score_40

@@ -325,34 +325,12 @@ class TestInsertEquivalence:
         assert all(sm.L == 7 for sm in model.trained_submodels())
 
 
-def _same_array(x, y) -> bool:
-    if x is None or y is None:
-        return x is None and y is None
-    return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
 def _assert_same_state(a, b):
-    """Bit-for-bit equality of everything training reads or writes."""
-    assert (a.n_steps, a.obs_cnt) == (b.n_steps, b.obs_cnt)
-    assert a.obs_sum.hex() == b.obs_sum.hex()
-    assert a.obs_sumsq.hex() == b.obs_sumsq.hex()
+    """Bit-for-bit equality of everything training reads or writes: the
+    digest, and the raw window's buffer, which the digest leaves out."""
     ra, rb = a.raw, b.raw
     assert (ra._lo, ra._hi, ra._vals.shape) == (rb._lo, rb._hi, rb._vals.shape)
-    assert ra.start_step == rb.start_step
-    assert _same_array(ra.rows().T, rb.rows().T)
-    assert len(a.submodels) == len(b.submodels)
-    for sa, sb in zip(a.submodels, b.submodels):
-        for attr in ("start_step", "retrain_history", "L", "P", "k1", "k2"):
-            assert getattr(sa, attr) == getattr(sb, attr), (sa.index, attr)
-        for attr in ("mean_svd", "var_svd", "fc_mean_svd", "fc_var_svd"):
-            fa, fb = getattr(sa, attr), getattr(sb, attr)
-            assert (fa is None) == (fb is None), (sa.index, attr)
-            if fa is not None:
-                for x, y in ((fa.U, fb.U), (fa.s, fb.s), (fa.V, fb.V)):
-                    assert _same_array(x, y), (sa.index, attr)
-        for attr in ("beta_mean", "beta_var"):
-            assert _same_array(getattr(sa, attr), getattr(sb, attr)), (
-                sa.index, attr)
+    assert a.digest() == b.digest()
 
 
 def _answers(model):
@@ -640,6 +618,50 @@ class TestInsertMany:
             model.insert_many(np.zeros((3, 5)))
         with pytest.raises(WidthMismatch):
             model.insert_many(np.zeros(2))
+
+
+class TestDigest:
+    """``PredictionModel.digest()`` fingerprints the training state: bulk
+    and step-wise inserts agree on it, a store keeps it, a step moves it."""
+
+    @staticmethod
+    def _bulk(n_series):
+        vals, mask, hp = _chunk_stream(n_series)
+        model = pc.PredictionModel([f"s{i}" for i in range(n_series)], hp)
+        model.insert_many(vals if mask is None else np.where(mask, vals, np.nan))
+        return model
+
+    @pytest.mark.parametrize("n_series", [1, 3, 10])
+    def test_one_block_equals_one_insert_per_step(self, n_series):
+        ref = _reference(n_series)[0]
+        assert len(ref.trained_submodels()) >= 2
+        assert self._bulk(n_series).digest() == ref.digest()
+
+    @pytest.mark.parametrize("n_series", [1, 3])
+    def test_equal_across_save_and_load(self, n_series, tmp_path):
+        model = self._bulk(n_series)
+        pc.save_model(model, tmp_path / "m")
+        assert pc.load_model(tmp_path / "m").digest() == model.digest()
+
+    def test_changes_after_one_more_step(self):
+        model = self._bulk(3)
+        before = model.digest()
+        assert model.digest() == before
+        model.insert(np.full(3, np.nan))
+        assert model.digest() != before
+
+    def test_moves_with_any_entry_of_the_window_or_an_array(self):
+        model = self._bulk(3)
+        before = model.digest()
+        arrays = [arr for sm in model.submodels for _, arr in sm.arrays()]
+        assert len(arrays) == 14 * len(model.trained_submodels())
+        for arr in [model.raw.rows(), *arrays]:
+            index = (-1,) * arr.ndim
+            old = arr[index]
+            arr[index] = np.nan_to_num(old) + 1.0
+            assert model.digest() != before
+            arr[index] = old
+        assert model.digest() == before
 
 
 class TestOverflowingSquares:

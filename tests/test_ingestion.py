@@ -335,9 +335,21 @@ class TestBlocks:
         batch = pc.load_csv(path, "t", ["a", "b"])
         np.testing.assert_array_equal(batch.values, self._expected())
         assert _same(batch, _per_cell(path, "t", ["a", "b"]))
-        # a line number counts csv records, a multi-line record as one
+        # a line number is the physical line, so the note's breaks count
         rows[8][2] = "x"
-        with pytest.raises(UnparseableValue, match="line 10, column 'b'"):
+        line = 10 + note.count("\n")
+        with pytest.raises(UnparseableValue, match=f"line {line}, column 'b'"):
+            pc.load_csv(_write(tmp_path, self._text(rows, "t,a,b,note")), "t",
+                        ["a", "b"])
+
+    @pytest.mark.parametrize("bad, line", [(0, 2), (2, 5), (3, 6), (9, 12)])
+    def test_line_named_after_a_multi_line_record(self, tmp_path, bad, line):
+        # row 2's note spans lines 3-4; row 3 shares its block, row 4 starts
+        # the next, and row 10 sits two blocks later
+        rows = [[*cells, ""] for cells in self._rows()]
+        rows[1][3] = '"x\ny"'
+        rows[bad][1] = "x"
+        with pytest.raises(UnparseableValue, match=f"line {line}, column 'a'"):
             pc.load_csv(_write(tmp_path, self._text(rows, "t,a,b,note")), "t",
                         ["a", "b"])
 

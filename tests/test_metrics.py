@@ -108,3 +108,29 @@ class TestPooled:
         pred = truth + rng.normal(size=50)
         assert pc.nrmse_pooled(pred[None, :], truth[None, :]) == pytest.approx(
             pc.nrmse(pred, truth))
+
+
+class TestRollingNrmse:
+    def test_matches_a_step_by_step_loop(self):
+        # 110 steps after training: four whole 25-step horizons, and 10
+        # steps that start no origin
+        rng = np.random.default_rng(0)
+        t = np.arange(710.0)
+        latent = np.vstack([np.cos(t / 9), np.sin(t / 13)])
+        values = latent + 0.1 * rng.normal(size=latent.shape)
+        hp = pc.HyperParams(T0=100, Tprime=1000)
+
+        def trained():
+            return pc.create_model(
+                pc.TimeSeriesBatch(["a", "b"], values[:, :600]), hp)
+
+        model = trained()
+        got = pc.rolling_nrmse(model, values, latent[[1]], [1], 25)
+        assert model.n_steps == 700
+        reference, pred = trained(), []
+        for origin in range(600, 700, 25):
+            pred += [r.mean for r in pc.predict_range(
+                reference, 1, origin + 1, origin + 25, with_uq=False)]
+            for j in range(origin, origin + 25):
+                reference.insert(values[:, j])
+        assert got.tolist() == [pc.nrmse(np.array(pred), latent[1, 600:700])]

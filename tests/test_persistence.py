@@ -98,11 +98,10 @@ def _as_format(model, store, manifest, version):
         for key, value in (("L", sm.L), ("P", sm.P), ("P0", P0),
                            ("k1", sm.k1), ("k2", sm.k2)):
             manifest[pre + key] = str(value)
-        for attr, (_, _, v_file) in persistence._SVD_FILES.items():
-            V = getattr(sm, attr).V
-            old = np.empty_like(V)
-            old[_old_rows(sm)] = V
-            _put(store, manifest, f"sub_{sm.index}/{v_file}.f64", old)
+        for stem, V in sm.arrays():
+            if stem.startswith("V"):  # a factor set's V, row i to _old_rows[i]
+                _put(store, manifest, f"sub_{sm.index}/{stem}.f64",
+                     V[np.argsort(_old_rows(sm))])
 
 
 def _write_manifest(store, manifest):
@@ -475,12 +474,8 @@ class TestArrayEncoding:
         assert len(model.trained_submodels()) >= 2
         expect = {"raw_values.f64": model.raw.rows().T}
         for sm in model.trained_submodels():
-            for attr, names in persistence._SVD_FILES.items():
-                svd = getattr(sm, attr)
-                for fname, arr in zip(names, (svd.U, svd.s, svd.V)):
-                    expect[f"sub_{sm.index}/{fname}.f64"] = arr
-            for attr in persistence._VEC_FILES:
-                expect[f"sub_{sm.index}/{attr}.f64"] = getattr(sm, attr)
+            for stem, arr in sm.arrays():
+                expect[f"sub_{sm.index}/{stem}.f64"] = arr
         manifest = pc.save_model(model, tmp_path / "m")
         files = {p.relative_to(tmp_path / "m").as_posix()
                  for p in (tmp_path / "m").rglob("*.f64")}
