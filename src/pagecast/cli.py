@@ -23,7 +23,7 @@ from .incremental import HyperParams, create_model
 from .ingestion import (AGG_FUNCTIONS, TimeSeriesBatch, aggregate, load_csv, open_text,
                         sorted_stamps, write_csv, zero_filled)
 from .metrics import ExperimentGrid, nrmse_pooled, wbc
-from .persistence import _live, _refuse_file, load_model, save_model
+from .persistence import _live, _refuse_foreign, load_model, save_model
 from .query import predict_point, predict_range
 from .stats import METHODS
 from .synth import corrupt, gen_lrf, gen_synthetic_I, gen_synthetic_II, gen_synthetic_III
@@ -40,8 +40,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _emit_table(rows: list[dict], fmt: str) -> None:
-    if not rows:
-        return
     headers = list(rows[0].keys())
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
@@ -56,10 +54,8 @@ def _emit_table(rows: list[dict], fmt: str) -> None:
         print("  ".join(str(row[h]).ljust(widths[h]) for h in headers))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
+def _fmt(x: float) -> str:
+    return f"{x:.6g}"
 
 
 # --- create / insert -----------------------------------------------------------
@@ -76,7 +72,7 @@ def _read_csv(args, value_cols, tick) -> TimeSeriesBatch:
 
 def cmd_create(args) -> int:
     model_dir = os.path.normpath(args.model)
-    _refuse_file(model_dir)
+    _refuse_foreign(model_dir)
     found = model_dir if os.path.exists(model_dir) else _live(model_dir)[0]
     if found and not args.overwrite:
         print(f"error: {found} exists (use --overwrite)", file=sys.stderr)

@@ -98,14 +98,21 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _refuse_file(directory: str) -> None:
-    """Raise :class:`NotADirectoryError` naming the path if something other
-    than a directory (a regular file, say) is at ``directory`` or at its
-    ``.bak`` or ``.staging`` sibling: no save replaces it."""
+def _refuse_foreign(directory: str) -> None:
+    """Raise :class:`OSError` naming the path if a save would replace what
+    is not part of a model store: something other than a directory (a
+    regular file, say) at ``directory`` or at its ``.bak`` or ``.staging``
+    sibling (:class:`NotADirectoryError`), or a directory at ``directory``
+    that holds entries but no ``manifest.txt``.  An empty directory and a
+    dead store (a manifest that does not read) are replaced."""
     for path in (directory, directory + ".bak", directory + ".staging"):
         if os.path.exists(path) and not os.path.isdir(path):
             raise NotADirectoryError(errno.ENOTDIR, "not a directory, so not "
                                      "part of a model store", path)
+    if (os.path.isdir(directory) and os.listdir(directory)
+            and not os.path.lexists(os.path.join(directory, "manifest.txt"))):
+        raise OSError(errno.ENOTEMPTY, "directory holds no manifest.txt, so "
+                      "not a model store", directory)
 
 
 def save_model(model: PredictionModel, directory) -> dict:
@@ -113,10 +120,11 @@ def save_model(model: PredictionModel, directory) -> dict:
 
     Returns the manifest as a dict.  The previous version (if any) remains
     loadable if the process dies at any point during the save.  A path that
-    holds a file is refused before anything is written (:func:`_refuse_file`).
+    holds a file, or a directory of other files, is refused before anything
+    is written (:func:`_refuse_foreign`).
     """
     directory = os.path.normpath(os.fspath(directory))
-    _refuse_file(directory)
+    _refuse_foreign(directory)
     staging, backup = directory + ".staging", directory + ".bak"
     live, prev = _live(directory)
     if os.path.exists(staging):

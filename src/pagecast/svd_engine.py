@@ -66,29 +66,15 @@ class TruncatedSVD:
         return max(float(eu), float(ev))
 
 
-def _largest_entries(U: np.ndarray) -> np.ndarray:
-    """Each column's entry of largest magnitude (the first, on a tie)."""
-    return U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])]
-
-
-def _sign_fix(U: np.ndarray, V: np.ndarray) -> None:
-    """Flip singular-vector pairs so each U column's largest entry is positive.
-
-    In-place; makes factorizations deterministic for serialization and
-    golden tests.
-    """
-    flip = _largest_entries(U) < 0
-    if flip.any():
-        U[:, flip] *= -1.0
-        V[:, flip] *= -1.0
-
-
 def _factors(U: np.ndarray, s: np.ndarray, V: np.ndarray) -> TruncatedSVD:
-    """The sign-fixed factors in contiguous arrays, with their own ``s``."""
-    U = np.ascontiguousarray(U)
-    V = np.ascontiguousarray(V)
-    _sign_fix(U, V)
-    return TruncatedSVD(U, s.copy(), V)
+    """The factors in contiguous arrays, with their own ``s``.
+
+    Signs stay as LAPACK returns them: every answer reads a factor set
+    through U diag(s) V^T or U diag(1/s) V^T y, and both are unchanged when
+    a (U, V) column pair flips sign.
+    """
+    return TruncatedSVD(np.ascontiguousarray(U), s.copy(),
+                        np.ascontiguousarray(V))
 
 
 def truncated_svd(m: np.ndarray, k: int) -> TruncatedSVD:
@@ -173,7 +159,8 @@ def svd_with_spectrum(m: np.ndarray,
 
 
 def _reorthogonalize(Q: np.ndarray) -> np.ndarray:
-    """QR-based re-orthogonalization preserving column signs."""
+    """QR-based re-orthogonalization preserving column signs, so each
+    column stays paired with its partner in the other factor."""
     Qn, R = np.linalg.qr(Q)
     flip = np.sign(np.diag(R))
     flip[flip == 0] = 1.0
@@ -215,12 +202,8 @@ def append_columns(svd: TruncatedSVD, B: np.ndarray, k: int) -> TruncatedSVD:
     small[:, kk:] = B
     F, theta, Gt = np.linalg.svd(small, full_matrices=False)
     k_new = min(k, len(theta))
-    # The sign fix of the small factors, as products with -1.0 or 1.0 (exact,
-    # and F's columns are orthonormal, so no largest entry is zero); V' is
-    # rotated from the fixed G.
-    sign = np.copysign(1.0, _largest_entries(F[:, :k_new]))
-    U_new = F[:, :k_new] * sign
-    G = Gt[:k_new].T * sign
+    U_new = np.ascontiguousarray(F[:, :k_new])
+    G = Gt[:k_new].T
     V_new = np.empty((old_cols + c, k_new))
     np.matmul(V, G[:kk], out=V_new[:old_cols])
     V_new[old_cols:] = G[kk:]

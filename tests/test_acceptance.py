@@ -408,28 +408,27 @@ def _schedule_model(n_steps=260):
 
 
 def _scaling() -> dict:
-    """Criterion 10's measurement: per total size the best of repeated
-    create_model wall times, the two per-observation ratios of successive
-    sizes, and the p50 point latency on the smallest and the largest model."""
+    """Criterion 10's measurement: per total size the best create_model wall
+    time over interleaved rounds of all sizes, the two per-observation
+    ratios of successive sizes, and the p50 point latency on the smallest
+    and the largest model."""
     n_series = 10
     sizes = [10_000, 100_000, 1_000_000]
-    repeats = {10_000: 5, 100_000: 3, 1_000_000: 1}
-    times = {}
-    models = {}
+    inputs = {}
     for total in sizes:
-        steps = total // n_series
-        truth = pc.gen_synthetic_I(n=2, m=5, T=steps, r=4, seed=7,
-                                   preset="scaling")
-        noisy = pc.corrupt(truth, sigma=0.2, seed=7)
-        if total == sizes[0]:  # warm caches before the measured runs
-            pc.create_model(noisy.observations, pc.HyperParams())
-        best = math.inf
-        for _ in range(repeats[total]):  # min damps scheduler noise
+        truth = pc.gen_synthetic_I(n=2, m=5, T=total // n_series, r=4,
+                                   seed=7, preset="scaling")
+        inputs[total] = pc.corrupt(truth, sigma=0.2, seed=7).observations
+    pc.create_model(inputs[sizes[0]], pc.HyperParams())  # warm caches
+    times = dict.fromkeys(sizes, math.inf)
+    models = {}
+    # The min damps scheduler noise; interleaving the sizes spreads a slow
+    # spell of the host over all of them instead of one.
+    for _ in range(5):
+        for total in sizes:
             start = time.perf_counter()
-            model = pc.create_model(noisy.observations, pc.HyperParams())
-            best = min(best, time.perf_counter() - start)
-        times[total] = best
-        models[total] = model
+            models[total] = pc.create_model(inputs[total], pc.HyperParams())
+            times[total] = min(times[total], time.perf_counter() - start)
 
     ratio_a = (times[sizes[1]] / times[sizes[0]]) / (sizes[1] / sizes[0])
     ratio_b = (times[sizes[2]] / times[sizes[1]]) / (sizes[2] / sizes[1])

@@ -174,6 +174,22 @@ class TestCreatePredict:
         assert path.read_text() == "not a store"
         assert sorted(os.listdir(tmp_path)) == ["data.csv", "m"]
 
+    def test_create_overwrite_refuses_a_directory_of_other_files(
+            self, tmp_path, capsys):
+        # it trained, then deleted the directory's files to commit the store
+        data = tmp_path / "data.csv"
+        _write_series_csv(data)
+        path = tmp_path / "m"
+        path.mkdir()
+        (path / "notes.txt").write_text("not a store")
+        code, _, err = _run(capsys, ["create", "--input", str(data),
+                                     "--model", str(path), "--overwrite"])
+        assert code == 1 and err.startswith("error: ") and str(path) in err
+        assert "read " not in err  # refused before the CSV is read
+        assert os.listdir(path) == ["notes.txt"]
+        assert (path / "notes.txt").read_text() == "not a store"
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "m"]
+
     def test_create_refuses_a_store_live_only_in_backup(self, tmp_path,
                                                         capsys):
         # what a save interrupted between its two renames leaves
@@ -497,6 +513,14 @@ class TestSynthCli:
         assert batch.values.shape == (3, 300)
 
 
+    def test_lrf_preset_default_length(self, tmp_path, capsys):
+        out_dir = tmp_path / "lrf"
+        code, _, _ = _run(capsys, [
+            "synth", "--preset", "lrf", "--out", str(out_dir), "--n", "2"])
+        assert code == 0
+        batch = pc.load_csv(out_dir / "lrf_obs.csv", "t")
+        assert batch.values.shape == (2, 2000)
+
 class TestParser:
     def test_commands(self, capsys):
         parser = build_parser()
@@ -651,6 +675,12 @@ class TestEvalCli:
         assert "row 2: timestamp 5 differs from 2" in err
         assert str(tmp_path / "pred.csv") in err
         assert str(tmp_path / "truth.csv") in err
+
+    def test_manifest_with_only_a_header(self, tmp_path, capsys):
+        manifest = tmp_path / "exp.csv"
+        manifest.write_text("algorithm,experiment,pred,truth\n")
+        code, out, err = _run(capsys, ["eval", "--manifest", str(manifest)])
+        assert (code, out, err) == (1, "", "error: empty manifest\n")
 
     def test_bad_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "exp.csv"

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import pagecast as pc
 import pagecast.incremental as inc
 import pagecast.svd_engine as svd_engine
-from pagecast.errors import InvalidParams, NonFiniteInput, WidthMismatch
+from pagecast.errors import (InvalidParams, NonFiniteInput, UntrainedModel,
+                             WidthMismatch)
 from pagecast.incremental import q0_limit, q_limit, retrain_thresholds
 from pagecast.svd_engine import GRAM_PATH_MIN_ROWS
 
@@ -139,6 +140,9 @@ class TestScheduleFormulas:
         for ranks in ({"k1": 0}, {"k2": -3}, {"k1": 0, "k2": -3}):
             with pytest.raises(InvalidParams):
                 pc.HyperParams(**ranks)
+        for L in (1, 0):
+            with pytest.raises(InvalidParams, match="L override"):
+                pc.HyperParams(L=L)
 
     @pytest.mark.parametrize("value", [True, 3.0, 2.5, "3"])
     @pytest.mark.parametrize("name", ["T0", "Tprime", "L", "k1", "k2",
@@ -196,6 +200,20 @@ class TestFallbackAndFirstTrain:
         batch = pc.TimeSeriesBatch(["a"], vals, np.isfinite(vals))
         model = pc.create_model(batch, pc.HyperParams(T0=100, Tprime=1000))
         assert model.fallback_mean == pytest.approx(2.0)
+
+    def test_all_missing_stream_falls_back_to_zero(self):
+        vals = np.full((2, 30), np.nan)
+        batch = pc.TimeSeriesBatch(["a", "b"], vals, np.zeros(vals.shape, bool))
+        model = pc.create_model(batch, pc.HyperParams(T0=100, Tprime=1000))
+        assert model.obs_cnt == 0
+        assert model.fallback_mean == 0.0 and model.fallback_var == 0.0
+        r = pc.predict_point(model, "b", 5)
+        assert r.fallback and (r.mean, r.variance) == (0.0, 0.0)
+
+    def test_untrained_model_has_no_averaged_coefficients(self):
+        model = pc.create_model(_stream(50), pc.HyperParams(T0=100, Tprime=1000))
+        with pytest.raises(UntrainedModel):
+            model.averaged_coefficients()
 
 
 class TestScheduleSimulation:
@@ -814,6 +832,15 @@ class TestRawWindowContract:
                     assert raw.start_step <= sm.start_step, (sm.index, sm.L)
 
 
+    def test_pruned_step_refused(self):
+        model = pc.create_model(_stream(1000, 3, seed=8),
+                                pc.HyperParams(T0=20, Tprime=300))
+        start = model.raw.start_step
+        assert start > 0  # the window was pruned
+        with pytest.raises(InvalidParams, match="already pruned"):
+            model.raw.slice_steps(start - 1, start + 1)
+        assert model.raw.slice_steps(start, start + 1).shape == (3, 1)
+
     def test_tail_of_one_series(self):
         # A forecast seed reads one row: the same floats, padding included,
         # as that row of the all-series tail.
@@ -946,13 +973,13 @@ class TestGoldenAnswers:
     """
 
     GOLDEN = [
-        (0, 1, "0x1.5b67b045d5c06p-1", "0x1.96f51e4b46ab0p-4"),
-        (3, 5000, "-0x1.80fc9f2af4688p+0", "0x1.e55f7167c1280p-5"),
-        (7, 11000, "0x1.14b4bd61a0c6ap-2", "0x1.62f71ffe60e6bp-4"),
+        (0, 1, "0x1.5b67b045d5bfdp-1", "0x1.96f51e4b46b24p-4"),
+        (3, 5000, "-0x1.80fc9f2af4687p+0", "0x1.e55f7167c14c0p-5"),
+        (7, 11000, "0x1.14b4bd61a0c72p-2", "0x1.62f71ffe60e56p-4"),
         (9, 12000, "-0x1.09ccf772ee2d0p-4", "0x1.179eca1bd2932p+0"),
         (2, 12001, "-0x1.2a7a1e8de6351p-1", "0x0.0p+0"),
         (5, 12100, "0x1.5eb1385a3d582p-3", "0x0.0p+0"),
-        (8, 13000, "-0x1.42fcd3010c007p-4", "0x1.58a54ec26f653p-8"),
+        (8, 13000, "-0x1.42fcd3010c007p-4", "0x1.58a54ec26f41fp-8"),
     ]
 
     SCRIPT = """

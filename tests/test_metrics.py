@@ -28,6 +28,8 @@ class TestNrmse:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             pc.nrmse(np.zeros(3), np.zeros(4))
+        with pytest.raises(LengthMismatch, match="at least 2"):
+            pc.nrmse(np.array([1.0]), np.array([2.0]))
 
     @given(st.floats(min_value=0.1, max_value=10.0),
            st.floats(min_value=-5.0, max_value=5.0))
@@ -54,6 +56,16 @@ class TestRSquared:
     def test_anticorrelated_negative(self):
         truth = np.array([-1.0, 0.0, 1.0])
         assert pc.r_squared(-truth, truth) < 0.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            pc.r_squared(np.zeros(3), np.zeros(4))
+        with pytest.raises(LengthMismatch):
+            pc.r_squared(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_constant_truth_refused(self):
+        with pytest.raises(DegenerateTruth):
+            pc.r_squared(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
 
 
 class TestWbc:
@@ -89,6 +101,8 @@ class TestWbc:
             pc.ExperimentGrid(["a", "b"], ["x"], np.array([[1.0], [np.nan]]))
         with pytest.raises(IncompleteGrid):
             pc.ExperimentGrid(["a"], ["x"], np.array([[1.0]]))
+        with pytest.raises(IncompleteGrid, match="shape"):
+            pc.ExperimentGrid(["a", "b"], ["x", "y"], np.ones((2, 3)))
 
     def test_per_experiment_scale_invariance(self):
         rng = np.random.default_rng(2)
@@ -108,6 +122,10 @@ class TestPooled:
         pred = truth + rng.normal(size=50)
         assert pc.nrmse_pooled(pred[None, :], truth[None, :]) == pytest.approx(
             pc.nrmse(pred, truth))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            pc.nrmse_pooled(np.zeros((2, 5)), np.zeros((3, 5)))
 
 
 class TestRollingNrmse:

@@ -878,6 +878,38 @@ class TestCrashSafety:
         assert stored == {p: p.read_bytes() for p in (tmp_path / "m").rglob("*")
                           if p.is_file()}
 
+    def test_directory_of_other_files_refused_before_staging(self, tmp_path):
+        # it was deleted and replaced by the new store
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        path = tmp_path / "m"
+        (path / "sub").mkdir(parents=True)
+        (path / "notes.txt").write_text("not a store")
+        (path / "sub" / "data.bin").write_bytes(b"\x00\x01")
+        before = {p: p.read_bytes() if p.is_file() else None
+                  for p in path.rglob("*")}
+        with pytest.raises(OSError, match=re.escape(repr(str(path)))):
+            pc.save_model(model, path)
+        assert before == {p: p.read_bytes() if p.is_file() else None
+                          for p in path.rglob("*")}
+        assert sorted(os.listdir(tmp_path)) == ["m"]
+
+    def test_empty_directory_is_replaced(self, tmp_path):
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        (tmp_path / "m").mkdir()
+        assert pc.save_model(model, tmp_path / "m")["model_version"] == "1"
+        assert pc.load_model(tmp_path / "m").n_steps == model.n_steps
+
+    def test_dead_primary_with_live_backup_is_replaced(self, tmp_path):
+        model = _model(n_steps=300, hp=pc.HyperParams(T0=60, Tprime=400))
+        path = tmp_path / "m"
+        pc.save_model(model, path)
+        pc.save_model(model, path)
+        shutil.copytree(path, tmp_path / "m.bak")
+        (path / "manifest.txt").write_bytes(b"\xff not a manifest\n")
+        assert pc.save_model(model, path)["model_version"] == "3"
+        assert sorted(os.listdir(tmp_path)) == ["m"]
+        assert pc.load_model(path).n_steps == model.n_steps
+
     def test_readonly_parent_raises_oserror(self, tmp_path):
         if os.geteuid() == 0:
             pytest.skip("root bypasses permission bits")

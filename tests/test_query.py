@@ -9,7 +9,7 @@ import pagecast as pc
 from pagecast import query, stats
 from pagecast.errors import (InvalidConfidence, NonFiniteInput, OutOfRange,
                              UnknownSeries, UnstableForecast)
-from pagecast.estimator import zero_filled
+from pagecast.estimator import pcr_coefficients, zero_filled
 from pagecast.kernels import ar_recurrence, reconstruct_points
 from pagecast.query import MAX_HORIZON, QUERY_CHUNK
 
@@ -523,6 +523,35 @@ class TestOneQueryPath:
                     pc.predict_point(model, args["series"], args["t1"],
                                      args["confidence"], args["method"],
                                      with_uq)
+
+
+class TestSignFreedom:
+    """No answer reads the signs of the factors: flipping the sign of a
+    (U, V) column pair leaves U diag(s) V^T, and so every imputation, and
+    U diag(1/s) V^T y, and so β and every forecast, bit-identical."""
+
+    @staticmethod
+    def _answers(model):
+        return [(pc.predict_range(model, n, 1, model.n_steps + 300),
+                 pc.predict_point(model, n, model.n_steps + 5000))
+                for n in range(model.N)]
+
+    def test_column_pair_flips_change_no_answer(self):
+        model = _multi_segment_model()
+        before = self._answers(model)
+        rng = np.random.default_rng(23)
+        trained = model.trained_submodels()
+        assert len(trained) > 1
+        for sm in trained:
+            for svd in sm.factor_sets():
+                y = rng.normal(size=svd.V.shape[0])
+                beta = pcr_coefficients(svd, y)
+                flip = rng.random(svd.rank) < 0.5
+                flip[rng.integers(svd.rank)] = True
+                svd.U[:, flip] *= -1.0
+                svd.V[:, flip] *= -1.0
+                assert pcr_coefficients(svd, y).tobytes() == beta.tobytes()
+        assert self._answers(model) == before
 
 
 class TestQueryMemory:

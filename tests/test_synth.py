@@ -186,6 +186,18 @@ class TestSyntheticIII:
             assert abs(resid.var() - expected) < max(tol, 0.05 * expected), arm
 
 
+class TestSyntheticTruth:
+    @pytest.mark.parametrize("mean_shape, var_shape, var_fill", [
+        ((2, 4), (2, 5), 0.0), ((2, 5), (1, 5), 0.0), ((2, 5), (2, 5), -1.0)],
+        ids=["mean shape", "variance shape", "negative variance"])
+    def test_inconsistent_latents_refused(self, mean_shape, var_shape,
+                                          var_fill):
+        batch = pc.TimeSeriesBatch(["a", "b"], np.zeros((2, 5)))
+        with pytest.raises(InvalidParams, match="shape|nonnegative"):
+            pc.SyntheticTruth(batch, np.zeros(mean_shape),
+                              np.full(var_shape, var_fill))
+
+
 class TestGenLrf:
     def test_rank_bounds_sweep(self):
         for seed, (K, R_max, N) in enumerate([(1, 2, 1), (2, 2, 3), (3, 1, 2),
@@ -207,6 +219,10 @@ class TestGenLrf:
     def test_counts_must_be_integers(self, args):
         with pytest.raises(InvalidParams):
             pc.gen_lrf(*args)
+
+    def test_theta_of_wrong_shape_refused(self):
+        with pytest.raises(InvalidParams, match=r"theta must have shape \(3, 2\)"):
+            pc.gen_lrf(2, 2, 3, 100, seed=0, theta=np.zeros((2, 3)))
 
     def test_numpy_int_counts(self):
         a = pc.gen_lrf(np.int64(2), np.int32(2), np.int64(3), np.int64(50))
